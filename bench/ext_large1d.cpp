@@ -6,14 +6,14 @@
 //                 and its log N sweeps all live in the cache hierarchy)
 //   naive DIT   — in-place strided butterflies over the full array
 //   four-step   — two tiled, software-pipelined passes through the
-//                 cache-resident double buffer (DoubleBuffer1d)
+//                 cache-resident double buffer (Fft1dLarge)
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_util.h"
 #include "benchutil/metrics.h"
 #include "benchutil/table.h"
-#include "fft/double_buffer_1d.h"
+#include "fft1d/large.h"
 #include "stream/stream.h"
 
 using namespace bwfft;
@@ -55,7 +55,7 @@ int main() {
       flat.apply_strided_inplace(in.data(), 1);
       t_dit = std::min(t_dit, t.seconds());
     }
-    DoubleBuffer1d four(n, Direction::Forward, four_opts);
+    Fft1dLarge four(n, Direction::Forward, four_opts);
     for (int r = 0; r < 3; ++r) {
       std::copy(original.begin(), original.end(), in.begin());
       Timer t;

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "fft1d/fft1d.h"
-#include "fft1d/fft1d_split.h"
 #include "fft1d/mixed_radix.h"
 #include "kernels/vecops.h"
 
@@ -72,28 +71,6 @@ BENCHMARK(BM_StridedInplace)
     ->Args({256, 16})
     ->Args({256, 256})
     ->Args({1024, 1024});
-
-// Block-interleaved (split) compute kernel vs the interleaved one — the
-// format-change ablation of §IV-A (ref [18]). Data is pre-packed; the
-// benchmark isolates butterfly throughput.
-void BM_LanesSplitFormat(benchmark::State& state) {
-  const idx_t n = state.range(0);
-  const idx_t lanes = kMu;
-  const idx_t count = std::max<idx_t>((1 << 16) / (n * lanes), 1);
-  SplitFft1d plan(n, Direction::Forward);
-  cvec seed = random_cvec(n * lanes * count);
-  dvec data(static_cast<std::size_t>(2 * n * lanes * count));
-  for (idx_t t = 0; t < count; ++t) {
-    SplitFft1d::pack(seed.data() + t * n * lanes,
-                     data.data() + 2 * t * n * lanes, n, lanes);
-  }
-  for (auto _ : state) {
-    plan.apply_lanes(data.data(), lanes, count);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * lanes * count);
-}
-BENCHMARK(BM_LanesSplitFormat)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_MixedRadix(benchmark::State& state) {
   const idx_t n = state.range(0);

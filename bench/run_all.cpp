@@ -1,6 +1,7 @@
-// run_all — sweep the Fig 1 / Fig 9 size grids plus the out-of-LLC 1D
-// four-step grid over every engine and emit the machine-readable
-// BENCH_*.json perf trajectory (benchutil/bench_schema).
+// run_all — sweep the Fig 1 (3D) / Fig 9 (2D) size grids plus the
+// out-of-LLC 1D four-step grid over every engine and emit the
+// machine-readable BENCH_*.json perf trajectory (benchutil/bench_schema).
+// Every rank plans through make_engine.
 //
 //   run_all [--label NAME] [--out FILE] [--smoke]
 //
@@ -23,7 +24,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "fft/engine.h"
-#include "fft/fft.h"
 #include "obs/obs.h"
 #include "stream/stream.h"
 
@@ -70,25 +70,10 @@ BenchRow run_case(EngineKind kind, const std::vector<idx_t>& dims,
   cvec original = random_cvec(total);
   cvec in(original.size()), out(original.size());
 
-  std::unique_ptr<Fft2d> plan2;
-  std::unique_ptr<Fft3d> plan3;
-  std::unique_ptr<MdEngine> plan1;
-  if (dims.size() == 1) {
-    plan1 = make_engine(dims, dir, opts);
-  } else if (dims.size() == 2) {
-    plan2 = std::make_unique<Fft2d>(dims[0], dims[1], dir, opts);
-  } else {
-    plan3 = std::make_unique<Fft3d>(dims[0], dims[1], dims[2], dir, opts);
-  }
+  const std::unique_ptr<MdEngine> plan = make_engine(dims, dir, opts);
   auto run_once = [&] {
     std::copy(original.begin(), original.end(), in.begin());
-    if (plan1) {
-      plan1->execute(in.data(), out.data());
-    } else if (plan2) {
-      plan2->execute(in.data(), out.data());
-    } else {
-      plan3->execute(in.data(), out.data());
-    }
+    plan->execute(in.data(), out.data());
   };
 
   // The naive strided DIT (1D Pencil) is the cache-hostile baseline: at
@@ -136,11 +121,7 @@ BenchRow run_case(EngineKind kind, const std::vector<idx_t>& dims,
 
   BenchRow row;
   row.engine = engine_name(kind);
-  if (kind == EngineKind::Auto) {
-    row.resolved = plan1   ? plan1->name()
-                   : plan2 ? plan2->engine_name()
-                           : plan3->engine_name();
-  }
+  if (kind == EngineKind::Auto) row.resolved = plan->name();
   row.dims = dims;
   row.best_seconds = best;
   row.pseudo_gflops = fft_gflops(static_cast<double>(total), best);

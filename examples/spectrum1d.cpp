@@ -3,7 +3,7 @@
 //
 // A long real signal (three tones + deterministic noise) is analysed two
 // ways: RealFft1d on the raw samples (half-spectrum peak picking), and
-// DoubleBuffer1d on the complexified signal (the engine for transforms
+// Fft1dLarge on the complexified signal (the engine for transforms
 // larger than the cache buffer). Both must find the same tones.
 #include <algorithm>
 #include <cmath>
@@ -13,7 +13,7 @@
 
 #include "common/aligned.h"
 #include "common/timer.h"
-#include "fft/double_buffer_1d.h"
+#include "fft1d/large.h"
 #include "fft1d/real.h"
 
 using namespace bwfft;
@@ -54,17 +54,17 @@ int main() {
   cvec cx(static_cast<std::size_t>(n));
   for (idx_t j = 0; j < n; ++j) cx[static_cast<std::size_t>(j)] = cplx(signal[static_cast<std::size_t>(j)], 0.0);
   cvec spec(static_cast<std::size_t>(n));
-  DoubleBuffer1d cplan(n, Direction::Forward, {});
+  Fft1dLarge cplan(n, Direction::Forward, {});
   Timer t2;
   cplan.execute(cx.data(), spec.data());
   const double secs_cplx = t2.seconds();
 
   std::printf("Spectrum analysis of 2^20 real samples\n");
   std::printf("  real-to-complex transform: %.2f ms;  double-buffered "
-              "complex: %.2f ms (a=%lld, b=%lld)\n",
+              "complex: %.2f ms (n1=%lld, n2=%lld)\n",
               secs_real * 1e3, secs_cplx * 1e3,
-              static_cast<long long>(cplan.factor_a()),
-              static_cast<long long>(cplan.factor_b()));
+              static_cast<long long>(cplan.factor_n1()),
+              static_cast<long long>(cplan.factor_n2()));
 
   bool ok = true;
   std::printf("  detected tones (bin: amplitude, cross-check):\n");

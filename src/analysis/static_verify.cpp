@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
-#include "fft/stage.h"
+#include "common/error.h"
 #include "kernels/twiddle.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft::analysis {
 
@@ -65,145 +66,105 @@ bool windows_overlap(const StridedInterval& a, const StridedInterval& b) {
   return false;
 }
 
-/// Geometry-derived windows shared by the double-buffer and
-/// stage-parallel builders: the load of rows [r0, r1) of block `i` reads
-/// a contiguous row range of the input; the rotated store scatters one
-/// mu-packet of each of those rows every rows*mu elements of the output
-/// (rotate_store_rows: row r packet p lands at out[(p*(a*b) + r) * mu]).
-StridedInterval rotated_store_window(const StageGeometry& g, idx_t first_row,
-                                     idx_t nrows) {
-  return {first_row * g.mu, nrows * g.mu, g.rows() * g.mu, g.cp()};
+/// Read and write windows of rows [row, row + nrows) of stage `s` (a row
+/// is the stage's tiling unit, see PlannedStage).
+void add_row_windows(const StagePlan& plan, const PlannedStage& s, idx_t row,
+                     idx_t nrows, int owner, StageModel* st) {
+  const StridedInterval rows_iv =
+      StridedInterval::contiguous(row * s.row_elems, nrows * s.row_elems);
+  switch (s.kind) {
+    case StageKind::Rotated: {
+      // rotate_store_rows: packet p of row r lands at out[(p*rows + r)*mu],
+      // so the rows' packets interleave every rows*mu elements.
+      const StageGeometry& g = s.geom;
+      st->loads.push_back({owner, rows_iv});
+      st->stores.push_back(
+          {owner, {row * g.mu, nrows * g.mu, g.rows() * g.mu, g.cp()}});
+      break;
+    }
+    case StageKind::Columns:
+      // In place: column group q is a W-wide run in each of the n1 rows.
+      for (idx_t q = row; q < row + nrows; ++q) {
+        const StridedInterval iv{q * s.group, s.group, plan.n2, plan.n1};
+        st->loads.push_back({owner, iv});
+        st->stores.push_back({owner, iv});
+      }
+      break;
+    case StageKind::Rows:
+      // Contiguous R-row loads; the L permutation stores column j of row
+      // group q as one R-wide run at j * n1 + q * R.
+      st->loads.push_back({owner, rows_iv});
+      for (idx_t q = row; q < row + nrows; ++q) {
+        st->stores.push_back({owner, {q * s.group, s.group, plan.n1, plan.n2}});
+      }
+      break;
+    case StageKind::Flat:
+      st->loads.push_back({owner, rows_iv});
+      st->stores.push_back({owner, rows_iv});
+      break;
+  }
 }
 
-void build_tiled_stage(const StageGeometry& g, idx_t total, int parts,
-                       idx_t block_rows, bool pipelined, bool nt,
-                       const std::string& name, StageModel* out) {
-  const idx_t row_elems = g.row_elems();
+StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
+                       int parts, bool pipelined) {
   StageModel st;
-  st.name = name;
-  st.in_elems = total;
-  st.out_elems = total;
-  st.iterations = g.rows() / block_rows;
+  st.name = s.name;
+  st.in_elems = plan.total;
+  st.out_elems = plan.total;
+  st.iterations = s.iterations;
   st.parts = parts;
-  st.nt_store = nt;
+  st.in_place = s.kind == StageKind::Columns;
+  st.nt_store = s.nontemporal;
   st.fence_before_publish = true;  // pipeline fences every store step
   st.pipelined = pipelined;
-  st.buf_elems = block_rows * row_elems;
-  for (idx_t i = 0; i < st.iterations; ++i) {
+  st.buf_elems = s.rows_per_block * s.row_elems;
+  for (idx_t i = 0; i < s.iterations; ++i) {
     for (int d = 0; d < parts; ++d) {
-      auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, d);
+      auto [r0, r1] = ThreadTeam::chunk(s.rows_per_block, parts, d);
       if (r1 <= r0) continue;
-      const int owner = static_cast<int>(i) * parts + d;
-      const idx_t row = i * block_rows + r0;
-      st.loads.push_back(
-          {owner, StridedInterval::contiguous(row * row_elems,
-                                              (r1 - r0) * row_elems)});
-      st.stores.push_back({owner, rotated_store_window(g, row, r1 - r0)});
+      add_row_windows(plan, s, i * s.rows_per_block + r0, r1 - r0,
+                      static_cast<int>(i) * parts + d, &st);
       if (pipelined && i == 0) {
         // Per-rank buffer windows are iteration-independent (the chunk
         // depends only on rank), so one iteration's worth describes all.
-        st.buf_loads.push_back(
-            {d, StridedInterval::contiguous(r0 * row_elems,
-                                            (r1 - r0) * row_elems)});
-        st.buf_stores.push_back(
-            {d, StridedInterval::contiguous(r0 * row_elems,
-                                            (r1 - r0) * row_elems)});
+        const StridedInterval buf = StridedInterval::contiguous(
+            r0 * s.row_elems, (r1 - r0) * s.row_elems);
+        st.buf_loads.push_back({d, buf});
+        st.buf_stores.push_back({d, buf});
       }
     }
   }
-  *out = std::move(st);
+  return st;
 }
 
-bool build_double_buffer(const std::vector<idx_t>& dims,
-                         const FftOptions& opts, PlanModel* out,
-                         std::string* why) {
-  const idx_t m = dims.back();
-  if (opts.packet_elems > 0 && m % opts.packet_elems != 0) {
-    *why = "packet_elems does not divide the fast dimension";
-    return false;
-  }
-  const idx_t mu = resolve_packet_size(opts.packet_elems, m);
-
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
-  const int pc = opts.compute_threads >= 0 ? opts.compute_threads
-                                           : (p <= 1 ? p : p / 2);
-  if (pc < 0 || pc > p) {
-    *why = "compute_threads outside [0, threads]";
-    return false;
-  }
-  const int pd = p - pc;
-  const bool pipelined = pd > 0;
-  // Sequential degraded schedule partitions over the compute group; the
-  // Table II schedule gives load/store to the data group.
-  const int parts = pipelined ? pd : pc;
-  if (parts < 1) {
-    *why = "no thread left to move data";
-    return false;
-  }
-
-  std::vector<StageGeometry> stages;
-  if (dims.size() == 2) {
-    auto s = make_2d_stages(dims[0], dims[1], mu);
-    stages.assign(s.begin(), s.end());
-  } else {
-    auto s = make_3d_stages(dims[0], dims[1], dims[2], mu);
-    stages.assign(s.begin(), s.end());
-  }
-
-  idx_t block = opts.block_elems > 0 ? opts.block_elems
-                                     : default_block_elems(opts.topo);
-  for (const auto& g : stages) block = std::max(block, g.row_elems());
-
+void build_double_buffer(const StagePlan& plan, PlanModel* out) {
+  // The Table II schedule gives load/store to the data group; with no
+  // data threads the sequential schedule partitions over the compute
+  // group (make_stage_plan guarantees p >= 1, so one of them is nonempty).
+  const bool pipelined = plan.data_threads > 0;
+  const int parts = pipelined ? plan.data_threads : plan.compute_threads;
   out->engine = engine_label(EngineKind::DoubleBuffer);
-  out->threads = p;
-  out->compute_threads = pc;
-  out->data_threads = pd;
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    const StageGeometry& g = stages[s];
-    const idx_t block_rows =
-        rows_per_block(g.rows(), block / g.row_elems());
-    StageModel st;
-    build_tiled_stage(g, out->total, parts, block_rows, pipelined,
-                      opts.nontemporal, "stage-" + std::to_string(s), &st);
-    out->stages.push_back(std::move(st));
+  out->threads = plan.threads;
+  out->compute_threads = plan.compute_threads;
+  out->data_threads = plan.data_threads;
+  for (const PlannedStage& s : plan.stages) {
+    out->stages.push_back(stage_model(plan, s, parts, pipelined));
   }
-  return true;
 }
 
-bool build_stage_parallel(const std::vector<idx_t>& dims,
-                          const FftOptions& opts, PlanModel* out,
-                          std::string* why) {
-  const idx_t m = dims.back();
-  if (opts.packet_elems > 0 && m % opts.packet_elems != 0) {
-    *why = "packet_elems does not divide the fast dimension";
-    return false;
-  }
-  const idx_t mu = resolve_packet_size(opts.packet_elems, m);
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
-
-  std::vector<StageGeometry> stages;
-  if (dims.size() == 2) {
-    auto s = make_2d_stages(dims[0], dims[1], mu);
-    stages.assign(s.begin(), s.end());
-  } else {
-    auto s = make_3d_stages(dims[0], dims[1], dims[2], mu);
-    stages.assign(s.begin(), s.end());
-  }
-
+void build_stage_parallel(const StagePlan& plan, PlanModel* out) {
   out->engine = engine_label(EngineKind::StageParallel);
-  out->threads = p;
-  out->compute_threads = p;
+  out->threads = plan.threads;
+  out->compute_threads = plan.threads;
   out->data_threads = 0;
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    // One un-tiled pass per stage: every thread transforms and rotates
-    // its whole row chunk, temporal stores, no pipeline.
-    StageModel st;
-    build_tiled_stage(stages[s], out->total, p, stages[s].rows(),
-                      /*pipelined=*/false, /*nt=*/false,
-                      "stage-" + std::to_string(s), &st);
-    out->stages.push_back(std::move(st));
+  for (PlannedStage s : plan.stages) {
+    // One untiled pass per stage: every thread transforms and rotates its
+    // whole row chunk with temporal stores.
+    s.rows_per_block = s.rows;
+    s.iterations = 1;
+    s.nontemporal = false;
+    out->stages.push_back(stage_model(plan, s, plan.threads, false));
   }
-  return true;
 }
 
 /// In-place pass whose per-rank window serves as both read and write set.
@@ -358,21 +319,34 @@ bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
   out->dims = dims;
   out->total = 1;
   for (idx_t d : dims) out->total *= d;
-  if (dims.size() != 2 && dims.size() != 3) {
-    *why = "engines support 2D and 3D only";
-    return false;
-  }
   for (idx_t d : dims) {
     if (d < 1) {
       *why = "dimensions must be positive";
       return false;
     }
   }
+  if (dims.empty() || dims.size() > 3 ||
+      (dims.size() == 1 && opts.engine != EngineKind::DoubleBuffer)) {
+    *why = "no symbolic model for this engine and rank";
+    return false;
+  }
   switch (opts.engine) {
     case EngineKind::DoubleBuffer:
-      return build_double_buffer(dims, opts, out, why);
-    case EngineKind::StageParallel:
-      return build_stage_parallel(dims, opts, out, why);
+    case EngineKind::StageParallel: {
+      StagePlan plan;
+      try {
+        plan = make_stage_plan(dims, opts);
+      } catch (const Error& e) {
+        *why = e.what();
+        return false;
+      }
+      if (opts.engine == EngineKind::DoubleBuffer) {
+        build_double_buffer(plan, out);
+      } else {
+        build_stage_parallel(plan, out);
+      }
+      return true;
+    }
     case EngineKind::Pencil:
       return build_pencil(dims, opts, out, why);
     case EngineKind::SlabPencil:

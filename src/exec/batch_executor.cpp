@@ -124,10 +124,11 @@ BatchExecutor::BatchExecutor(ServeOptions opts)
   // double-buffer role plan's pin list for this thread budget. Plans with
   // other pin shapes (unpinned engines, degraded budgets) pool their own
   // teams on first use; this one is the steady-state workhorse.
-  const int pc = opts_.plan.compute_threads >= 0
-                     ? opts_.plan.compute_threads
-                     : (threads_ <= 1 ? threads_ : threads_ / 2);
-  const RolePlan roles = make_role_plan(threads_, pc, opts_.plan.topo);
+  const RolePlan roles =
+      opts_.plan.compute_threads >= 0
+          ? make_role_plan(threads_, opts_.plan.compute_threads,
+                           opts_.plan.topo)
+          : make_even_role_plan(threads_, opts_.plan.topo);
   team_cpus_ = opts_.pin_threads ? roles.cpu : std::vector<int>{};
   team_ = parallel::TeamPool::global().acquire(threads_, team_cpus_);
 

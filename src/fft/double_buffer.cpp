@@ -12,59 +12,36 @@
 
 namespace bwfft {
 
-namespace {
-[[maybe_unused]] constexpr const char* kStageNames[3] = {"stage-0", "stage-1",
-                                                         "stage-2"};
-}  // namespace
-
 DoubleBufferEngine::DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
                                        const FftOptions& opts)
-    : dims_(std::move(dims)), dir_(dir), opts_(opts) {
-  BWFFT_CHECK(dims_.size() == 2 || dims_.size() == 3,
+    : dir_(dir), opts_(opts), plan_(make_stage_plan(dims, opts)) {
+  BWFFT_CHECK(dims.size() == 2 || dims.size() == 3,
               "double-buffer engine supports 2D and 3D");
-  for (idx_t d : dims_) total_ *= d;
-  if (dims_.size() == 2) {
-    const idx_t mu = resolve_packet_size(opts_.packet_elems, dims_[1]);
-    auto s = make_2d_stages(dims_[0], dims_[1], mu);
-    stages_.assign(s.begin(), s.end());
-    work_ = AlignedBuffer<cplx>(static_cast<std::size_t>(total_),
+  if (dims.size() == 2) {
+    work_ = AlignedBuffer<cplx>(static_cast<std::size_t>(plan_.total),
                                 AllocPlacement::HugePage);
-  } else {
-    const idx_t mu = resolve_packet_size(opts_.packet_elems, dims_[2]);
-    auto s = make_3d_stages(dims_[0], dims_[1], dims_[2], mu);
-    stages_.assign(s.begin(), s.end());
   }
-  for (const auto& g : stages_) {
-    ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
+  for (const auto& s : plan_.stages) {
+    ffts_.push_back(std::make_shared<Fft1d>(s.geom.fft_len, dir_, opts_.isa));
   }
-
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
-  const int pc = opts_.compute_threads >= 0
-                     ? opts_.compute_threads
-                     : (p <= 1 ? p : p / 2);
-  roles_ = make_role_plan(p, pc, opts_.topo);
+  roles_ = make_role_plan(plan_.threads, plan_.compute_threads, opts_.topo);
   team_ = parallel::make_team(
-      p, opts_.pin_threads ? roles_.cpu : std::vector<int>{},
+      plan_.threads, opts_.pin_threads ? roles_.cpu : std::vector<int>{},
       opts_.team_pool);
-
-  // Block size: the LLC policy, but always at least one row of the widest
-  // stage so every stage tiles into whole rows.
-  idx_t block = opts_.block_elems > 0 ? opts_.block_elems
-                                      : default_block_elems(opts_.topo);
-  for (const auto& g : stages_) block = std::max(block, g.row_elems());
-  pipeline_ = std::make_unique<DoubleBufferPipeline>(*team_, roles_, block);
+  pipeline_ =
+      std::make_unique<DoubleBufferPipeline>(*team_, roles_, plan_.block_elems);
 }
 
-void DoubleBufferEngine::run_stage(const StageGeometry& g, const Fft1d& fft,
+void DoubleBufferEngine::run_stage(const PlannedStage& s, const Fft1d& fft,
                                    const cplx* src, cplx* dst,
                                    bool pipelined) {
-  const idx_t row_elems = g.row_elems();
-  const idx_t block_rows =
-      rows_per_block(g.rows(), pipeline_->block_elems() / row_elems);
-  const bool nt = opts_.nontemporal;
+  const StageGeometry g = s.geom;
+  const idx_t row_elems = s.row_elems;
+  const idx_t block_rows = s.rows_per_block;
+  const bool nt = s.nontemporal;
 
   PipelineStage stage;
-  stage.iterations = g.rows() / block_rows;
+  stage.iterations = s.iterations;
   // R_{b,i}: stream block i's rows into the buffer half. The stores are
   // temporal on purpose — the compute threads read them next iteration.
   stage.load = [=](idx_t i, cplx* buf, int rank, int parts) {
@@ -94,7 +71,7 @@ void DoubleBufferEngine::run_stage(const StageGeometry& g, const Fft1d& fft,
   };
 
   Timer timer;
-  BWFFT_OBS_SCOPE(obs_stage, kStageNames[stats_.size() % 3], 'G', g.rows());
+  BWFFT_OBS_SCOPE(obs_stage, s.name, 'G', s.rows);
   if (pipelined) {
     if (analysis::self_check_enabled()) {
       // Self-audit (checked builds, or BWFFT_SELF_CHECK=1): record the
@@ -123,17 +100,18 @@ void DoubleBufferEngine::run_stage(const StageGeometry& g, const Fft1d& fft,
 void DoubleBufferEngine::run_all(cplx* in, cplx* out, bool pipelined) {
   BWFFT_CHECK(in != out, "engines are out of place");
   stats_.clear();
-  if (dims_.size() == 2) {
-    run_stage(stages_[0], *ffts_[0], in, work_.data(), pipelined);
-    run_stage(stages_[1], *ffts_[1], work_.data(), out, pipelined);
+  const auto& st = plan_.stages;
+  if (st.size() == 2) {
+    run_stage(st[0], *ffts_[0], in, work_.data(), pipelined);
+    run_stage(st[1], *ffts_[1], work_.data(), out, pipelined);
   } else {
-    run_stage(stages_[0], *ffts_[0], in, out, pipelined);
-    run_stage(stages_[1], *ffts_[1], out, in, pipelined);
-    run_stage(stages_[2], *ffts_[2], in, out, pipelined);
+    run_stage(st[0], *ffts_[0], in, out, pipelined);
+    run_stage(st[1], *ffts_[1], out, in, pipelined);
+    run_stage(st[2], *ffts_[2], in, out, pipelined);
   }
   if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
-    const double s = 1.0 / static_cast<double>(total_);
-    parallel_for_chunks(*team_, total_, [&](int, idx_t b, idx_t e) {
+    const double s = 1.0 / static_cast<double>(plan_.total);
+    parallel_for_chunks(*team_, plan_.total, [&](int, idx_t b, idx_t e) {
       for (idx_t i = b; i < e; ++i) out[i] *= s;
     });
   }

@@ -21,6 +21,7 @@
 #include "parallel/roles.h"
 #include "parallel/team.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft {
 
@@ -36,7 +37,8 @@ class DoubleBufferEngine final : public MdEngine {
   void execute_unpipelined(cplx* in, cplx* out);
 
   const RolePlan& roles() const { return roles_; }
-  idx_t block_elems() const { return pipeline_->block_elems(); }
+  const StagePlan& plan() const { return plan_; }
+  idx_t block_elems() const { return plan_.block_elems; }
 
   /// Wall time and iteration count of each stage in the last execute call
   /// (2 entries for 2D plans, 3 for 3D). Useful for stage-balance
@@ -57,20 +59,18 @@ class DoubleBufferEngine final : public MdEngine {
   }
 
  private:
-  void run_stage(const StageGeometry& g, const Fft1d& fft, const cplx* src,
+  void run_stage(const PlannedStage& s, const Fft1d& fft, const cplx* src,
                  cplx* dst, bool pipelined);
   void run_all(cplx* in, cplx* out, bool pipelined);
 
-  std::vector<idx_t> dims_;
   Direction dir_;
   FftOptions opts_;
-  std::vector<StageGeometry> stages_;
+  StagePlan plan_;
   std::vector<std::shared_ptr<Fft1d>> ffts_;
   std::shared_ptr<ThreadTeam> team_;  // pooled or private (FftOptions::team_pool)
   RolePlan roles_;
   std::unique_ptr<DoubleBufferPipeline> pipeline_;
   AlignedBuffer<cplx> work_;  // 2D intermediate (huge-page preferred)
-  idx_t total_ = 1;
   std::vector<StageStats> stats_;
 };
 

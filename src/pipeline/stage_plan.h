@@ -1,0 +1,82 @@
+// StagePlan — the one description of a planned double-buffer transform.
+//
+// make_stage_plan() resolves the team size p, the compute/data split
+// p_c/p_d, the rotation packet mu (2D/3D) or the four-step split n1*n2
+// (1D), the per-half pipeline block b, and for every stage how it tiles
+// into pipeline blocks. It is the only place those rules live:
+//
+//   - DoubleBufferEngine, StageParallelEngine and Fft1dLarge build their
+//     roles, team, pipeline and stage lambdas from the plan, and
+//     DualSocketFft3d takes its per-socket p_c and block from it;
+//   - analysis::build_plan_model turns the plan into symbolic windows;
+//   - tune::estimate_seconds and tools/bwfft_lint read p, p_c and b.
+//
+// Building a plan is a few integer loops: no allocation beyond the stage
+// vector, no threads, no twiddles.
+#pragma once
+
+#include <utility>
+#include <vector>
+
+#include "fft/options.h"
+#include "fft/stage.h"
+
+namespace bwfft {
+
+/// Four-step group caps: Fft1dLarge keeps a column group's twiddle
+/// recurrence and a row group's output run in stack arrays of this size.
+/// 32 columns (512 B runs) and 128 rows (2 KiB runs) make every strided
+/// access in either pass a multi-line run instead of a single cacheline.
+constexpr idx_t kFourStepMaxCols = 32;
+constexpr idx_t kFourStepMaxRows = 128;
+
+enum class StageKind {
+  Rotated,  ///< batch FFT over the rows of `geom`, then the rotation
+  Columns,  ///< four-step column pass (DFT_{n1} (x) I_{n2}), then D; in place
+  Rows,     ///< four-step row pass (I_{n1} (x) DFT_{n2}), then L
+  Flat,     ///< one untiled 1D pass (sizes the four-step cannot split)
+};
+
+/// One stage tiled into pipeline blocks. A "row" is the stage's tiling
+/// unit: a row of the rotation grid, a group of `group` columns (an
+/// n1 x W tile) or a group of `group` rows (an R x n2 tile).
+struct PlannedStage {
+  StageKind kind = StageKind::Rotated;
+  const char* name = "";  ///< obs slice and verifier label
+  StageGeometry geom;     ///< rotation grid (Rotated stages only)
+  idx_t group = 1;        ///< four-step group width W or height R
+  idx_t rows = 1;
+  idx_t row_elems = 1;
+  idx_t rows_per_block = 1;
+  idx_t iterations = 1;   ///< rows / rows_per_block
+  bool nontemporal = true;
+};
+
+struct StagePlan {
+  std::vector<idx_t> dims;
+  idx_t total = 1;
+  int threads = 1;          ///< p
+  int compute_threads = 1;  ///< p_c
+  int data_threads = 0;     ///< p_d = p - p_c
+  idx_t block_elems = 1;    ///< per-half block b, >= every stage's widest row
+  idx_t mu = 1;             ///< rotation packet (2D/3D)
+  idx_t n1 = 1, n2 = 1;     ///< 1D four-step split (n1 == 1: the flat pass)
+  std::vector<PlannedStage> stages;
+};
+
+/// Resolve the 1D four-step split n = n1 * n2: a requested n1 is honoured
+/// (kBadPlan unless it divides n), 0 picks a skewed cache-sized split
+/// (n1 ~ 512 so the column tile stays core-private, larger only to cap
+/// the row length at 64K elements), and an n with no divisor in [2, n/2]
+/// yields {1, n}.
+std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
+
+/// Plan dims (size 1, 2 or 3, slowest first) under opts. 2D/3D plans are
+/// the rotated stage chain of fft/stage.h; 1D plans are the two
+/// four-step passes, or one Flat stage on a single thread when n does not
+/// split. The engine kind is not consulted: stage-parallel executes the
+/// same stages untiled. Throws kBadPlan on options no engine can run.
+StagePlan make_stage_plan(const std::vector<idx_t>& dims,
+                          const FftOptions& opts);
+
+}  // namespace bwfft

@@ -6,9 +6,9 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "fft/stage.h"
-#include "fft1d/large.h"
 #include "kernels/isa.h"
+#include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft::tune {
 
@@ -78,114 +78,11 @@ std::string candidate_label(const TuneCandidate& c) {
   return buf;
 }
 
-namespace {
-
-/// The 1D grid: engine x compute split x block x factorization x nt x
-/// isa. The packet axis is absent — Fft1dLarge derives a packet per
-/// factor — and in its place the four-step factorization is enumerated:
-/// the near-square n1 plus the x2 / /2 skews that still divide n, so
-/// measurement can catch hosts where an asymmetric split (cheaper column
-/// gathers vs cheaper row scatters) wins.
-std::vector<TuneCandidate> enumerate_candidates_1d(idx_t n,
-                                                   const FftOptions& req) {
-  const int p = req.threads > 0 ? req.threads : req.topo.total_threads();
-
-  std::vector<EngineKind> engines;
-  if (req.engine != EngineKind::Auto) {
-    engines = {req.engine};
-  } else {
-    engines = {EngineKind::DoubleBuffer, EngineKind::StageParallel};
-    // The naive-DIT baseline only plans at powers of two; never enumerate
-    // a candidate the engine would reject.
-    if (is_pow2(n)) engines.push_back(EngineKind::Pencil);
-  }
-
-  std::vector<idx_t> factors;
-  if (req.factor_n1 > 0) {
-    factors = {req.factor_n1};
-  } else {
-    const idx_t f0 = Fft1dLarge::choose_factors(n, 0).first;
-    factors = {f0};
-    if (f0 > 1) {
-      for (idx_t skew : {f0 / 2, f0 * 2}) {
-        if (skew >= 2 && skew != f0 && n % skew == 0 && n / skew >= 2) {
-          factors.push_back(skew);
-        }
-      }
-    }
-  }
-
-  std::vector<int> splits;
-  if (req.compute_threads >= 0) {
-    splits = {req.compute_threads};
-  } else {
-    splits = {-1};
-    if (p >= 4 && (3 * p) / 4 < p) splits.push_back((3 * p) / 4);
-  }
-
-  std::vector<idx_t> blocks;
-  if (req.block_elems > 0) {
-    blocks = {req.block_elems};
-  } else {
-    blocks = {0};
-    const idx_t policy = req.topo.shared_buffer_elems() / 2;
-    const idx_t half = policy / 2;
-    if (half > 0 && half < req.topo.shared_buffer_elems()) {
-      blocks.push_back(half);
-    }
-  }
-
-  const bool nt_values[] = {true, false};
-
-  std::vector<kernels::Isa> isas;
-  if (req.isa != kernels::Isa::Auto) {
-    isas = {req.isa};
-  } else {
-    isas = {kernels::Isa::Auto};
-    if (kernels::detected_isa() == kernels::Isa::Avx512) {
-      isas.push_back(kernels::Isa::Avx2);
-    }
-  }
-
-  std::vector<TuneCandidate> out;
-  for (EngineKind e : engines) {
-    const bool is_four_step = e == EngineKind::DoubleBuffer;
-    const bool tunes_isa = e != EngineKind::Reference;
-    for (int c : splits) {
-      if (!is_four_step && c != splits.front()) continue;
-      for (idx_t b : blocks) {
-        if (!is_four_step && b != blocks.front()) continue;
-        for (idx_t f : factors) {
-          if (!is_four_step && f != factors.front()) continue;
-          for (bool nt : nt_values) {
-            if (!is_four_step && nt != nt_values[0]) continue;
-            for (kernels::Isa isa : isas) {
-              if (!tunes_isa && isa != isas.front()) continue;
-              TuneCandidate cand;
-              cand.engine = e;
-              cand.compute_threads = is_four_step ? c : -1;
-              cand.block_elems = is_four_step ? b : 0;
-              cand.packet_elems = 0;
-              cand.factor_n1 = is_four_step ? f : 0;
-              cand.nontemporal = is_four_step ? nt : true;
-              cand.isa = tunes_isa ? isa : kernels::Isa::Auto;
-              out.push_back(cand);
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
                                                 const FftOptions& req) {
   BWFFT_CHECK(dims.size() >= 1 && dims.size() <= 3,
               "tuning supports 1D, 2D and 3D transforms");
-  if (dims.size() == 1) return enumerate_candidates_1d(dims[0], req);
+  const bool one_d = dims.size() == 1;
   const int p = req.threads > 0 ? req.threads : req.topo.total_threads();
   const idx_t m = dims.back();  // fast dimension: mu must divide it
 
@@ -194,8 +91,10 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
   if (req.engine != EngineKind::Auto) {
     engines = {req.engine};
   } else {
-    engines = {EngineKind::DoubleBuffer, EngineKind::StageParallel,
-               EngineKind::Pencil};
+    engines = {EngineKind::DoubleBuffer, EngineKind::StageParallel};
+    // The naive 1D DIT only plans at powers of two; never enumerate a
+    // candidate the engine would reject.
+    if (!one_d || is_pow2(m)) engines.push_back(EngineKind::Pencil);
     if (dims.size() == 3) engines.push_back(EngineKind::SlabPencil);
   }
 
@@ -209,25 +108,35 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
     if (p >= 4 && (3 * p) / 4 < p) splits.push_back((3 * p) / 4);
   }
 
-  std::vector<idx_t> blocks;
-  if (req.block_elems > 0) {
-    blocks = {req.block_elems};
-  } else {
-    blocks = {0};
-    // Half the policy block: twice the iterations, half the cache
-    // footprint — wins when the LLC is shared with the application.
-    const idx_t policy = req.topo.shared_buffer_elems() / 2;
-    const idx_t half = policy / 2;
-    if (half > 0 && half < req.topo.shared_buffer_elems()) {
-      blocks.push_back(half);
-    }
+  // Block axis: the policy block (0) plus half of it — twice the
+  // iterations, half the cache footprint, which wins when the LLC is
+  // shared with the application.
+  std::vector<idx_t> blocks = {std::max<idx_t>(req.block_elems, 0)};
+  if (req.block_elems <= 0 && default_block_elems(req.topo) / 2 > 0) {
+    blocks.push_back(default_block_elems(req.topo) / 2);
   }
 
-  std::vector<idx_t> packets;
-  if (req.packet_elems > 0) {
+  // 2D/3D: the rotation packet. 1D has no packet axis — Fft1dLarge sizes
+  // its groups per factor — so the four-step factorization takes its
+  // place: the default n1 plus the x2 / /2 skews that still divide n, so
+  // measurement can catch hosts where an asymmetric split (cheaper
+  // column gathers vs cheaper row scatters) wins.
+  std::vector<idx_t> packets = {0}, factors = {0};
+  if (one_d) {
+    if (req.factor_n1 > 0) {
+      factors = {req.factor_n1};
+    } else {
+      const idx_t f0 = four_step_factors(m, 0).first;
+      factors = {f0};
+      for (idx_t skew : {f0 / 2, f0 * 2}) {
+        if (f0 > 1 && skew >= 2 && m % skew == 0 && m / skew >= 2) {
+          factors.push_back(skew);
+        }
+      }
+    }
+  } else if (req.packet_elems > 0) {
     packets = {req.packet_elems};
   } else {
-    packets = {0};
     // Where the auto packet widens past the cacheline (AVX-512 dispatch,
     // see auto_packet_cap), keep the one-cacheline §III-A packet as an
     // explicit candidate so measurement can reject the wider packet on
@@ -260,33 +169,34 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
 
   std::vector<TuneCandidate> out;
   for (EngineKind e : engines) {
-    const bool tunes_split = e == EngineKind::DoubleBuffer;
-    const bool tunes_block = e == EngineKind::DoubleBuffer;
-    const bool tunes_packet =
-        e == EngineKind::DoubleBuffer || e == EngineKind::StageParallel;
-    const bool tunes_nt =
-        e == EngineKind::DoubleBuffer || e == EngineKind::StageParallel;
-    const bool tunes_isa =
-        e == EngineKind::DoubleBuffer || e == EngineKind::StageParallel;
+    const bool db = e == EngineKind::DoubleBuffer;
+    // Stage-parallel shares the rotation knobs in 2D/3D; in 1D it is the
+    // flat Stockham pass, which (like the naive DIT) tunes only the ISA.
+    const bool rotates = db || (!one_d && e == EngineKind::StageParallel);
+    const bool tunes_isa = rotates || (one_d && e != EngineKind::Reference);
     for (int c : splits) {
-      if (!tunes_split && c != splits.front()) continue;
+      if (!db && c != splits.front()) continue;
       for (idx_t b : blocks) {
-        if (!tunes_block && b != blocks.front()) continue;
+        if (!db && b != blocks.front()) continue;
         for (idx_t mu : packets) {
-          if (!tunes_packet && mu != packets.front()) continue;
+          if (!rotates && mu != packets.front()) continue;
           if (mu > 0 && m % mu != 0) continue;
-          for (bool nt : nt_values) {
-            if (!tunes_nt && nt != nt_values[0]) continue;
-            for (kernels::Isa isa : isas) {
-              if (!tunes_isa && isa != isas.front()) continue;
-              TuneCandidate cand;
-              cand.engine = e;
-              cand.compute_threads = tunes_split ? c : -1;
-              cand.block_elems = tunes_block ? b : 0;
-              cand.packet_elems = tunes_packet ? mu : 0;
-              cand.nontemporal = tunes_nt ? nt : true;
-              cand.isa = tunes_isa ? isa : kernels::Isa::Auto;
-              out.push_back(cand);
+          for (idx_t f : factors) {
+            if (!db && f != factors.front()) continue;
+            for (bool nt : nt_values) {
+              if (!rotates && nt != nt_values[0]) continue;
+              for (kernels::Isa isa : isas) {
+                if (!tunes_isa && isa != isas.front()) continue;
+                TuneCandidate cand;
+                cand.engine = e;
+                cand.compute_threads = db ? c : -1;
+                cand.block_elems = db ? b : 0;
+                cand.packet_elems = rotates ? mu : 0;
+                cand.factor_n1 = db ? f : 0;
+                cand.nontemporal = rotates ? nt : true;
+                cand.isa = tunes_isa ? isa : kernels::Isa::Auto;
+                out.push_back(cand);
+              }
             }
           }
         }
@@ -309,10 +219,29 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
   const double write = bytes * (c.nontemporal ? 1.0 : 2.0);
   const double mu_eff = packet_efficiency(c.packet_elems);
 
+  // The double-buffer engines execute a StagePlan: price the p, p_c,
+  // block and four-step split it resolves. Overlap runs at STREAM scaled
+  // by the balance of the split: 4 c (1 - c) is 1 at the even split and
+  // decays toward a starved-role pipeline at the extremes (p_c is clamped
+  // to [1, p-1], so both roles count as present).
+  StagePlan plan;
+  int p = 1, pc = 1;
+  double eff = 1.0;
+  if (c.engine == EngineKind::DoubleBuffer) {
+    FftOptions o;
+    o.topo = topo;
+    o.threads = threads;
+    plan = make_stage_plan(dims, apply_candidate(c, o));
+    p = plan.threads;
+    pc = std::clamp(plan.compute_threads, 1, std::max(1, p - 1));
+    const double cf = static_cast<double>(pc) / p;
+    eff = kOverlapEfficiency * std::max(0.1, 4.0 * cf * (1.0 - cf));
+  }
+  const double block = static_cast<double>(plan.block_elems);
+
   if (rank == 1 && (c.engine == EngineKind::Pencil ||
                     c.engine == EngineKind::StageParallel ||
                     c.engine == EngineKind::DoubleBuffer)) {
-    const idx_t len = dims[0];
     const double t = std::log2(std::max(2.0, n));
 
     // Flat Stockham: ping-pong between the array and its scratch once
@@ -345,26 +274,13 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
         // streamed-line utilisation) follow from each factor, and a
         // group that outgrows the pipeline block costs its cache
         // residency.
-        const auto [f1, f2] = Fft1dLarge::choose_factors(len, c.factor_n1);
+        const idx_t f1 = plan.n1, f2 = plan.n2;
         if (f1 <= 1) return flat_model();  // degenerate split
-        const int p = threads > 0 ? threads : topo.total_threads();
-        const int pc =
-            c.compute_threads >= 0
-                ? std::clamp(c.compute_threads, 1, std::max(1, p - 1))
-                : std::max(1, p / 2);
-        const double cf = static_cast<double>(pc) / p;
-        const double balance = std::max(0.1, 4.0 * cf * (1.0 - cf));
-        const double eff = kOverlapEfficiency * balance;
         const idx_t mu1 = std::min(packet_size_for(f2), f2);
         const idx_t mu2 = std::min(packet_size_for(f1), f1);
-        const idx_t block =
-            c.block_elems > 0
-                ? c.block_elems
-                : std::max<idx_t>(1, topo.shared_buffer_elems() / 2);
         const double group =
             static_cast<double>(std::max(f1 * mu1, mu2 * f2));
-        const double spill =
-            std::max(1.0, group / static_cast<double>(block));
+        const double spill = std::max(1.0, group / block);
         const double io1 =
             (bytes + write) / (bw * packet_efficiency(mu1)) * spill;
         const double io2 =
@@ -377,8 +293,7 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
             6.0 * n;
         const double fl2 =
             5.0 * n * std::log2(std::max(2.0, static_cast<double>(f2)));
-        const double iters =
-            2.0 * std::max(1.0, n / static_cast<double>(block));
+        const double iters = 2.0 * std::max(1.0, n / block);
         if (p <= 1) {
           // One thread runs load/compute/store sequentially: a pass
           // costs io + compute, with neither overlap nor the
@@ -429,20 +344,7 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
       // per block iteration. The compute term is what makes the model
       // dispatch-aware: 5 n log2(d) flops per stage against the per-core
       // rate of the candidate's resolved ISA.
-      const int p = threads > 0 ? threads : topo.total_threads();
-      const int pc = c.compute_threads >= 0
-                         ? std::clamp(c.compute_threads, 1, std::max(1, p - 1))
-                         : std::max(1, p / 2);
-      const double cf = static_cast<double>(pc) / p;
-      // 4 c (1 - c) is 1 at the even split and decays toward a
-      // starved-role pipeline at the extremes.
-      const double balance = std::max(0.1, 4.0 * cf * (1.0 - cf));
-      const double eff = kOverlapEfficiency * balance;
-      const idx_t block = c.block_elems > 0
-                              ? c.block_elems
-                              : std::max<idx_t>(1, topo.shared_buffer_elems() / 2);
-      const double iters =
-          std::max(1.0, n / static_cast<double>(block));
+      const double iters = std::max(1.0, n / block);
       const double compute_rate =
           static_cast<double>(pc) * isa_gflops_per_core(c.isa) * 1e9;
       double total = 0.0;

@@ -28,7 +28,7 @@ struct TuneCandidate {
   int compute_threads = -1;  ///< -1 = even split
   idx_t block_elems = 0;     ///< 0 = LLC/2 policy
   idx_t packet_elems = 0;    ///< 0 = auto (cacheline packet)
-  idx_t factor_n1 = 0;       ///< 1D four-step split; 0 = near-square policy
+  idx_t factor_n1 = 0;       ///< 1D four-step split; 0 = default split
   bool nontemporal = true;
   kernels::Isa isa = kernels::Isa::Auto;  ///< codelet ISA request
 
@@ -57,7 +57,7 @@ std::string candidate_label(const TuneCandidate& c);
 /// 3D-only; the dense reference oracle is never a candidate. Knobs the
 /// caller pinned in `req` (threads, explicit mu/block/compute) are
 /// respected, shrinking the grid. 1D shapes swap the packet axis for the
-/// four-step factorization axis (the near-square n1 plus its x2 / /2
+/// four-step factorization axis (the default n1 plus its x2 / /2
 /// skews, where they divide n); the naive-DIT baseline is enumerated
 /// only at power-of-two sizes, where it can plan.
 std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,

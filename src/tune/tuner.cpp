@@ -11,6 +11,7 @@
 #include "fft/engine.h"
 #include "kernels/isa.h"
 #include "obs/obs.h"
+#include "pipeline/stage_plan.h"
 #include "stream/stream.h"
 #include "tune/wisdom.h"
 
@@ -114,7 +115,13 @@ TuneReport tune_transform(const std::vector<idx_t>& dims, Direction dir,
   const int top_k = req.tune_level == TuneLevel::Exhaustive
                         ? grid
                         : std::min(kMeasureTopK, grid);
-  const TuneCandidate baseline = default_candidate();
+  // For 1D the grid lists the default split by its concrete n1; resolve
+  // the baseline's factor the same way so it is recognised (and measured)
+  // once and wisdom never records the unresolved 0.
+  TuneCandidate baseline = default_candidate();
+  if (dims.size() == 1) {
+    baseline.factor_n1 = four_step_factors(dims[0], 0).first;
+  }
   bool baseline_measured = false;
   for (int i = 0; i < grid; ++i) {
     TuneCandidate& c = rep.candidates[static_cast<std::size_t>(i)];

@@ -78,7 +78,7 @@ bool entry_from_json(const Json& j, WisdomEntry* out) {
   if (!nt || !nt->is_bool()) return false;
   e.config.nontemporal = nt->as_bool();
   // Optional (absent in pre-1D wisdom files): missing means the
-  // near-square policy (0).
+  // default split (0).
   if (const Json* f1 = j.find("factor_n1")) {
     if (!f1->is_number() || f1->as_int() < 0) return false;
     e.config.factor_n1 = static_cast<idx_t>(f1->as_int());

@@ -214,9 +214,8 @@ TEST(EngineStats, StageStatsPopulated) {
     covered += s.iterations * s.block_rows;
   }
   // Each stage covers all of its rows; total rows over 3 stages. The
-  // auto packet width depends on the dispatched ISA, so derive it the
-  // same way the engine does.
-  const idx_t mu = resolve_packet_size(o.packet_elems, m);
+  // auto packet width depends on the dispatched ISA: read the plan's.
+  const idx_t mu = eng.plan().mu;
   EXPECT_EQ(k * n + (m / mu) * k + n * (m / mu), covered);
 }
 

@@ -5,6 +5,7 @@
 // the engine implements.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <utility>
 
 #include "../test_util.h"
@@ -13,6 +14,7 @@
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
 #include "fft1d/large.h"
+#include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
 
 namespace bwfft {
@@ -153,13 +155,122 @@ TEST(Fft1dLarge, PrimeSizesDegenerateToFlat) {
 TEST(Fft1dLarge, ChooseFactorsPolicy) {
   // The default split is skewed, not near-square: short core-private
   // column FFTs, rows capped so a row stays cache-resident.
-  const auto [n1, n2] = Fft1dLarge::choose_factors(idx_t{1} << 22, 0);
+  const auto [n1, n2] = four_step_factors(idx_t{1} << 22, 0);
   EXPECT_EQ((idx_t{1} << 22), n1 * n2);
   EXPECT_GE(n2, n1);  // rows at least as long as the column count
   // Requests are honoured exactly, misfits rejected.
   EXPECT_EQ(std::make_pair(idx_t{16}, idx_t{256}),
-            Fft1dLarge::choose_factors(4096, 16));
-  EXPECT_THROW(Fft1dLarge::choose_factors(64, 5), Error);
+            four_step_factors(4096, 16));
+  EXPECT_THROW(four_step_factors(64, 5), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Small sizes, small blocks and requested splits against the dense
+// oracle. The DoubleBuffer1d suites cover the double-buffer engine's 1D
+// path: EngineKind::DoubleBuffer on a 1D shape plans an Fft1dLarge.
+// ---------------------------------------------------------------------------
+
+TEST(FourStepSpl, EqualsDenseDft) {
+  for (auto [a, b] : {std::pair<idx_t, idx_t>{4, 4}, {4, 8}, {8, 4}, {3, 5}}) {
+    auto got = spl::dft1d_four_step(a, b);
+    EXPECT_LT(spl::max_abs_diff(*got, *spl::dft(a * b)), 1e-10)
+        << a << "x" << b;
+  }
+}
+
+/// A 512-element block: far below the policy, so both passes tile.
+FftOptions small_block_opts(int threads) {
+  FftOptions o = large_opts(threads);
+  o.block_elems = 512;
+  return o;
+}
+
+/// Run a plan on x and compare with the dense oracle.
+void expect_matches_dense(Fft1dLarge& plan, const cvec& x) {
+  const idx_t n = static_cast<idx_t>(x.size());
+  cvec want(x.size());
+  reference_dft_1d(x.data(), want.data(), n, Direction::Forward);
+  cvec in = x, got(x.size());
+  plan.execute(in.data(), got.data());
+  EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
+      << "n=" << n << " n1=" << plan.factor_n1();
+}
+
+class DoubleBuffer1dSizes
+    : public ::testing::TestWithParam<std::tuple<idx_t, int>> {};
+
+TEST_P(DoubleBuffer1dSizes, MatchesReference) {
+  const auto [n, threads] = GetParam();
+  Fft1dLarge plan(n, Direction::Forward, small_block_opts(threads));
+  expect_matches_dense(plan, random_cvec(n, 8500 + n));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, DoubleBuffer1dSizes,
+    ::testing::Combine(::testing::Values<idx_t>(16, 64, 256, 512, 4096),
+                       ::testing::Values(1, 2, 4)));
+
+TEST(DoubleBuffer1d, LargerThanBufferSize) {
+  // n far exceeds the block (32 KiB halves for a 1 MiB problem): both
+  // passes tile into many pipelined blocks.
+  const idx_t n = 1 << 16;
+  FftOptions o = large_opts(4);
+  o.block_elems = 2048;
+  Fft1dLarge plan(n, Direction::Forward, o);
+  EXPECT_GT(plan.plan().stages[0].iterations, 1);
+  EXPECT_GT(plan.plan().stages[1].iterations, 1);
+  auto x = random_cvec(n, 8600);
+  cvec in = x, got(x.size());
+  plan.execute(in.data(), got.data());
+  EXPECT_LT(max_err(stockham_oracle(x), got),
+            fft_tol(static_cast<double>(n)));
+}
+
+TEST(DoubleBuffer1d, InverseRoundTrip) {
+  const idx_t n = 1024;
+  auto x = random_cvec(n, 8700);
+  FftOptions io = small_block_opts(2);
+  io.normalize_inverse = true;
+  Fft1dLarge fwd(n, Direction::Forward, small_block_opts(2));
+  Fft1dLarge inv(n, Direction::Inverse, io);
+  cvec a = x, b(x.size()), c(x.size());
+  fwd.execute(a.data(), b.data());
+  inv.execute(b.data(), c.data());
+  EXPECT_LT(max_err(x, c), fft_tol(static_cast<double>(n)));
+}
+
+TEST(DoubleBuffer1d, SplitIsNearSquare) {
+  // Below n ~ 2^18 the default split degrades to near-square.
+  Fft1dLarge p1(1 << 10, Direction::Forward, small_block_opts(1));
+  EXPECT_EQ(32, p1.factor_n1());
+  EXPECT_EQ(32, p1.factor_n2());
+  Fft1dLarge p2(1 << 11, Direction::Forward, small_block_opts(1));
+  EXPECT_EQ(32, p2.factor_n1());
+  EXPECT_EQ(64, p2.factor_n2());
+}
+
+TEST(DoubleBuffer1d, SmallAndNonPow2SizesPlan) {
+  // Factors need not be powers of two: 12 = 3*4 and 8 = 2*4 both split.
+  for (idx_t n : {idx_t{8}, idx_t{12}, idx_t{3 * 64}}) {
+    Fft1dLarge plan(n, Direction::Forward, small_block_opts(1));
+    expect_matches_dense(plan, random_cvec(n, 8800 + n));
+  }
+}
+
+TEST(DoubleBuffer1d, RejectsMisfitFactor) {
+  FftOptions o = small_block_opts(1);
+  o.factor_n1 = 5;  // does not divide 64
+  EXPECT_THROW(Fft1dLarge(64, Direction::Forward, o), Error);
+}
+
+TEST(DoubleBuffer1d, HonoursRequestedFactor) {
+  const idx_t n = 1 << 12;
+  FftOptions o = small_block_opts(2);
+  o.factor_n1 = 16;  // non-square split by request
+  Fft1dLarge plan(n, Direction::Forward, o);
+  EXPECT_EQ(16, plan.factor_n1());
+  EXPECT_EQ(n / 16, plan.factor_n2());
+  expect_matches_dense(plan, random_cvec(n, 8900));
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Tests for the data-movement kernels: every transpose/rotation kernel is
-// checked against its SPL term's dense semantics, plus round-trip and
-// format-change properties.
+// checked against its SPL term's dense semantics, plus round-trip
+// properties.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "common/aligned.h"
 #include "common/rng.h"
-#include "layout/format.h"
 #include "obs/obs.h"
 #include "layout/rotate.h"
 #include "layout/stream_copy.h"
@@ -188,38 +187,6 @@ TEST(StreamCopy, FillStreamVisibleToOtherThreadAfterJoin) {
   for (std::size_t i = 0; i < 1024; ++i) {
     ASSERT_EQ(cplx(5.0, -5.0), dst[i]) << "i=" << i;
   }
-}
-
-TEST(Format, SplitRoundTrip) {
-  const idx_t n = 33;
-  auto x = random_cvec(n, 31);
-  dvec re(static_cast<std::size_t>(n)), im(static_cast<std::size_t>(n));
-  to_split(x.data(), re.data(), im.data(), n);
-  cvec back(x.size());
-  from_split(re.data(), im.data(), back.data(), n);
-  EXPECT_EQ(0.0, max_err(x, back));
-}
-
-TEST(Format, BlockInterleavedLayout) {
-  const idx_t n = 8, block = 4;
-  auto x = random_cvec(n, 32);
-  dvec packed(static_cast<std::size_t>(2 * n));
-  to_block_interleaved(x.data(), packed.data(), n, block);
-  // First group: 4 reals then 4 imags.
-  for (idx_t j = 0; j < block; ++j) {
-    EXPECT_EQ(x[static_cast<std::size_t>(j)].real(), packed[static_cast<std::size_t>(j)]);
-    EXPECT_EQ(x[static_cast<std::size_t>(j)].imag(),
-              packed[static_cast<std::size_t>(block + j)]);
-  }
-  cvec back(x.size());
-  from_block_interleaved(packed.data(), back.data(), n, block);
-  EXPECT_EQ(0.0, max_err(x, back));
-}
-
-TEST(Format, BlockMustDivide) {
-  cvec x(10);
-  dvec out(20);
-  EXPECT_THROW(to_block_interleaved(x.data(), out.data(), 10, 4), Error);
 }
 
 }  // namespace

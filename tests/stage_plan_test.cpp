@@ -1,0 +1,98 @@
+// Tests for StagePlan (src/pipeline/stage_plan), the one description of a
+// planned double-buffer transform that the engines execute and the
+// verifier, lint and cost model read.
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "common/rng.h"
+#include "fft/double_buffer.h"
+#include "pipeline/stage_plan.h"
+
+namespace bwfft {
+namespace {
+
+TEST(StagePlan, TilingInvariantsAcrossShapesThreadsAndBlocks) {
+  const std::vector<std::vector<idx_t>> shapes = {
+      {4096}, {3 * 1024}, {65536}, {65537},  // 65537 is prime: flat
+      {64, 64}, {256, 128}, {32, 32, 32}, {16, 32, 64}};
+  for (const auto& dims : shapes) {
+    for (int threads : {1, 2, 4, 8}) {
+      for (idx_t block : {idx_t{0}, idx_t{3000}, idx_t{1}}) {
+        FftOptions o;
+        o.threads = threads;
+        o.block_elems = block;
+        const StagePlan plan = make_stage_plan(dims, o);
+        SCOPED_TRACE(::testing::Message()
+                     << "dims[0]=" << dims[0] << " rank=" << dims.size()
+                     << " p=" << threads << " block=" << block);
+        EXPECT_GE(plan.compute_threads, 0);
+        EXPECT_LE(plan.compute_threads, plan.threads);
+        EXPECT_EQ(plan.threads, plan.compute_threads + plan.data_threads);
+        ASSERT_FALSE(plan.stages.empty());
+        for (const PlannedStage& s : plan.stages) {
+          EXPECT_EQ(s.rows, s.iterations * s.rows_per_block) << s.name;
+          EXPECT_GE(plan.block_elems, s.row_elems) << s.name;
+          EXPECT_LE(s.rows_per_block * s.row_elems, plan.block_elems)
+              << s.name;
+          EXPECT_EQ(plan.total, s.rows * s.row_elems) << s.name;
+        }
+        if (dims.size() == 1) {
+          EXPECT_EQ(dims[0], plan.n1 * plan.n2);
+        }
+      }
+    }
+  }
+}
+
+TEST(StagePlan, FourStepPassesAndFlatFallback) {
+  FftOptions o;
+  o.threads = 4;
+  const StagePlan split = make_stage_plan({65536}, o);
+  ASSERT_EQ(2u, split.stages.size());
+  EXPECT_EQ(StageKind::Columns, split.stages[0].kind);
+  EXPECT_EQ(StageKind::Rows, split.stages[1].kind);
+  EXPECT_EQ(0, split.n2 % split.stages[0].group);
+  EXPECT_EQ(0, split.n1 % split.stages[1].group);
+  EXPECT_LE(split.stages[0].group, kFourStepMaxCols);
+  EXPECT_LE(split.stages[1].group, kFourStepMaxRows);
+
+  const StagePlan flat = make_stage_plan({65537}, o);
+  ASSERT_EQ(1u, flat.stages.size());
+  EXPECT_EQ(StageKind::Flat, flat.stages[0].kind);
+  EXPECT_EQ(1, flat.threads);  // the flat pass runs on the caller
+}
+
+TEST(StagePlan, RejectsComputeSplitOutsideTheTeam) {
+  FftOptions o;
+  o.threads = 4;
+  o.compute_threads = 5;
+  EXPECT_THROW(make_stage_plan({64, 64}, o), Error);
+}
+
+TEST(StagePlan, EngineStatsMatchThePlan) {
+  // The engine executes the plan: one run's per-stage iteration count and
+  // block height must be exactly the plan's.
+  for (const auto& dims : std::vector<std::vector<idx_t>>{{32, 32, 32},
+                                                          {64, 128}}) {
+    FftOptions o;
+    o.threads = 2;
+    o.block_elems = 3000;
+    DoubleBufferEngine engine(dims, Direction::Forward, o);
+    idx_t total = 1;
+    for (idx_t d : dims) total *= d;
+    cvec in = random_cvec(total, 77), out(in.size());
+    engine.execute(in.data(), out.data());
+    const StagePlan& plan = engine.plan();
+    ASSERT_EQ(plan.stages.size(), engine.last_stats().size());
+    for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+      EXPECT_EQ(plan.stages[i].iterations, engine.last_stats()[i].iterations);
+      EXPECT_EQ(plan.stages[i].rows_per_block,
+                engine.last_stats()[i].block_rows);
+      EXPECT_GT(plan.stages[i].iterations, 1);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace bwfft

@@ -117,7 +117,7 @@ TEST_F(TunerTest, OneDimensionalWisdomPreservesTheFactorization) {
   EXPECT_FALSE(first.from_wisdom);
   EXPECT_GT(first.measured_count, 0);
   if (first.chosen.engine == EngineKind::DoubleBuffer) {
-    EXPECT_GT(first.chosen.factor_n1, 0);
+    ASSERT_GT(first.chosen.factor_n1, 0);
     EXPECT_EQ(0, dims[0] % first.chosen.factor_n1);
   }
 

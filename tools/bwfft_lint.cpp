@@ -32,6 +32,7 @@
 #include "common/types.h"
 #include "fft/options.h"
 #include "parallel/roles.h"
+#include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
 #include "spl/lower.h"
 #include "spl/verify.h"
@@ -59,10 +60,10 @@ struct LintTally {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: bwfft_lint [--dims AxB[xC]]... [--threads N] [-v|--verbose]\n"
+      "usage: bwfft_lint [--dims N[xM[xK]]]... [--threads N] [-v|--verbose]\n"
       "                  [--inject MODE]\n"
-      "  Statically verifies every tuner candidate at the given shapes\n"
-      "  (default: 64x64x64 32x64x128 48x48x48 256x256).\n"
+      "  Statically verifies every tuner candidate at the given 1D, 2D or\n"
+      "  3D shapes (default: 64x64x64 32x64x128 48x48x48 256x256 65536).\n"
       "  MODE: store-overlap | store-gap | missing-fence | epoch-alias |\n"
       "        schedule-half | schedule-dup  (seeded defect; exit 1 =\n"
       "        caught, the expected outcome)\n");
@@ -87,7 +88,7 @@ bool parse_dims(const char* s, std::vector<idx_t>* out) {
       return false;
     }
   }
-  return out->size() == 2 || out->size() == 3;
+  return !out->empty() && out->size() <= 3;
 }
 
 std::string dims_str(const std::vector<idx_t>& dims) {
@@ -98,14 +99,6 @@ std::string dims_str(const std::vector<idx_t>& dims) {
   return s;
 }
 
-/// The compute split the double-buffer engine would resolve for a
-/// candidate (mirrors the engine's own default: even split, whole team
-/// when p == 1).
-int resolved_compute(int threads, int compute_threads) {
-  if (compute_threads >= 0) return compute_threads;
-  return threads <= 1 ? threads : threads / 2;
-}
-
 // ---------------------------------------------------------------------------
 // Leg 1+2: the tuner grid, engine models, and schedule cross-check.
 // ---------------------------------------------------------------------------
@@ -113,6 +106,7 @@ int resolved_compute(int threads, int compute_threads) {
 void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
                LintTally* tally) {
   FftOptions req;
+  req.engine = EngineKind::Auto;  // every engine the planner could pick
   req.threads = opt.threads;
   const auto grid = tune::enumerate_candidates(dims, req);
 
@@ -145,12 +139,12 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
     // role split the grid produces (the schedule depends only on the
     // split, not on block/packet knobs).
     if (c.engine != EngineKind::DoubleBuffer) continue;
-    const int pc = resolved_compute(opt.threads, c.compute_threads);
+    const int pc = model.compute_threads;
     bool seen = false;
     for (int s : splits_seen) seen = seen || s == pc;
     if (seen) continue;
     splits_seen.push_back(pc);
-    const RolePlan roles = make_role_plan(opt.threads, pc, req.topo);
+    const RolePlan roles = make_role_plan(model.threads, pc, req.topo);
     for (idx_t iters : {idx_t{1}, idx_t{2}, idx_t{5}, idx_t{8}}) {
       const analysis::Trace trace = analysis::make_table2_trace(iters, roles);
       const analysis::HazardReport sym =
@@ -158,8 +152,8 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
       const analysis::HazardReport dyn =
           analysis::audit_schedule(trace, iters, roles);
       if (!sym.clean() || !dyn.clean()) {
-        std::printf("FAIL  schedule p=%d pc=%d iters=%lld\n", opt.threads, pc,
-                    static_cast<long long>(iters));
+        std::printf("FAIL  schedule p=%d pc=%d iters=%lld\n", model.threads,
+                    pc, static_cast<long long>(iters));
         if (!sym.clean()) std::printf("  symbolic: %s", sym.str().c_str());
         if (!dyn.clean()) std::printf("  runtime:  %s", dyn.str().c_str());
         ++tally->violations;
@@ -207,7 +201,13 @@ idx_t pick_mu(idx_t m) {
 
 void lint_spl(const std::vector<idx_t>& dims, const LintOptions& opt,
               LintTally* tally) {
-  if (dims.size() == 2) {
+  if (dims.size() == 1) {
+    const auto [n1, n2] = four_step_factors(dims[0], 0);
+    if (n1 > 1) {
+      lint_one_term("dft1d_four_step", spl::dft1d_four_step(n1, n2), opt,
+                    tally);
+    }
+  } else if (dims.size() == 2) {
     const idx_t n = dims[0], m = dims[1];
     lint_one_term("dft2d_pencil", spl::dft2d_pencil(n, m), opt, tally);
     lint_one_term("dft2d_transposed", spl::dft2d_transposed(n, m), opt,
@@ -303,11 +303,12 @@ int run_inject(const LintOptions& opt) {
   }
 
   if (mode == "schedule-half" || mode == "schedule-dup") {
-    // A split with data threads: the Table II schedule, not the degraded
-    // sequential one.
-    FftOptions req;
-    const int pc = resolved_compute(opt.threads, -1);
-    const RolePlan roles = make_role_plan(opt.threads, pc, req.topo);
+    // The baseline plan's split, which has data threads: the Table II
+    // schedule, not the degraded sequential one.
+    analysis::PlanModel model;
+    if (!inject_base_model(opt, &model)) return 2;
+    const RolePlan roles = make_role_plan(
+        model.threads, model.compute_threads, host_topology());
     if (roles.data == 0) {
       std::fprintf(stderr, "inject: need a split with data threads\n");
       return 2;
@@ -358,7 +359,8 @@ int main(int argc, char** argv) {
     }
   }
   if (opt.dims_list.empty()) {
-    opt.dims_list = {{64, 64, 64}, {32, 64, 128}, {48, 48, 48}, {256, 256}};
+    opt.dims_list = {{64, 64, 64}, {32, 64, 128}, {48, 48, 48}, {256, 256},
+                     {65536}};
   }
 
   if (!opt.inject.empty()) return run_inject(opt);

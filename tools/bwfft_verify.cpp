@@ -161,14 +161,14 @@ int run_spl(const std::vector<idx_t>& dims, idx_t mu, bool mu_requested,
 int run_pipeline(int threads, int compute, idx_t block, idx_t iters) {
   const MachineTopology topo = host_topology();
   if (threads <= 0) threads = topo.total_threads();
-  if (compute < 0) compute = threads <= 1 ? threads : threads / 2;
+  const RolePlan roles = compute < 0 ? make_even_role_plan(threads, topo)
+                                     : make_role_plan(threads, compute, topo);
   std::printf("pipeline hazard check: threads=%d compute=%d block=%lld "
               "iters=%lld\n",
-              threads, compute, static_cast<long long>(block),
+              threads, roles.compute, static_cast<long long>(block),
               static_cast<long long>(iters));
 
   ThreadTeam team(threads);
-  RolePlan roles = make_role_plan(threads, compute, topo);
   DoubleBufferPipeline pipe(team, roles, block);
 
   // Synthetic copy stage shaped like a real FFT stage (load / in-place
