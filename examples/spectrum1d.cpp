@@ -3,8 +3,9 @@
 //
 // A long real signal (three tones + deterministic noise) is analysed two
 // ways: RealFft1d on the raw samples (half-spectrum peak picking), and
-// Fft1dLarge on the complexified signal (the engine for transforms
-// larger than the cache buffer). Both must find the same tones.
+// the double-buffer engine's four-step passes on the complexified signal
+// (the engine for transforms larger than the cache buffer). Both must
+// find the same tones.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -13,7 +14,7 @@
 
 #include "common/aligned.h"
 #include "common/timer.h"
-#include "fft1d/large.h"
+#include "fft/engine.h"
 #include "fft1d/real.h"
 
 using namespace bwfft;
@@ -54,17 +55,15 @@ int main() {
   cvec cx(static_cast<std::size_t>(n));
   for (idx_t j = 0; j < n; ++j) cx[static_cast<std::size_t>(j)] = cplx(signal[static_cast<std::size_t>(j)], 0.0);
   cvec spec(static_cast<std::size_t>(n));
-  Fft1dLarge cplan(n, Direction::Forward, {});
+  auto cplan = make_engine({n}, Direction::Forward, {});
   Timer t2;
-  cplan.execute(cx.data(), spec.data());
+  cplan->execute(cx.data(), spec.data());
   const double secs_cplx = t2.seconds();
 
   std::printf("Spectrum analysis of 2^20 real samples\n");
-  std::printf("  real-to-complex transform: %.2f ms;  double-buffered "
-              "complex: %.2f ms (n1=%lld, n2=%lld)\n",
-              secs_real * 1e3, secs_cplx * 1e3,
-              static_cast<long long>(cplan.factor_n1()),
-              static_cast<long long>(cplan.factor_n2()));
+  std::printf("  real-to-complex transform: %.2f ms;  complex (%s): "
+              "%.2f ms\n",
+              secs_real * 1e3, cplan->name(), secs_cplx * 1e3);
 
   bool ok = true;
   std::printf("  detected tones (bin: amplitude, cross-check):\n");

@@ -190,7 +190,7 @@ bool build_pencil(const std::vector<idx_t>& dims, const FftOptions& opts,
       return false;
     }
   }
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  const int p = resolved_threads(opts);
   out->engine = engine_label(EngineKind::Pencil);
   out->threads = p;
   out->compute_threads = p;
@@ -246,7 +246,7 @@ bool build_slab_pencil(const std::vector<idx_t>& dims, const FftOptions& opts,
   const idx_t k = dims[0], n = dims[1], m = dims[2];
   const idx_t slab = n * m;
   const idx_t mu = packet_size_for(m);
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  const int p = resolved_threads(opts);
   out->engine = engine_label(EngineKind::SlabPencil);
   out->threads = p;
   out->compute_threads = p;

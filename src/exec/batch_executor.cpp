@@ -117,8 +117,9 @@ BatchExecutor::BatchExecutor(ServeOptions opts)
   BWFFT_CHECK(opts_.slow_batch_after.count() > 0,
               "slow_batch_after must be positive");
   BWFFT_CHECK(opts_.drift_factor >= 1.0, "drift_factor must be >= 1");
-  threads_ = opts_.threads > 0 ? opts_.threads
-                               : host_topology().total_threads();
+  FftOptions budget = opts_.plan;
+  budget.threads = opts_.threads;
+  threads_ = resolved_threads(budget);
 
   // Pre-spawn the persistent team the default engine will ask for: the
   // double-buffer role plan's pin list for this thread budget. Plans with

@@ -4,8 +4,9 @@
 // every plan spawns its own thread team, so concurrent callers
 // oversubscribe the cores and pay plan + thread startup per call. The
 // BatchExecutor is the multi-tenant answer: it owns one persistent,
-// pinned thread team (drawn from parallel::TeamPool, sized from
-// host_topology()) and a bounded two-lane MPMC submission queue.
+// pinned thread team (drawn from parallel::TeamPool, sized from the
+// plan topology, the host by default) and a bounded two-lane MPMC
+// submission queue.
 // Producers call submit(request) -> std::future<ExecReport>; a
 // dispatcher thread pops requests, coalesces same-shape neighbours into
 // batches, runs each batch through a shared tune::PlanCache plan (plans
@@ -79,7 +80,7 @@ namespace bwfft::exec {
 struct Request {
   std::vector<idx_t> dims;  ///< 1, 2 or 3 entries, slowest first; a
                             ///< single entry is a (large) 1D transform
-                            ///< routed through the fft1d/large.h engines
+                            ///< routed through make_engine's 1D engines
   Direction dir = Direction::Forward;
   cplx* in = nullptr;
   cplx* out = nullptr;
@@ -98,7 +99,8 @@ struct Request {
 };
 
 struct ServeOptions {
-  /// Thread budget of the persistent team; 0 = host_topology() total.
+  /// Thread budget of the persistent team; 0 = every hardware thread of
+  /// plan.topo (resolved_threads).
   int threads = 0;
   /// Pin the team per the role plan (the paper's compute/soft-DMA
   /// pairing). Best effort, like every pin in the library.

@@ -1,10 +1,13 @@
 #include "fft/double_buffer.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "analysis/hazard_checker.h"
 #include "common/error.h"
 #include "common/timer.h"
+#include "kernels/batch.h"
+#include "kernels/twiddle.h"
 #include "layout/rotate.h"
 #include "layout/stream_copy.h"
 #include "obs/obs.h"
@@ -12,36 +15,25 @@
 
 namespace bwfft {
 
-DoubleBufferEngine::DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
-                                       const FftOptions& opts)
-    : dir_(dir), opts_(opts), plan_(make_stage_plan(dims, opts)) {
-  BWFFT_CHECK(dims.size() == 2 || dims.size() == 3,
-              "double-buffer engine supports 2D and 3D");
-  if (dims.size() == 2) {
-    work_ = AlignedBuffer<cplx>(static_cast<std::size_t>(plan_.total),
-                                AllocPlacement::HugePage);
-  }
-  for (const auto& s : plan_.stages) {
-    ffts_.push_back(std::make_shared<Fft1d>(s.geom.fft_len, dir_, opts_.isa));
-  }
-  roles_ = make_role_plan(plan_.threads, plan_.compute_threads, opts_.topo);
-  team_ = parallel::make_team(
-      plan_.threads, opts_.pin_threads ? roles_.cpu : std::vector<int>{},
-      opts_.team_pool);
-  pipeline_ =
-      std::make_unique<DoubleBufferPipeline>(*team_, roles_, plan_.block_elems);
-}
+namespace {
 
-void DoubleBufferEngine::run_stage(const PlannedStage& s, const Fft1d& fft,
-                                   const cplx* src, cplx* dst,
-                                   bool pipelined) {
-  const StageGeometry g = s.geom;
-  const idx_t row_elems = s.row_elems;
-  const idx_t block_rows = s.rows_per_block;
-  const bool nt = s.nontemporal;
+/// Refresh the column-pass twiddle recurrence with an exactly computed
+/// root every this many steps, bounding the multiplicative drift to ~128
+/// eps (well under the transform's own O(sqrt(log n)) rounding growth).
+constexpr idx_t kTwiddleRefresh = 128;
 
+/// Strided column-pass reads walk n1 addresses a full row apart — a
+/// pattern no hardware prefetcher follows — so the gather issues its own
+/// prefetches this many rows ahead.
+constexpr idx_t kPrefetchRows = 8;
+
+}  // namespace
+
+PipelineStage make_row_stage(const cplx* src, const Fft1d& fft, idx_t lanes,
+                             idx_t block_rows, idx_t row_elems,
+                             idx_t iterations) {
   PipelineStage stage;
-  stage.iterations = s.iterations;
+  stage.iterations = iterations;
   // R_{b,i}: stream block i's rows into the buffer half. The stores are
   // temporal on purpose — the compute threads read them next iteration.
   stage.load = [=](idx_t i, cplx* buf, int rank, int parts) {
@@ -57,63 +49,238 @@ void DoubleBufferEngine::run_stage(const PlannedStage& s, const Fft1d& fft,
   // Compute kernel: I_{rows} (x) DFT_L (x) I_lanes, in place on the half.
   stage.compute = [=, &fft](idx_t, cplx* buf, int rank, int parts) {
     auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
-    if (r1 > r0) fft.apply_lanes(buf + r0 * row_elems, g.lanes, r1 - r0);
+    if (r1 > r0) fft.apply_lanes(buf + r0 * row_elems, lanes, r1 - r0);
   };
-  // W_{b,i}: scatter the block through the blocked rotation with
-  // non-temporal stores (the data is dead until the next stage).
-  stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
-    auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
-    if (r1 > r0) {
-      rotate_store_rows(buf + r0 * row_elems, dst, i * block_rows + r0,
-                        r1 - r0, g.a, g.b, g.cp(), g.mu, nt);
-      BWFFT_OBS_COUNT(BytesStored, (r1 - r0) * row_elems * sizeof(cplx));
-    }
-  };
+  return stage;
+}
 
+DoubleBufferEngine::DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
+                                       const FftOptions& opts)
+    : dir_(dir), opts_(opts), plan_(make_stage_plan(dims, opts)) {
+  // One Fft1d per stage: the rotated pencil length, n1 for the column
+  // pass, n2 for the row pass (n2 = n on the flat path).
+  for (const PlannedStage& s : plan_.stages) {
+    const idx_t len = s.kind == StageKind::Rotated   ? s.geom.fft_len
+                      : s.kind == StageKind::Columns ? plan_.n1
+                                                     : plan_.n2;
+    ffts_.push_back(std::make_shared<Fft1d>(len, dir_, opts_.isa));
+  }
+  // No usable four-step split: one flat pass on the caller. Still a valid
+  // plan — the facade must not reject sizes the tuner or exec layer routes
+  // here.
+  if (plan_.stages[0].kind == StageKind::Flat) return;
+  if (dims.size() == 1) {
+    col_roots_ = root_table(plan_.total, plan_.n2, dir_);
+  } else if (dims.size() == 2) {
+    work_ = AlignedBuffer<cplx>(static_cast<std::size_t>(plan_.total),
+                                AllocPlacement::HugePage);
+  }
+  roles_ = make_role_plan(plan_.threads, plan_.compute_threads, opts_.topo);
+  team_ = parallel::make_team(
+      plan_.threads, opts_.pin_threads ? roles_.cpu : std::vector<int>{},
+      opts_.team_pool);
+  pipeline_ =
+      std::make_unique<DoubleBufferPipeline>(*team_, roles_, plan_.block_elems);
+}
+
+PipelineStage DoubleBufferEngine::make_stage(std::size_t k, const cplx* src,
+                                             cplx* dst) const {
+  const PlannedStage& s = plan_.stages[k];
+  const Fft1d& fft = *ffts_[k];
+  const idx_t row_elems = s.row_elems;
+  const idx_t block_rows = s.rows_per_block;
+  const bool nt = s.nontemporal;
+
+  PipelineStage stage;
+  stage.iterations = s.iterations;
+  switch (s.kind) {
+    case StageKind::Rotated: {
+      const StageGeometry g = s.geom;
+      stage = make_row_stage(src, fft, g.lanes, block_rows, row_elems,
+                             s.iterations);
+      // W_{b,i}: scatter the block through the blocked rotation with
+      // non-temporal stores (the data is dead until the next stage).
+      stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
+        auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
+        if (r1 > r0) {
+          rotate_store_rows(buf + r0 * row_elems, dst, i * block_rows + r0,
+                            r1 - r0, g.a, g.b, g.cp(), g.mu, nt);
+          BWFFT_OBS_COUNT(BytesStored, (r1 - r0) * row_elems * sizeof(cplx));
+        }
+      };
+      break;
+    }
+    case StageKind::Columns: {
+      // (DFT_{n1} (x) I_{n2}) then D_{n2}^{n1 n2}, tiled over groups of W
+      // contiguous columns. Tiles are row-major n1 x W, so the strided
+      // side of the loads and stores moves W-element (up to 512 B)
+      // contiguous runs and the lanes kernel sweeps W-wide SIMD rows.
+      const idx_t n = plan_.total, n1 = plan_.n1, n2 = plan_.n2;
+      const idx_t W = s.group;
+      stage.load = [=](idx_t i, cplx* buf, int rank, int parts) {
+        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
+        for (idx_t g = g0; g < g1; ++g) {
+          const idx_t col0 = (i * block_rows + g) * W;
+          cplx* tile = buf + g * row_elems;
+          for (idx_t r = 0; r < n1; ++r) {
+            if (r + kPrefetchRows < n1) {
+              const char* next = reinterpret_cast<const char*>(
+                  src + (r + kPrefetchRows) * n2 + col0);
+              for (idx_t b = 0; b < W * static_cast<idx_t>(sizeof(cplx));
+                   b += 64) {
+                __builtin_prefetch(next + b, 0, 0);
+              }
+            }
+            std::memcpy(tile + r * W, src + r * n2 + col0,
+                        static_cast<std::size_t>(W) * sizeof(cplx));
+          }
+        }
+        if (g1 > g0) {
+          BWFFT_OBS_COUNT(BytesLoaded, (g1 - g0) * row_elems * sizeof(cplx));
+        }
+      };
+      stage.compute = [=, this, &fft](idx_t i, cplx* buf, int rank,
+                                      int parts) {
+        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
+        if (g1 <= g0) return;
+        fft.apply_lanes(buf + g0 * row_elems, W, g1 - g0);
+        // Twiddle scale D: element (r, q) *= w_N^{r q}. All W columns step
+        // their geometric recurrence together through the SIMD diagonal
+        // kernel; each kTwiddleRefresh-row chunk re-anchors the recurrence
+        // to exactly computed roots to bound drift.
+        cplx w[kFourStepMaxCols], step[kFourStepMaxCols];
+        for (idx_t g = g0; g < g1; ++g) {
+          cplx* tile = buf + g * row_elems;
+          const idx_t col0 = (i * block_rows + g) * W;
+          for (idx_t l = 0; l < W; ++l) {
+            step[l] = col_roots_[static_cast<std::size_t>(col0 + l)];
+          }
+          for (idx_t r0 = 0; r0 < n1; r0 += kTwiddleRefresh) {
+            for (idx_t l = 0; l < W; ++l) {
+              w[l] = root_of_unity(n, (r0 * (col0 + l)) % n, dir_);
+            }
+            kernels::diag_scale_rows(tile + r0 * W,
+                                     std::min(kTwiddleRefresh, n1 - r0), W, w,
+                                     step, opts_.isa);
+          }
+        }
+      };
+      stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
+        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
+        for (idx_t g = g0; g < g1; ++g) {
+          const idx_t col0 = (i * block_rows + g) * W;
+          const cplx* tile = buf + g * row_elems;
+          for (idx_t r = 0; r < n1; ++r) {
+            store_packet(dst + r * n2 + col0, tile + r * W, W, nt);
+          }
+        }
+        if (g1 > g0) {
+          BWFFT_OBS_COUNT(BytesStored, (g1 - g0) * row_elems * sizeof(cplx));
+        }
+      };
+      break;
+    }
+    case StageKind::Rows: {
+      // (I_{n1} (x) DFT_{n2}) then the final L_{n2}^{n1 n2}: contiguous
+      // rows in, transposing scatter out. Blocks are R-row groups, so the
+      // output side writes R-element (up to 2 KiB) contiguous runs — the
+      // gather feeding each run walks R cached rows of the tile in
+      // lockstep.
+      const idx_t n1 = plan_.n1, n2 = plan_.n2;
+      const idx_t R = s.group;
+      stage.load = [=](idx_t i, cplx* buf, int rank, int parts) {
+        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
+        if (g1 > g0) {
+          const idx_t row0 = (i * block_rows + g0) * R;
+          std::memcpy(buf + g0 * row_elems, src + row0 * n2,
+                      static_cast<std::size_t>((g1 - g0) * row_elems) *
+                          sizeof(cplx));
+          BWFFT_OBS_COUNT(BytesLoaded, (g1 - g0) * row_elems * sizeof(cplx));
+        }
+      };
+      stage.compute = [=, &fft](idx_t, cplx* buf, int rank, int parts) {
+        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
+        if (g1 > g0) fft.apply_batch(buf + g0 * row_elems, (g1 - g0) * R);
+      };
+      stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
+        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
+        cplx run[kFourStepMaxRows];
+        for (idx_t g = g0; g < g1; ++g) {
+          const idx_t row0 = (i * block_rows + g) * R;
+          const cplx* tile = buf + g * row_elems;
+          // The output run for column q is the q-th element of each of the
+          // R rows. Consecutive q revisit the same R cachelines, so the
+          // gather stays L1-resident between the contiguous NT stores.
+          for (idx_t q = 0; q < n2; ++q) {
+            for (idx_t l = 0; l < R; ++l) run[l] = tile[l * n2 + q];
+            store_packet(dst + q * n1 + row0, run, R, nt);
+          }
+        }
+        if (g1 > g0) {
+          BWFFT_OBS_COUNT(BytesStored, (g1 - g0) * row_elems * sizeof(cplx));
+        }
+      };
+      break;
+    }
+    case StageKind::Flat:
+      BWFFT_CHECK(false, "the flat pass is not tiled");
+  }
+  return stage;
+}
+
+void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src, cplx* dst,
+                                   bool pipelined) {
+  const PlannedStage& s = plan_.stages[k];
   Timer timer;
   BWFFT_OBS_SCOPE(obs_stage, s.name, 'G', s.rows);
-  if (pipelined) {
-    if (analysis::self_check_enabled()) {
-      // Self-audit (checked builds, or BWFFT_SELF_CHECK=1): record the
-      // schedule and validate the Table II invariants after the stage.
-      analysis::Trace trace;
-      pipeline_->set_trace(&trace);
-      try {
-        pipeline_->execute(stage);
-      } catch (...) {
-        pipeline_->set_trace(nullptr);
-        throw;
-      }
-      pipeline_->set_trace(nullptr);
-      const auto rep = analysis::audit_schedule(trace, stage.iterations, roles_);
-      BWFFT_CHECK(rep.clean(), "pipeline schedule hazard:\n" + rep.str());
-    } else {
-      pipeline_->execute(stage);
-    }
-  } else {
-    pipeline_->execute_unpipelined(stage);
+  if (s.kind == StageKind::Flat) {
+    ffts_[k]->apply_oop(src, dst);
+    stats_.push_back({timer.seconds(), s.iterations, s.rows_per_block, {}});
+    return;
   }
-  stats_.push_back({timer.seconds(), stage.iterations, block_rows,
+  const PipelineStage stage = make_stage(k, src, dst);
+  if (!pipelined) {
+    pipeline_->execute_unpipelined(stage);
+  } else if (analysis::self_check_enabled()) {
+    // Self-audit (checked builds, or BWFFT_SELF_CHECK=1): record the
+    // schedule and validate the Table II invariants after the stage.
+    analysis::HazardChecker::Options audit;
+    audit.probe_partitions = false;
+    analysis::HazardChecker(*pipeline_, audit).run_checked(stage);
+  } else {
+    pipeline_->execute(stage);
+  }
+  stats_.push_back({timer.seconds(), s.iterations, s.rows_per_block,
                     pipeline_->last_utilization()});
 }
 
 void DoubleBufferEngine::run_all(cplx* in, cplx* out, bool pipelined) {
   BWFFT_CHECK(in != out, "engines are out of place");
   stats_.clear();
-  const auto& st = plan_.stages;
-  if (st.size() == 2) {
-    run_stage(st[0], *ffts_[0], in, work_.data(), pipelined);
-    run_stage(st[1], *ffts_[1], work_.data(), out, pipelined);
+  const std::size_t stages = plan_.stages.size();
+  if (stages == 1) {  // flat 1D
+    run_stage(0, in, out, pipelined);
+  } else if (plan_.dims.size() == 1) {  // four-step: columns in place, rows
+    run_stage(0, in, in, pipelined);
+    run_stage(1, in, out, pipelined);
+  } else if (stages == 2) {
+    run_stage(0, in, work_.data(), pipelined);
+    run_stage(1, work_.data(), out, pipelined);
   } else {
-    run_stage(st[0], *ffts_[0], in, out, pipelined);
-    run_stage(st[1], *ffts_[1], out, in, pipelined);
-    run_stage(st[2], *ffts_[2], in, out, pipelined);
+    run_stage(0, in, out, pipelined);
+    run_stage(1, out, in, pipelined);
+    run_stage(2, in, out, pipelined);
   }
   if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
     const double s = 1.0 / static_cast<double>(plan_.total);
-    parallel_for_chunks(*team_, plan_.total, [&](int, idx_t b, idx_t e) {
+    auto scale = [&](int, idx_t b, idx_t e) {
       for (idx_t i = b; i < e; ++i) out[i] *= s;
-    });
+    };
+    if (team_) {
+      parallel_for_chunks(*team_, plan_.total, scale);
+    } else {
+      scale(0, 0, plan_.total);
+    }
   }
 }
 

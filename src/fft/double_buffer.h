@@ -1,14 +1,22 @@
 // Double-buffered FFT engine — the paper's contribution (§III, §IV).
 //
-// Each stage of the rotated decomposition is tiled into blocks that fit
-// one half of a cache-resident shared buffer (b = LLC/2 policy, §IV-A).
-// Half the threads are soft-DMA data threads: per Table II they stream
-// block i from main memory into one buffer half (R_{b,i}) and scatter the
-// previously computed block back through the blocked rotation with
-// non-temporal stores (W_{b,i}), while the compute threads run the batch
-// 1D FFT kernel in place on the other half. Data makes exactly one
-// round-trip through DRAM per stage at streaming-friendly granularity;
-// all strided traffic is hidden behind compute.
+// Each stage of the plan is tiled into blocks that fit one half of a
+// cache-resident shared buffer (b = LLC/2 policy, §IV-A). Half the threads
+// are soft-DMA data threads: per Table II they stream block i from main
+// memory into one buffer half (R_{b,i}) and write the previously computed
+// block back with non-temporal stores (W_{b,i}), while the compute threads
+// run the batch 1D FFT kernel in place on the other half. Data makes
+// exactly one round-trip through DRAM per stage; all strided traffic is
+// hidden behind compute.
+//
+// Stage kinds (pipeline/stage_plan.h): Rotated stages scatter each block
+// through the blocked rotation (2D/3D). A 1D plan is the four-step rewrite
+// spl::dft1d_four_step(n1, n2) as two stages — Columns (DFT_{n1} (x)
+// I_{n2}, then the twiddle diagonal, in place) and Rows (I_{n1} (x)
+// DFT_{n2}, then the stride permutation) — so a transform larger than the
+// LLC streams exactly twice through DRAM: the case the paper's §V leaves
+// open. Sizes the four-step cannot split run one Flat Fft1d pass with no
+// team and no pipeline.
 #pragma once
 
 #include <memory>
@@ -24,6 +32,15 @@
 #include "pipeline/stage_plan.h"
 
 namespace bwfft {
+
+/// The load and compute tasks of a tiled batch-FFT stage over the rows of
+/// `src`: block i's `block_rows` rows of `row_elems` elements are copied
+/// into the buffer half and transformed in place as `lanes`-wide pencils.
+/// The caller adds the store — a Rotated stage's blocked rotation, or a
+/// dual-socket stage's Table III W.
+PipelineStage make_row_stage(const cplx* src, const Fft1d& fft, idx_t lanes,
+                             idx_t block_rows, idx_t row_elems,
+                             idx_t iterations);
 
 class DoubleBufferEngine final : public MdEngine {
  public:
@@ -41,7 +58,7 @@ class DoubleBufferEngine final : public MdEngine {
   idx_t block_elems() const { return plan_.block_elems; }
 
   /// Wall time and iteration count of each stage in the last execute call
-  /// (2 entries for 2D plans, 3 for 3D). Useful for stage-balance
+  /// (one entry per plan stage). Useful for stage-balance
   /// analysis: the paper's Fig 9 discussion of small iteration counts is
   /// directly visible here.
   struct StageStats {
@@ -55,22 +72,26 @@ class DoubleBufferEngine final : public MdEngine {
 
   /// Collect per-role busy times into last_stats() (small overhead).
   void set_collect_utilization(bool on) {
-    pipeline_->set_collect_utilization(on);
+    if (pipeline_) pipeline_->set_collect_utilization(on);
   }
 
  private:
-  void run_stage(const PlannedStage& s, const Fft1d& fft, const cplx* src,
-                 cplx* dst, bool pipelined);
+  /// The load/compute/store tasks of one tiled stage.
+  PipelineStage make_stage(std::size_t k, const cplx* src, cplx* dst) const;
+  void run_stage(std::size_t k, const cplx* src, cplx* dst, bool pipelined);
   void run_all(cplx* in, cplx* out, bool pipelined);
 
   Direction dir_;
   FftOptions opts_;
   StagePlan plan_;
-  std::vector<std::shared_ptr<Fft1d>> ffts_;
-  std::shared_ptr<ThreadTeam> team_;  // pooled or private (FftOptions::team_pool)
+  std::vector<std::shared_ptr<Fft1d>> ffts_;  // one per stage
+  // Team and pipeline: null on the Flat path. The team is pooled or
+  // private (FftOptions::team_pool).
+  std::shared_ptr<ThreadTeam> team_;
   RolePlan roles_;
   std::unique_ptr<DoubleBufferPipeline> pipeline_;
   AlignedBuffer<cplx> work_;  // 2D intermediate (huge-page preferred)
+  cvec col_roots_;  // w_N^q for q < n2: column-pass twiddle generators
   std::vector<StageStats> stats_;
 };
 

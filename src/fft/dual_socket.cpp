@@ -4,10 +4,11 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "fft/double_buffer.h"
 #include "layout/rotate.h"
 #include "layout/stream_copy.h"
-#include "pipeline/stage_plan.h"
 #include "parallel/team_pool.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft {
 
@@ -22,12 +23,9 @@ DualSocketFft3d::DualSocketFft3d(idx_t k, idx_t n, idx_t m, Direction dir,
   // Each socket runs the single-socket plan on its own sub-team and LLC:
   // p_c, the packet and the block come from the per-socket StagePlan.
   FftOptions per_socket = opts_;
-  per_socket.threads =
-      std::max(1, make_stage_plan({k_, n_, m_}, opts_).threads / sk_);
+  per_socket.threads = std::max(1, resolved_threads(opts_) / sk_);
   const StagePlan plan = make_stage_plan({k_, n_, m_}, per_socket);
   mu_ = plan.mu;
-  per_socket_threads_ = plan.threads;
-  block_elems_ = plan.block_elems;
 
   // Per-socket local stage geometry; rows/packets are per-slab. The cross-
   // socket part of W^2/W^3 lives in the store index functions below. Its
@@ -35,27 +33,30 @@ DualSocketFft3d::DualSocketFft3d(idx_t k, idx_t n, idx_t m, Direction dir,
   stages_ = {StageGeometry{ksl_, n_, m_, 1, mu_},
              StageGeometry{m_ / mu_, ksl_, n_, mu_, mu_},
              StageGeometry{nsl_, m_ / mu_, k_, mu_, mu_}};
-  for (const auto& g : stages_) {
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    const StageGeometry& g = stages_[i];
     ffts_.push_back(std::make_shared<Fft1d>(g.fft_len, dir_, opts_.isa));
+    block_rows_[i] =
+        rows_per_block(g.rows(), plan.block_elems / g.row_elems());
   }
-  socket_roles_ =
-      make_role_plan(per_socket_threads_, plan.compute_threads, opts_.topo);
-  team_ = parallel::make_team(per_socket_threads_ * sk_, {},
-                               opts_.team_pool);
-  socket_.resize(static_cast<std::size_t>(sk_));
-  for (auto& s : socket_) {
-    s.barrier = std::make_unique<SpinBarrier>(per_socket_threads_);
-    s.buffer = AlignedBuffer<cplx>(static_cast<std::size_t>(2 * block_elems_),
-                                   AllocPlacement::HugePage);
-  }
+  team_ = parallel::make_team(plan.threads * sk_, {}, opts_.team_pool);
+  pipeline_ = std::make_unique<DoubleBufferPipeline>(
+      *team_,
+      make_role_plan(plan.threads, plan.compute_threads, opts_.topo),
+      plan.block_elems, sk_);
+}
+
+idx_t DualSocketFft3d::iterations(int stage) const {
+  const auto i = static_cast<std::size_t>(stage);
+  return stages_[i].rows() / block_rows_[i];
 }
 
 void DualSocketFft3d::run_stage(int stage, NumaArray& src, NumaArray& dst) {
-  const StageGeometry& g = stages_[static_cast<std::size_t>(stage)];
-  const Fft1d& fft = *ffts_[static_cast<std::size_t>(stage)];
+  const auto si = static_cast<std::size_t>(stage);
+  const StageGeometry& g = stages_[si];
+  const Fft1d& fft = *ffts_[si];
   const idx_t row_elems = g.row_elems();
-  const idx_t block_rows = rows_per_block(g.rows(), block_elems_ / row_elems);
-  const idx_t iters = g.rows() / block_rows;
+  const idx_t block_rows = block_rows_[si];
   const bool nt = opts_.nontemporal;
 
   // Scatter one buffer row to its rotated destination. `row` is the
@@ -100,66 +101,25 @@ void DualSocketFft3d::run_stage(int stage, NumaArray& src, NumaArray& dst) {
     }
   };
 
-  team_->run([&](int tid) {
-    const int s = tid / per_socket_threads_;
-    const int lt = tid % per_socket_threads_;
-    const bool is_compute = socket_roles_.is_compute(lt);
-    const int rank = socket_roles_.group_rank(lt);
-    SocketState& st = socket_[static_cast<std::size_t>(s)];
-    cplx* buf0 = st.buffer.data();
-    cplx* buf1 = st.buffer.data() + block_elems_;
-    const cplx* local_src = src.slab(s);
-    std::size_t cross_bytes = 0;
-
-    auto do_load = [&](idx_t i, cplx* buf, int parts) {
+  // One pipeline group per socket: it streams from its own slab and
+  // scatters through the stage's W (local, or across the link).
+  std::vector<PipelineStage> per_socket(static_cast<std::size_t>(sk_));
+  for (int s = 0; s < sk_; ++s) {
+    PipelineStage& ps = per_socket[static_cast<std::size_t>(s)];
+    ps = make_row_stage(src.slab(s), fft, g.lanes, block_rows, row_elems,
+                        iterations(stage));
+    ps.store = [=, this, &store_row](idx_t i, const cplx* buf, int rank,
+                                     int parts) {
       auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
-      if (r1 > r0) {
-        std::memcpy(buf + r0 * row_elems,
-                    local_src + (i * block_rows + r0) * row_elems,
-                    static_cast<std::size_t>((r1 - r0) * row_elems) *
-                        sizeof(cplx));
-      }
-    };
-    auto do_compute = [&](cplx* buf, int parts) {
-      auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
-      if (r1 > r0) fft.apply_lanes(buf + r0 * row_elems, g.lanes, r1 - r0);
-    };
-    auto do_store = [&](idx_t i, const cplx* buf, int parts) {
-      auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
+      std::size_t cross_bytes = 0;
       for (idx_t r = r0; r < r1; ++r) {
         store_row(s, i * block_rows + r, buf + r * row_elems, cross_bytes);
       }
+      if (cross_bytes > 0) traffic_.record_write(cross_bytes);
     };
-
-    if (socket_roles_.data == 0) {
-      // Single-threaded (or compute-only) socket: sequential per block.
-      const int parts = socket_roles_.compute;
-      for (idx_t i = 0; i < iters; ++i) {
-        cplx* buf = (i % 2 == 0) ? buf0 : buf1;
-        do_load(i, buf, parts);
-        st.barrier->arrive_and_wait();
-        do_compute(buf, parts);
-        st.barrier->arrive_and_wait();
-        do_store(i, buf, parts);
-        st.barrier->arrive_and_wait();
-      }
-    } else {
-      // Table II within the socket.
-      for (idx_t step = 0; step < iters + 2; ++step) {
-        cplx* stepbuf = (step % 2 == 0) ? buf0 : buf1;
-        if (!is_compute) {
-          if (step >= 2) do_store(step - 2, stepbuf, socket_roles_.data);
-          if (step < iters) do_load(step, stepbuf, socket_roles_.data);
-          stream_fence();
-        } else if (step >= 1 && step <= iters) {
-          cplx* other = (step % 2 == 0) ? buf1 : buf0;
-          do_compute(other, socket_roles_.compute);
-        }
-        st.barrier->arrive_and_wait();
-      }
-    }
-    if (cross_bytes > 0) traffic_.record_write(cross_bytes);
-  });
+  }
+  pipeline_->set_trace(trace_ ? &(*trace_)[si] : nullptr);
+  pipeline_->execute(per_socket);
 }
 
 void DualSocketFft3d::execute_distributed(NumaArray& x, NumaArray& y) {

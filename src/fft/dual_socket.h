@@ -7,22 +7,24 @@
 // write across the interconnect (W^2 reassembles full-z pencils
 // distributed by y; W^3 restores the natural order distributed by z).
 // Within each socket the stage runs the same Table II software pipeline as
-// the single-socket engine, with the socket's own compute/data threads,
-// cache buffer and barrier. Cross-socket write traffic is recorded so the
+// the single-socket engine: the team is one DoubleBufferPipeline split into
+// a group per socket, each with its own compute/data threads, cache buffer
+// and barrier. Cross-socket write traffic is recorded so the
 // harness can apply the QPI/HT bandwidth term of the paper's Fig 10
 // analysis.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
 #include "fft/engine.h"
 #include "fft/stage.h"
 #include "fft1d/fft1d.h"
-#include "parallel/barrier.h"
 #include "parallel/numa.h"
 #include "parallel/roles.h"
 #include "parallel/team.h"
+#include "pipeline/pipeline.h"
 
 namespace bwfft {
 
@@ -47,12 +49,18 @@ class DualSocketFft3d {
   /// Cross-socket bytes written by the last execute_* call.
   const LinkTraffic& traffic() const { return traffic_; }
 
- private:
-  struct SocketState {
-    std::unique_ptr<SpinBarrier> barrier;
-    AlignedBuffer<cplx> buffer;  // two halves of block_elems each
-  };
+  /// Each socket's role plan (every socket has the same one).
+  const RolePlan& socket_roles() const { return pipeline_->roles(); }
+  /// Pipeline iterations of stage `stage` (0..2) on every socket.
+  idx_t iterations(int stage) const;
 
+  using Trace = std::vector<DoubleBufferPipeline::TraceEvent>;
+  /// Record the schedule of later execute_* calls: stage s appends to
+  /// (*sink)[s], each event tagged with its socket as the group. nullptr
+  /// disables. Not for timed runs.
+  void set_trace(std::array<Trace, 3>* sink) { trace_ = sink; }
+
+ private:
   void run_stage(int stage, NumaArray& src, NumaArray& dst);
 
   idx_t k_, n_, m_, mu_;
@@ -61,12 +69,13 @@ class DualSocketFft3d {
   FftOptions opts_;
   int sk_;
   std::array<StageGeometry, 3> stages_;  // per-socket local geometry
+  std::array<idx_t, 3> block_rows_{};    // per-socket rows per block
   std::vector<std::shared_ptr<Fft1d>> ffts_;
-  std::shared_ptr<ThreadTeam> team_;  // pooled or private (FftOptions::team_pool)
-  int per_socket_threads_ = 1;
-  RolePlan socket_roles_;
-  idx_t block_elems_ = 0;
-  std::vector<SocketState> socket_;
+  // Pooled or private (FftOptions::team_pool); the pipeline splits it
+  // into one group per socket.
+  std::shared_ptr<ThreadTeam> team_;
+  std::unique_ptr<DoubleBufferPipeline> pipeline_;
+  std::array<Trace, 3>* trace_ = nullptr;
   LinkTraffic traffic_;
 };
 

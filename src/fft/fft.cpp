@@ -10,7 +10,6 @@
 #include "fault/fault.h"
 #include "fft/double_buffer.h"
 #include "fft/pencil.h"
-#include "fft1d/large.h"
 #include "fft/reference.h"
 #include "fft/slab_pencil.h"
 #include "fft/stage_parallel.h"
@@ -107,20 +106,9 @@ class ReferenceEngine final : public MdEngine {
 // ---------------------------------------------------------------------------
 // 1D adapters (docs/INTERNALS.md §15). The EngineKind axis maps onto the
 // 1D strategies the ext_large1d bench compares: DoubleBuffer is the
-// tuned four-step Fft1dLarge, StageParallel the flat Stockham pass, and
-// Pencil the naive strided-DIT baseline.
-
-/// EngineKind::DoubleBuffer for dims.size() == 1: the four-step facade.
-class Large1dEngine final : public MdEngine {
- public:
-  Large1dEngine(idx_t n, Direction dir, const FftOptions& opts)
-      : impl_(n, dir, opts) {}
-  void execute(cplx* in, cplx* out) override { impl_.execute(in, out); }
-  const char* name() const override { return "fft1d-large"; }
-
- private:
-  Fft1dLarge impl_;
-};
+// double-buffer engine's four-step stages (the same DoubleBufferEngine as
+// for 2D/3D), StageParallel the flat Stockham pass, and Pencil the naive
+// strided-DIT baseline.
 
 /// EngineKind::StageParallel for dims.size() == 1: one flat Stockham
 /// pass over the whole array — correct at any size, but the working set
@@ -168,27 +156,6 @@ class NaiveDit1dEngine final : public MdEngine {
   Fft1d fft_;
 };
 
-std::unique_ptr<MdEngine> make_engine_1d(idx_t n, Direction dir,
-                                         const FftOptions& opts) {
-  switch (opts.engine) {
-    case EngineKind::Reference:
-      return std::make_unique<ReferenceEngine>(std::vector<idx_t>{n}, dir,
-                                               opts);
-    case EngineKind::Pencil:
-      return std::make_unique<NaiveDit1dEngine>(n, dir, opts);
-    case EngineKind::StageParallel:
-      return std::make_unique<Flat1dEngine>(n, dir, opts);
-    case EngineKind::DoubleBuffer:
-      return std::make_unique<Large1dEngine>(n, dir, opts);
-    case EngineKind::SlabPencil:
-      BWFFT_CHECK(false, "slab-pencil is a 3D decomposition");
-      break;
-    case EngineKind::Auto:
-      return make_engine({n}, dir, tune::resolve_auto({n}, dir, opts));
-  }
-  throw Error("unknown engine kind");
-}
-
 }  // namespace
 
 std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
@@ -196,13 +163,15 @@ std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
   BWFFT_CHECK(dims.size() >= 1 && dims.size() <= 3,
               "only 1D, 2D and 3D transforms are supported");
   for (idx_t d : dims) BWFFT_CHECK(d >= 1, "dimensions must be positive");
-  if (dims.size() == 1) return make_engine_1d(dims[0], dir, opts);
+  const bool one_d = dims.size() == 1;
   switch (opts.engine) {
     case EngineKind::Reference:
       return std::make_unique<ReferenceEngine>(dims, dir, opts);
     case EngineKind::Pencil:
+      if (one_d) return std::make_unique<NaiveDit1dEngine>(dims[0], dir, opts);
       return std::make_unique<PencilEngine>(dims, dir, opts);
     case EngineKind::StageParallel:
+      if (one_d) return std::make_unique<Flat1dEngine>(dims[0], dir, opts);
       return std::make_unique<StageParallelEngine>(dims, dir, opts);
     case EngineKind::SlabPencil:
       return std::make_unique<SlabPencilEngine>(dims, dir, opts);
@@ -238,10 +207,6 @@ void inplace_copy_back(cplx* dst, const cvec& work, bool nontemporal) {
 
 constexpr int kMaxRetries = 3;
 
-int resolved_threads(const FftOptions& opts) {
-  return opts.threads > 0 ? opts.threads : opts.topo.total_threads();
-}
-
 /// A stall or lost worker may be transient (or injected once): worth a
 /// retry with a smaller team. Everything else either cannot recover
 /// (kBadPlan, kInternal) or recovers by switching engines, not resizing.
@@ -260,8 +225,8 @@ void halve_threads(FftOptions& opts) {
 /// plans fall straight to the dense reference oracle; 1D plans first try
 /// the flat Stockham pass (stage-parallel) — it needs no team and no
 /// placed buffers either, and unlike the O(n^2) oracle it stays usable
-/// at the out-of-LLC sizes Fft1dLarge serves. False when already at the
-/// last resort.
+/// at the out-of-LLC sizes the four-step passes serve. False when already
+/// at the last resort.
 bool degrade_engine(const std::vector<idx_t>& dims, FftOptions& opts,
                     const char* what) {
   const std::string reason(what);

@@ -85,10 +85,10 @@ struct FftOptions {
   /// blocked-vs-element ablation of §III-A.
   idx_t packet_elems = 0;
 
-  /// 1D transforms only: the n = n1*n2 four-step factorization of
-  /// Fft1dLarge (fft1d/large.h). 0 = the default split (four_step_factors
-  /// in pipeline/stage_plan.h); a positive value must divide n (kBadPlan
-  /// otherwise). Tuned as a grid axis and persisted in wisdom; 2D/3D
+  /// 1D transforms only: the n = n1*n2 four-step factorization the
+  /// double-buffer engine runs (fft/double_buffer.h). 0 = the default
+  /// split (four_step_factors in pipeline/stage_plan.h); a positive value
+  /// must divide n (kBadPlan otherwise). Tuned as a grid axis and persisted in wisdom; 2D/3D
   /// engines ignore it.
   idx_t factor_n1 = 0;
 
@@ -116,5 +116,11 @@ struct FftOptions {
   /// Scale the inverse transform by 1/N (forward is never scaled).
   bool normalize_inverse = false;
 };
+
+/// The team size p the options ask for: `threads`, or every hardware
+/// thread of `topo` when it is 0.
+inline int resolved_threads(const FftOptions& opts) {
+  return opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+}
 
 }  // namespace bwfft

@@ -19,8 +19,7 @@ PencilEngine::PencilEngine(std::vector<idx_t> dims, Direction dir,
     total_ *= d;
     ffts_.push_back(std::make_shared<Fft1d>(d, dir_, opts_.isa));
   }
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
-  team_ = parallel::make_team(p, {}, opts_.team_pool);
+  team_ = parallel::make_team(resolved_threads(opts_), {}, opts_.team_pool);
 }
 
 void PencilEngine::execute(cplx* in, cplx* out) {

@@ -20,7 +20,7 @@ SlabPencilEngine::SlabPencilEngine(std::vector<idx_t> dims, Direction dir,
   fft_m_ = std::make_shared<Fft1d>(m, dir_, opts_.isa);
   fft_n_ = std::make_shared<Fft1d>(n, dir_, opts_.isa);
   fft_k_ = std::make_shared<Fft1d>(k, dir_, opts_.isa);
-  const int p = opts_.threads > 0 ? opts_.threads : opts_.topo.total_threads();
+  const int p = resolved_threads(opts_);
   team_ = parallel::make_team(p, {}, opts_.team_pool);
   slab_work_.reserve(static_cast<std::size_t>(p));
   for (int t = 0; t < p; ++t) {

@@ -13,21 +13,37 @@ namespace bwfft {
 
 DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
                                            idx_t block_elems)
+    : DoubleBufferPipeline(team, std::move(roles), block_elems, 1) {}
+
+DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
+                                           idx_t block_elems, int groups)
     : team_(team),
       roles_(std::move(roles)),
       block_elems_(block_elems),
-      // The shared double buffer is the hottest multi-MB allocation in
-      // the system (every block passes through it twice); prefer huge
-      // pages for it, degrading to plain aligned memory when they are
-      // unavailable (fault site "alloc.huge").
-      buffer_(static_cast<std::size_t>(2 * block_elems),
-              AllocPlacement::HugePage) {
+      groups_(groups) {
   BWFFT_CHECK(block_elems > 0, "pipeline block must be non-empty");
-  BWFFT_CHECK(roles_.total == team.size(),
-              "role plan size must match team size");
+  BWFFT_CHECK(groups >= 1 && roles_.total * groups == team.size(),
+              "role plan size times groups must match team size");
+  // The shared double buffer is the hottest multi-MB allocation in the
+  // system (every block passes through it twice); prefer huge pages for it,
+  // degrading to plain aligned memory when they are unavailable (fault
+  // site "alloc.huge").
+  for (int g = 0; g < groups_; ++g) {
+    buffers_.emplace_back(static_cast<std::size_t>(2 * block_elems),
+                          AllocPlacement::HugePage);
+  }
+  // One group meets at the team barrier; split teams get one per group,
+  // with the team barrier's stall watchdog (armed when stall faults are
+  // scheduled), so a lost group thread surfaces as kStall.
+  for (int g = 0; groups_ > 1 && g < groups_; ++g) {
+    group_barriers_.push_back(std::make_unique<SpinBarrier>(roles_.total));
+    group_barriers_.back()->set_stall_timeout_ms(
+        team.barrier().stall_timeout_ms());
+  }
 }
 
-void DoubleBufferPipeline::wait_at_barrier([[maybe_unused]] idx_t step) {
+void DoubleBufferPipeline::wait_at_barrier(SpinBarrier& barrier,
+                                           [[maybe_unused]] idx_t step) {
 #if defined(BWFFT_FAULT)
   // Straggler injector with epoch selection: "pipeline.stall/<step>=<ms>"
   // delays one thread at the chosen pipeline step (the @skip field picks
@@ -45,144 +61,149 @@ void DoubleBufferPipeline::wait_at_barrier([[maybe_unused]] idx_t step) {
   // One slice + BarrierWaitNs per thread per step: the wait time IS the
   // pipeline's load-imbalance signal (a starved role shows up here).
   BWFFT_OBS_TASK(obs_wait, "barrier", 'B', step, BarrierWaitNs);
-  team_.barrier().arrive_and_wait();
+  barrier.arrive_and_wait();
 }
 
 void DoubleBufferPipeline::record(idx_t step, TraceEvent::Kind kind,
-                                  idx_t iter, int h, int tid) {
+                                  idx_t iter, int h, int tid, int group) {
   if (!trace_) return;
   std::lock_guard<std::mutex> lk(trace_mu_);
-  trace_->push_back({step, kind, iter, h, tid});
+  trace_->push_back({step, kind, iter, h, tid, group});
 }
 
 void DoubleBufferPipeline::execute(const PipelineStage& stage) {
-  BWFFT_CHECK(stage.iterations >= 1, "stage needs >= 1 iteration");
-  const idx_t iters = stage.iterations;
-  const bool util = collect_util_;
-  if (util) util_ = RoleUtilization{};
-  Timer wall;
+  BWFFT_CHECK(groups_ == 1, "a grouped pipeline runs one stage per group");
+  run_groups(&stage, roles_);
+}
 
-  // Per-thread busy-time accumulation, merged under the trace mutex when
-  // the thread finishes its run body.
-  auto merge_util = [&](double load_s, double compute_s, double store_s) {
-    if (!util) return;
-    std::lock_guard<std::mutex> lk(trace_mu_);
-    util_.load_seconds += load_s;
-    util_.compute_seconds += compute_s;
-    util_.store_seconds += store_s;
-  };
-
-  if (roles_.data == 0) {
-    // No soft-DMA threads: sequential load/compute/store per iteration on
-    // the compute group. Correct, but with no overlap.
-    team_.run([&](int tid) {
-      const int rank = roles_.group_rank(tid);
-      const int parts = roles_.compute;
-      double t_load = 0, t_comp = 0, t_store = 0;
-      for (idx_t i = 0; i < iters; ++i) {
-        cplx* buf = half(static_cast<int>(i % 2));
-        Timer t;
-        {
-          BWFFT_OBS_TASK(obs_task, "load", 'L', i, LoadBusyNs);
-          stage.load(i, buf, rank, parts);
-        }
-        t_load += t.seconds();
-        record(i, TraceEvent::Kind::Load, i, static_cast<int>(i % 2), tid);
-        wait_at_barrier(i);
-        t.reset();
-        {
-          BWFFT_OBS_TASK(obs_task, "compute", 'C', i, ComputeBusyNs);
-          stage.compute(i, buf, rank, parts);
-        }
-        t_comp += t.seconds();
-        record(i, TraceEvent::Kind::Compute, i, static_cast<int>(i % 2), tid);
-        wait_at_barrier(i);
-        t.reset();
-        {
-          BWFFT_OBS_TASK(obs_task, "store", 'S', i, StoreBusyNs);
-          stage.store(i, buf, rank, parts);
-        }
-        t_store += t.seconds();
-        record(i, TraceEvent::Kind::Store, i, static_cast<int>(i % 2), tid);
-        // The store may be non-temporal; drain the write-combining
-        // buffers before the barrier publishes the output (the overlap
-        // path fences every data step — this keeps the degraded path
-        // under the same fence-pairing rule the static verifier proves).
-        stream_fence();
-        wait_at_barrier(i);
-      }
-      merge_util(t_load, t_comp, t_store);
-    });
-    if (util) util_.wall_seconds = wall.seconds();
-    return;
-  }
-
-  // Table II schedule. Steps 0 .. iters+1; at step i the data threads
-  // retire block i-2 and fetch block i on half (i mod 2) while the compute
-  // threads transform block i-1 on the other half.
-  team_.run([&](int tid) {
-    const bool is_compute = roles_.is_compute(tid);
-    const int rank = roles_.group_rank(tid);
-    const int parts = is_compute ? roles_.compute : roles_.data;
-    double t_load = 0, t_comp = 0, t_store = 0;
-    for (idx_t step = 0; step < iters + 2; ++step) {
-      if (!is_compute) {
-        const int h = static_cast<int>(step % 2);
-        if (step >= 2) {
-          Timer t;
-          {
-            BWFFT_OBS_TASK(obs_task, "store", 'S', step - 2, StoreBusyNs);
-            stage.store(step - 2, half(h), rank, parts);
-          }
-          t_store += t.seconds();
-          record(step, TraceEvent::Kind::Store, step - 2, h, tid);
-        }
-        if (step < iters) {
-          Timer t;
-          {
-            BWFFT_OBS_TASK(obs_task, "load", 'L', step, LoadBusyNs);
-            stage.load(step, half(h), rank, parts);
-          }
-          t_load += t.seconds();
-          record(step, TraceEvent::Kind::Load, step, h, tid);
-        }
-        // Make the streaming stores of this step globally visible before
-        // the barrier hands the half back to the compute threads.
-        stream_fence();
-      } else {
-        if (step >= 1 && step <= iters) {
-          const int h = static_cast<int>((step + 1) % 2);
-          Timer t;
-          {
-            BWFFT_OBS_TASK(obs_task, "compute", 'C', step - 1, ComputeBusyNs);
-            stage.compute(step - 1, half(h), rank, parts);
-          }
-          t_comp += t.seconds();
-          record(step, TraceEvent::Kind::Compute, step - 1, h, tid);
-        }
-      }
-      wait_at_barrier(step);
-    }
-    merge_util(t_load, t_comp, t_store);
-  });
-  if (util) util_.wall_seconds = wall.seconds();
+void DoubleBufferPipeline::execute(const std::vector<PipelineStage>& stages) {
+  BWFFT_CHECK(static_cast<int>(stages.size()) == groups_,
+              "need one stage per pipeline group");
+  run_groups(stages.data(), roles_);
 }
 
 void DoubleBufferPipeline::execute_unpipelined(const PipelineStage& stage) {
-  BWFFT_CHECK(stage.iterations >= 1, "stage needs >= 1 iteration");
-  team_.run([&](int tid) {
-    const int parts = roles_.total;
-    for (idx_t i = 0; i < stage.iterations; ++i) {
-      cplx* buf = half(0);
-      stage.load(i, buf, tid, parts);
-      wait_at_barrier(i);
-      stage.compute(i, buf, tid, parts);
-      wait_at_barrier(i);
-      stage.store(i, buf, tid, parts);
-      stream_fence();  // NT stores must be visible before the barrier
-      wait_at_barrier(i);
+  BWFFT_CHECK(groups_ == 1, "a grouped pipeline runs one stage per group");
+  // Every thread takes a share of every task: the sequential schedule on
+  // an all-compute role plan.
+  run_groups(&stage,
+             make_role_plan(roles_.total, roles_.total, MachineTopology{}));
+}
+
+void DoubleBufferPipeline::run_groups(const PipelineStage* stages,
+                                      const RolePlan& roles) {
+  for (int g = 0; g < groups_; ++g) {
+    BWFFT_CHECK(stages[g].iterations >= 1, "stage needs >= 1 iteration");
+  }
+  if (collect_util_) util_ = RoleUtilization{};
+  Timer wall;
+  try {
+    team_.run([&](int tid) {
+      const int g = tid / roles.total;
+      try {
+        run_thread(stages[g], roles, g, tid % roles.total);
+      } catch (...) {
+        // The first failure in a group aborts the group's barrier, so its
+        // mates drain (they throw at their next wait) instead of waiting
+        // forever for a party that will never arrive. Their abort
+        // diagnoses are dropped: the original error is the one
+        // ThreadTeam::run rethrows.
+        if (barrier(g).aborted()) return;
+        barrier(g).abort();
+        throw;
+      }
+    });
+  } catch (...) {
+    // Every worker has finished, so aborted group barriers can be re-armed
+    // (ThreadTeam::run re-arms its own).
+    for (auto& b : group_barriers_) {
+      if (b->aborted()) b->reset_abort();
     }
-  });
+    throw;
+  }
+  if (collect_util_) util_.wall_seconds = wall.seconds();
+}
+
+void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
+                                      const RolePlan& roles, int group,
+                                      int tid) {
+  using Kind = TraceEvent::Kind;
+  SpinBarrier& bar = barrier(group);
+  const idx_t iters = stage.iterations;
+  const bool is_compute = roles.is_compute(tid);
+  const int rank = roles.group_rank(tid);
+  const int parts = is_compute ? roles.compute : roles.data;
+  double t_load = 0, t_comp = 0, t_store = 0;
+
+  // One task: timed into its role's busy time, an obs slice, a trace event.
+  auto load = [&](idx_t step, idx_t i, int h) {
+    Timer t;
+    {
+      BWFFT_OBS_TASK(obs_task, "load", 'L', i, LoadBusyNs);
+      stage.load(i, half(group, h), rank, parts);
+    }
+    t_load += t.seconds();
+    record(step, Kind::Load, i, h, tid, group);
+  };
+  auto compute = [&](idx_t step, idx_t i, int h) {
+    Timer t;
+    {
+      BWFFT_OBS_TASK(obs_task, "compute", 'C', i, ComputeBusyNs);
+      stage.compute(i, half(group, h), rank, parts);
+    }
+    t_comp += t.seconds();
+    record(step, Kind::Compute, i, h, tid, group);
+  };
+  auto store = [&](idx_t step, idx_t i, int h) {
+    Timer t;
+    {
+      BWFFT_OBS_TASK(obs_task, "store", 'S', i, StoreBusyNs);
+      stage.store(i, half(group, h), rank, parts);
+    }
+    t_store += t.seconds();
+    record(step, Kind::Store, i, h, tid, group);
+  };
+
+  if (roles.data == 0) {
+    // No soft-DMA threads: sequential load/compute/store per iteration on
+    // the compute group. Correct, but with no overlap.
+    for (idx_t i = 0; i < iters; ++i) {
+      const int h = static_cast<int>(i % 2);
+      load(i, i, h);
+      wait_at_barrier(bar, i);
+      compute(i, i, h);
+      wait_at_barrier(bar, i);
+      store(i, i, h);
+      // The store may be non-temporal; drain the write-combining buffers
+      // before the barrier publishes the output (the same fence-pairing
+      // rule the static verifier proves for the overlap schedule).
+      stream_fence();
+      wait_at_barrier(bar, i);
+    }
+  } else {
+    // Table II schedule. Steps 0 .. iters+1; at step i the data threads
+    // retire block i-2 and fetch block i on half (i mod 2) while the
+    // compute threads transform block i-1 on the other half.
+    for (idx_t step = 0; step < iters + 2; ++step) {
+      if (!is_compute) {
+        const int h = static_cast<int>(step % 2);
+        if (step >= 2) store(step, step - 2, h);
+        if (step < iters) load(step, step, h);
+        // Make the streaming stores of this step globally visible before
+        // the barrier hands the half back to the compute threads.
+        stream_fence();
+      } else if (step >= 1 && step <= iters) {
+        compute(step, step - 1, static_cast<int>((step + 1) % 2));
+      }
+      wait_at_barrier(bar, step);
+    }
+  }
+
+  if (!collect_util_) return;
+  std::lock_guard<std::mutex> lk(trace_mu_);
+  util_.load_seconds += t_load;
+  util_.compute_seconds += t_comp;
+  util_.store_seconds += t_store;
 }
 
 idx_t default_block_elems(const MachineTopology& topo) {

@@ -14,7 +14,7 @@
 //
 //   step i:  data threads:    Store(i-2) then Load(i)   on t[i mod 2]
 //            compute threads: Compute(i-1)              on t[(i+1) mod 2]
-//            team barrier
+//            barrier (the team's, or the group's on a split team)
 //
 // Steps 0..1 form the prologue, steps 2..iterations-1 the steady state and
 // steps iterations..iterations+1 the epilogue. The store precedes the load
@@ -27,6 +27,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -50,17 +51,27 @@ struct PipelineStage {
 class DoubleBufferPipeline {
  public:
   /// Schedule-trace event (tests validate the Table II schedule with it).
+  /// `tid` is the thread's id within its group.
   struct TraceEvent {
     idx_t step;
     enum class Kind { Load, Compute, Store } kind;
     idx_t iter;
     int half;
     int tid;
+    int group = 0;
   };
 
   /// `block_elems` is the size of ONE buffer half (= one block b); the
   /// pipeline allocates 2*block_elems for the two halves.
   DoubleBufferPipeline(ThreadTeam& team, RolePlan roles, idx_t block_elems);
+
+  /// Split `team` into `groups` consecutive sub-teams of roles.total
+  /// threads. Each group has its own double buffer (a separate allocation)
+  /// and barrier and runs its own stage, concurrently with the others —
+  /// DualSocketFft3d runs one group per socket. With one group the team
+  /// barrier is used.
+  DoubleBufferPipeline(ThreadTeam& team, RolePlan roles, idx_t block_elems,
+                       int groups);
 
   idx_t block_elems() const { return block_elems_; }
   const RolePlan& roles() const { return roles_; }
@@ -69,6 +80,9 @@ class DoubleBufferPipeline {
   /// the role plan the stage degrades gracefully: compute threads execute
   /// load/compute/store back-to-back per iteration (no overlap).
   void execute(const PipelineStage& stage);
+
+  /// Run stages[g] on group g, all groups at once (one stage per group).
+  void execute(const std::vector<PipelineStage>& stages);
 
   /// Run the stage WITHOUT software pipelining: every step does
   /// load -> barrier -> compute -> barrier -> store with all threads
@@ -96,15 +110,33 @@ class DoubleBufferPipeline {
   const RoleUtilization& last_utilization() const { return util_; }
 
  private:
-  cplx* half(int h) { return buffer_.data() + h * block_elems_; }
-  void record(idx_t step, TraceEvent::Kind kind, idx_t iter, int h, int tid);
-  /// Team barrier with obs accounting (barrier-wait ns, 'B' slices).
-  void wait_at_barrier(idx_t step);
+  cplx* half(int group, int h) {
+    return buffers_[static_cast<std::size_t>(group)].data() +
+           h * block_elems_;
+  }
+  SpinBarrier& barrier(int group) {
+    return groups_ == 1 ? team_.barrier()
+                        : *group_barriers_[static_cast<std::size_t>(group)];
+  }
+  /// Run stages[g] on every group g under `roles` and time the call.
+  void run_groups(const PipelineStage* stages, const RolePlan& roles);
+  /// Thread `tid` of group `group`: its part of the Table II schedule (or
+  /// of the sequential one when `roles` has no data threads) on the
+  /// group's buffer and barrier. The only software-pipeline step loop in
+  /// the library.
+  void run_thread(const PipelineStage& stage, const RolePlan& roles,
+                  int group, int tid);
+  void record(idx_t step, TraceEvent::Kind kind, idx_t iter, int h, int tid,
+              int group);
+  /// Barrier wait with obs accounting (barrier-wait ns, 'B' slices).
+  void wait_at_barrier(SpinBarrier& barrier, idx_t step);
 
   ThreadTeam& team_;
   RolePlan roles_;
   idx_t block_elems_;
-  AlignedBuffer<cplx> buffer_;
+  int groups_;
+  std::vector<AlignedBuffer<cplx>> buffers_;  // per group: two halves
+  std::vector<std::unique_ptr<SpinBarrier>> group_barriers_;  // groups > 1
   std::vector<TraceEvent>* trace_ = nullptr;
   std::mutex trace_mu_;
   bool collect_util_ = false;

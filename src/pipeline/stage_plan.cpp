@@ -87,7 +87,7 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
   }
 
   // The paper's default is an even split; a lone thread does everything.
-  const int p = opts.threads > 0 ? opts.threads : opts.topo.total_threads();
+  const int p = resolved_threads(opts);
   const int pc = opts.compute_threads >= 0 ? opts.compute_threads
                                            : (p <= 1 ? p : p / 2);
   BWFFT_CHECK(p >= 1 && pc >= 0 && pc <= p,

@@ -5,8 +5,8 @@
 // (1D), the per-half pipeline block b, and for every stage how it tiles
 // into pipeline blocks. It is the only place those rules live:
 //
-//   - DoubleBufferEngine, StageParallelEngine and Fft1dLarge build their
-//     roles, team, pipeline and stage lambdas from the plan, and
+//   - DoubleBufferEngine (every StageKind) and StageParallelEngine build
+//     their roles, team, pipeline and stage lambdas from the plan, and
 //     DualSocketFft3d takes its per-socket p_c and block from it;
 //   - analysis::build_plan_model turns the plan into symbolic windows;
 //   - tune::estimate_seconds and tools/bwfft_lint read p, p_c and b.
@@ -23,10 +23,11 @@
 
 namespace bwfft {
 
-/// Four-step group caps: Fft1dLarge keeps a column group's twiddle
-/// recurrence and a row group's output run in stack arrays of this size.
-/// 32 columns (512 B runs) and 128 rows (2 KiB runs) make every strided
-/// access in either pass a multi-line run instead of a single cacheline.
+/// Four-step group caps: the Columns and Rows stages keep a column group's
+/// twiddle recurrence and a row group's output run in stack arrays of this
+/// size. 32 columns (512 B runs) and 128 rows (2 KiB runs) make every
+/// strided access in either pass a multi-line run instead of a single
+/// cacheline.
 constexpr idx_t kFourStepMaxCols = 32;
 constexpr idx_t kFourStepMaxRows = 128;
 

@@ -83,7 +83,7 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
   BWFFT_CHECK(dims.size() >= 1 && dims.size() <= 3,
               "tuning supports 1D, 2D and 3D transforms");
   const bool one_d = dims.size() == 1;
-  const int p = req.threads > 0 ? req.threads : req.topo.total_threads();
+  const int p = resolved_threads(req);
   const idx_t m = dims.back();  // fast dimension: mu must divide it
 
   // Axis values. A knob the caller pinned collapses to that single value.
@@ -116,11 +116,11 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
     blocks.push_back(default_block_elems(req.topo) / 2);
   }
 
-  // 2D/3D: the rotation packet. 1D has no packet axis — Fft1dLarge sizes
-  // its groups per factor — so the four-step factorization takes its
-  // place: the default n1 plus the x2 / /2 skews that still divide n, so
-  // measurement can catch hosts where an asymmetric split (cheaper
-  // column gathers vs cheaper row scatters) wins.
+  // 2D/3D: the rotation packet. 1D has no packet axis — the four-step
+  // passes size their groups per factor — so the four-step factorization
+  // takes its place: the default n1 plus the x2 / /2 skews that still
+  // divide n, so measurement can catch hosts where an asymmetric split
+  // (cheaper column gathers vs cheaper row scatters) wins.
   std::vector<idx_t> packets = {0}, factors = {0};
   if (one_d) {
     if (req.factor_n1 > 0) {
@@ -267,13 +267,13 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
       case EngineKind::StageParallel:
         return flat_model();
       case EngineKind::DoubleBuffer: {
-        // Two software-pipelined passes (fft1d/large.h): packet-strided
-        // column gathers + NT packet stores, then contiguous row loads +
-        // packet-transposed scatters. This is the bandwidth term that
-        // ranks the factorization axis: the packet widths (and so the
-        // streamed-line utilisation) follow from each factor, and a
-        // group that outgrows the pipeline block costs its cache
-        // residency.
+        // Two software-pipelined passes (the Columns and Rows stages of
+        // fft/double_buffer.h): packet-strided column gathers + NT packet
+        // stores, then contiguous row loads + packet-transposed scatters.
+        // This is the bandwidth term that ranks the factorization axis:
+        // the packet widths (and so the streamed-line utilisation) follow
+        // from each factor, and a group that outgrows the pipeline block
+        // costs its cache residency.
         const idx_t f1 = plan.n1, f2 = plan.n2;
         if (f1 <= 1) return flat_model();  // degenerate split
         const idx_t mu1 = std::min(packet_size_for(f2), f2);

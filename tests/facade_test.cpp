@@ -194,7 +194,7 @@ TEST(Facade, InvalidPacketOptionThrows) {
 }
 
 TEST(Facade, OneDimensionalShapesRoute) {
-  // 1D shapes route through the fft1d/large.h engines; ranks above 3 are
+  // 1D shapes route through make_engine like 2D/3D; ranks above 3 are
   // still rejected.
   FftOptions o;
   o.engine = EngineKind::DoubleBuffer;

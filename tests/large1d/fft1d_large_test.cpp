@@ -1,4 +1,5 @@
-// Tests for Fft1dLarge, the tuned four-step engine for out-of-LLC 1D
+// Tests for the 1D double-buffer plans — the four-step Columns and Rows
+// stages (and the Flat fallback) DoubleBufferEngine runs for out-of-LLC 1D
 // transforms (docs/INTERNALS.md §15). Large sizes are checked against the
 // flat Stockham pass (itself dense-oracle-verified in fft1d_test); tiny
 // sizes are cross-checked against the spl::dft1d_four_step specification
@@ -11,9 +12,9 @@
 #include "../test_util.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "fft/double_buffer.h"
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
-#include "fft1d/large.h"
 #include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
 
@@ -44,13 +45,20 @@ TEST_P(Fft1dLargeSizes, ForwardMatchesStockham) {
   const idx_t n = idx_t{1} << GetParam();
   auto x = random_cvec(n, 9500 + GetParam());
   const cvec want = stockham_oracle(x);
-  Fft1dLarge plan(n, Direction::Forward, large_opts(1));
-  EXPECT_GT(plan.factor_n1(), 1) << "expected a real split at n=" << n;
-  EXPECT_EQ(n, plan.factor_n1() * plan.factor_n2());
+  // The facade's 1D double-buffer plan is the engine itself.
+  auto engine = make_engine({n}, Direction::Forward, large_opts(1));
+  auto* plan = dynamic_cast<DoubleBufferEngine*>(engine.get());
+  ASSERT_NE(nullptr, plan);
+  const StagePlan& sp = plan->plan();
+  EXPECT_GT(sp.n1, 1) << "expected a real split at n=" << n;
+  EXPECT_EQ(n, sp.n1 * sp.n2);
+  ASSERT_EQ(2u, sp.stages.size());
+  EXPECT_EQ(StageKind::Columns, sp.stages[0].kind);
+  EXPECT_EQ(StageKind::Rows, sp.stages[1].kind);
   cvec in = x, got(x.size());
-  plan.execute(in.data(), got.data());
+  plan->execute(in.data(), got.data());
   EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
-      << "n=2^" << GetParam() << " n1=" << plan.factor_n1();
+      << "n=2^" << GetParam() << " n1=" << sp.n1;
 }
 
 // 2^18 (LLC-resident) through 2^24 (the out-of-LLC regime the engine
@@ -63,8 +71,8 @@ TEST(Fft1dLarge, InverseRoundTripNormalized) {
   auto x = random_cvec(n, 9510);
   FftOptions io = large_opts(1);
   io.normalize_inverse = true;
-  Fft1dLarge fwd(n, Direction::Forward, large_opts(1));
-  Fft1dLarge inv(n, Direction::Inverse, io);
+  DoubleBufferEngine fwd({n}, Direction::Forward, large_opts(1));
+  DoubleBufferEngine inv({n}, Direction::Inverse, io);
   cvec a = x, b(x.size()), c(x.size());
   fwd.execute(a.data(), b.data());
   inv.execute(b.data(), c.data());
@@ -77,9 +85,9 @@ TEST(Fft1dLarge, NonSquareRequestedFactorMatches) {
   const idx_t n = idx_t{1} << 18;
   FftOptions o = large_opts(1);
   o.factor_n1 = 64;
-  Fft1dLarge plan(n, Direction::Forward, o);
-  EXPECT_EQ(64, plan.factor_n1());
-  EXPECT_EQ(n / 64, plan.factor_n2());
+  DoubleBufferEngine plan({n}, Direction::Forward, o);
+  EXPECT_EQ(64, plan.plan().n1);
+  EXPECT_EQ(n / 64, plan.plan().n2);
   auto x = random_cvec(n, 9520);
   const cvec want = stockham_oracle(x);
   cvec in = x, got(x.size());
@@ -96,9 +104,11 @@ TEST(Fft1dLarge, OddRadixFactorizationMatches) {
   for (idx_t req : {idx_t{0}, idx_t{3 * 64}}) {
     FftOptions o = large_opts(1);
     o.factor_n1 = req;
-    Fft1dLarge plan(n, Direction::Forward, o);
-    EXPECT_EQ(n, plan.factor_n1() * plan.factor_n2());
-    if (req > 0) EXPECT_EQ(req, plan.factor_n1());
+    DoubleBufferEngine plan({n}, Direction::Forward, o);
+    EXPECT_EQ(n, plan.plan().n1 * plan.plan().n2);
+    if (req > 0) {
+      EXPECT_EQ(req, plan.plan().n1);
+    }
     cvec in = x, got(x.size());
     plan.execute(in.data(), got.data());
     EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
@@ -113,7 +123,7 @@ TEST(Fft1dLarge, MultiThreadedPipelineMatches) {
   auto x = random_cvec(n, 9540);
   const cvec want = stockham_oracle(x);
   for (int threads : {2, 4}) {
-    Fft1dLarge plan(n, Direction::Forward, large_opts(threads));
+    DoubleBufferEngine plan({n}, Direction::Forward, large_opts(threads));
     cvec in = x, got(x.size());
     plan.execute(in.data(), got.data());
     EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
@@ -130,7 +140,7 @@ TEST(Fft1dLarge, TinySizesMatchFourStepSpec) {
     const idx_t n = a * b;
     FftOptions o = large_opts(1);
     o.factor_n1 = a;
-    Fft1dLarge plan(n, Direction::Forward, o);
+    DoubleBufferEngine plan({n}, Direction::Forward, o);
     auto x = random_cvec(n, 9550 + n);
     cvec want(x.size());
     spl::dft1d_four_step(a, b)->apply(x.data(), want.data());
@@ -143,8 +153,8 @@ TEST(Fft1dLarge, TinySizesMatchFourStepSpec) {
 
 TEST(Fft1dLarge, PrimeSizesDegenerateToFlat) {
   const idx_t n = 65537;  // Fermat prime: no divisor in [2, n/2]
-  Fft1dLarge plan(n, Direction::Forward, large_opts(1));
-  EXPECT_EQ(1, plan.factor_n1());
+  DoubleBufferEngine plan({n}, Direction::Forward, large_opts(1));
+  EXPECT_EQ(1, plan.plan().n1);
   auto x = random_cvec(n, 9560);
   const cvec want = stockham_oracle(x);
   cvec in = x, got(x.size());
@@ -166,8 +176,7 @@ TEST(Fft1dLarge, ChooseFactorsPolicy) {
 
 // ---------------------------------------------------------------------------
 // Small sizes, small blocks and requested splits against the dense
-// oracle. The DoubleBuffer1d suites cover the double-buffer engine's 1D
-// path: EngineKind::DoubleBuffer on a 1D shape plans an Fft1dLarge.
+// oracle.
 // ---------------------------------------------------------------------------
 
 TEST(FourStepSpl, EqualsDenseDft) {
@@ -186,14 +195,14 @@ FftOptions small_block_opts(int threads) {
 }
 
 /// Run a plan on x and compare with the dense oracle.
-void expect_matches_dense(Fft1dLarge& plan, const cvec& x) {
+void expect_matches_dense(DoubleBufferEngine& plan, const cvec& x) {
   const idx_t n = static_cast<idx_t>(x.size());
   cvec want(x.size());
   reference_dft_1d(x.data(), want.data(), n, Direction::Forward);
   cvec in = x, got(x.size());
   plan.execute(in.data(), got.data());
   EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
-      << "n=" << n << " n1=" << plan.factor_n1();
+      << "n=" << n << " n1=" << plan.plan().n1;
 }
 
 class DoubleBuffer1dSizes
@@ -201,7 +210,7 @@ class DoubleBuffer1dSizes
 
 TEST_P(DoubleBuffer1dSizes, MatchesReference) {
   const auto [n, threads] = GetParam();
-  Fft1dLarge plan(n, Direction::Forward, small_block_opts(threads));
+  DoubleBufferEngine plan({n}, Direction::Forward, small_block_opts(threads));
   expect_matches_dense(plan, random_cvec(n, 8500 + n));
 }
 
@@ -212,18 +221,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DoubleBuffer1d, LargerThanBufferSize) {
   // n far exceeds the block (32 KiB halves for a 1 MiB problem): both
-  // passes tile into many pipelined blocks.
+  // passes tile into many pipelined blocks. The Table II overlap only
+  // reorders tasks, so the unpipelined ablation run is bit-identical.
   const idx_t n = 1 << 16;
-  FftOptions o = large_opts(4);
-  o.block_elems = 2048;
-  Fft1dLarge plan(n, Direction::Forward, o);
-  EXPECT_GT(plan.plan().stages[0].iterations, 1);
-  EXPECT_GT(plan.plan().stages[1].iterations, 1);
   auto x = random_cvec(n, 8600);
-  cvec in = x, got(x.size());
-  plan.execute(in.data(), got.data());
-  EXPECT_LT(max_err(stockham_oracle(x), got),
-            fft_tol(static_cast<double>(n)));
+  const cvec want = stockham_oracle(x);
+  for (int threads : {2, 4}) {
+    FftOptions o = large_opts(threads);
+    o.block_elems = 2048;
+    DoubleBufferEngine plan({n}, Direction::Forward, o);
+    EXPECT_GT(plan.plan().stages[0].iterations, 1);
+    EXPECT_GT(plan.plan().stages[1].iterations, 1);
+    cvec in = x, got(x.size());
+    plan.execute(in.data(), got.data());
+    EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
+        << "threads=" << threads;
+    cvec in2 = x, lockstep(x.size());
+    plan.execute_unpipelined(in2.data(), lockstep.data());
+    EXPECT_TRUE(got == lockstep) << "threads=" << threads;
+  }
 }
 
 TEST(DoubleBuffer1d, InverseRoundTrip) {
@@ -231,8 +247,8 @@ TEST(DoubleBuffer1d, InverseRoundTrip) {
   auto x = random_cvec(n, 8700);
   FftOptions io = small_block_opts(2);
   io.normalize_inverse = true;
-  Fft1dLarge fwd(n, Direction::Forward, small_block_opts(2));
-  Fft1dLarge inv(n, Direction::Inverse, io);
+  DoubleBufferEngine fwd({n}, Direction::Forward, small_block_opts(2));
+  DoubleBufferEngine inv({n}, Direction::Inverse, io);
   cvec a = x, b(x.size()), c(x.size());
   fwd.execute(a.data(), b.data());
   inv.execute(b.data(), c.data());
@@ -241,18 +257,18 @@ TEST(DoubleBuffer1d, InverseRoundTrip) {
 
 TEST(DoubleBuffer1d, SplitIsNearSquare) {
   // Below n ~ 2^18 the default split degrades to near-square.
-  Fft1dLarge p1(1 << 10, Direction::Forward, small_block_opts(1));
-  EXPECT_EQ(32, p1.factor_n1());
-  EXPECT_EQ(32, p1.factor_n2());
-  Fft1dLarge p2(1 << 11, Direction::Forward, small_block_opts(1));
-  EXPECT_EQ(32, p2.factor_n1());
-  EXPECT_EQ(64, p2.factor_n2());
+  DoubleBufferEngine p1({1 << 10}, Direction::Forward, small_block_opts(1));
+  EXPECT_EQ(32, p1.plan().n1);
+  EXPECT_EQ(32, p1.plan().n2);
+  DoubleBufferEngine p2({1 << 11}, Direction::Forward, small_block_opts(1));
+  EXPECT_EQ(32, p2.plan().n1);
+  EXPECT_EQ(64, p2.plan().n2);
 }
 
 TEST(DoubleBuffer1d, SmallAndNonPow2SizesPlan) {
   // Factors need not be powers of two: 12 = 3*4 and 8 = 2*4 both split.
   for (idx_t n : {idx_t{8}, idx_t{12}, idx_t{3 * 64}}) {
-    Fft1dLarge plan(n, Direction::Forward, small_block_opts(1));
+    DoubleBufferEngine plan({n}, Direction::Forward, small_block_opts(1));
     expect_matches_dense(plan, random_cvec(n, 8800 + n));
   }
 }
@@ -260,16 +276,16 @@ TEST(DoubleBuffer1d, SmallAndNonPow2SizesPlan) {
 TEST(DoubleBuffer1d, RejectsMisfitFactor) {
   FftOptions o = small_block_opts(1);
   o.factor_n1 = 5;  // does not divide 64
-  EXPECT_THROW(Fft1dLarge(64, Direction::Forward, o), Error);
+  EXPECT_THROW(DoubleBufferEngine({64}, Direction::Forward, o), Error);
 }
 
 TEST(DoubleBuffer1d, HonoursRequestedFactor) {
   const idx_t n = 1 << 12;
   FftOptions o = small_block_opts(2);
   o.factor_n1 = 16;  // non-square split by request
-  Fft1dLarge plan(n, Direction::Forward, o);
-  EXPECT_EQ(16, plan.factor_n1());
-  EXPECT_EQ(n / 16, plan.factor_n2());
+  DoubleBufferEngine plan({n}, Direction::Forward, o);
+  EXPECT_EQ(16, plan.plan().n1);
+  EXPECT_EQ(n / 16, plan.plan().n2);
   expect_matches_dense(plan, random_cvec(n, 8900));
 }
 

@@ -176,6 +176,33 @@ TEST(Pipeline, UtilizationCollection) {
   pipe.set_collect_utilization(false);
 }
 
+TEST(Pipeline, GroupsRunTheirOwnStagesAndDrainOnThrow) {
+  // A team split into two groups (the dual-socket layout) runs one stage
+  // per group. A task that throws in one group drains that group's mates
+  // at its barrier instead of deadlocking, the original error surfaces
+  // rather than the mates' abort diagnoses, and the pipeline stays usable.
+  ThreadTeam team(4);
+  DoubleBufferPipeline pipe(team, make_role_plan(2, 1, host_topology()), 16,
+                            2);
+  CopyStageFixture a(16 * 6, 16), b(16 * 6, 16);
+  std::vector<PipelineStage> stages = {a.stage, b.stage};
+  stages[1].load = [](idx_t i, cplx*, int, int) {
+    if (i == 2) throw Error(ErrorCode::kAllocFailed, "injected load failure");
+  };
+  try {
+    pipe.execute(stages);
+    ADD_FAILURE() << "the throwing group's error was swallowed";
+  } catch (const Error& e) {
+    EXPECT_EQ(ErrorCode::kAllocFailed, e.code()) << e.what();
+  }
+  a.expect_correct();  // the other group finished its stage
+
+  CopyStageFixture c(16 * 6, 16), d(16 * 4, 16);
+  pipe.execute({c.stage, d.stage});
+  c.expect_correct();
+  d.expect_correct();
+}
+
 TEST(Pipeline, RejectsEmptyStage) {
   ThreadTeam team(2);
   RolePlan roles = make_role_plan(2, 1, host_topology());

@@ -38,7 +38,6 @@
 #include "fault/fault.h"
 #include "fft/double_buffer.h"
 #include "fft/fft.h"
-#include "fft/reference.h"
 #include "kernels/isa.h"
 #include "obs/obs.h"
 #include "stream/stream.h"
@@ -270,26 +269,16 @@ int main(int argc, char** argv) {
     std::printf("%s%lld", i ? "x" : "", static_cast<long long>(a.dims[i]));
   }
   std::printf(" engine=%s dir=%s threads=%d\n", engine_name(kind),
-              a.inverse ? "inverse" : "forward",
-              a.threads > 0 ? a.threads : opts.topo.total_threads());
+              a.inverse ? "inverse" : "forward", resolved_threads(opts));
 
-  std::unique_ptr<MdEngine> plan1;  // huge-1D path (INTERNALS.md §15)
-  std::unique_ptr<Fft2d> plan2;
-  std::unique_ptr<Fft3d> plan3;
-  if (a.dims.size() == 1) {
-    plan1 = make_engine(a.dims, dir, opts);
-  } else if (a.dims.size() == 2) {
-    plan2 = std::make_unique<Fft2d>(a.dims[0], a.dims[1], dir, opts);
-  } else {
-    plan3 = std::make_unique<Fft3d>(a.dims[0], a.dims[1], a.dims[2], dir,
-                                    opts);
-  }
+  // One path for every rank, with the facades' recovery ladder: an
+  // injected or real failure degrades the plan (fewer threads, plain
+  // memory, fallback engine) instead of aborting the tool, and --verbose
+  // shows what the recovery layer did.
+  std::unique_ptr<MdEngine> plan = make_engine_recovering(a.dims, dir, opts);
   if (kind == EngineKind::Auto) {
     std::printf("auto (%s): resolved to engine=%s\n",
-                tune_level_name(opts.tune_level),
-                plan1   ? plan1->name()
-                : plan2 ? plan2->engine_name()
-                        : plan3->engine_name());
+                tune_level_name(opts.tune_level), plan->name());
   }
   if (!a.wisdom_path.empty()) {
     std::string werr;
@@ -298,26 +287,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Runs go through the no-throw recovery API: an injected or real
-  // failure degrades the plan (fewer threads, plain memory, reference
-  // engine) instead of aborting the tool, and --verbose shows what the
-  // recovery layer did.
   ExecReport rep;
   auto run_once = [&]() -> Status {
     std::copy(original.begin(), original.end(), in.begin());
-    if (plan1) {
-      // MdEngine has no recovery ladder yet; surface a thrown Error as
-      // the same typed Status the 2D/3D facades return.
-      try {
-        plan1->execute(in.data(), out.data());
-      } catch (const Error& e) {
-        return Status(e.code(), e.what());
-      }
-      rep.engine = plan1->name();
-      return Status::Ok();
-    }
-    return plan2 ? plan2->try_execute(in.data(), out.data(), &rep)
-                 : plan3->try_execute(in.data(), out.data(), &rep);
+    return try_execute_recovering(a.dims, dir, opts, plan, in.data(),
+                                  out.data(), &rep);
   };
 
   double best = 1e30;
@@ -388,11 +362,8 @@ int main(int argc, char** argv) {
           2.0 * static_cast<double>(total) * sizeof(cplx);
       const auto roof = obs::roofline_from_trace(slices, stage_bytes, bw);
       if (!roof.empty()) obs::print_roofline(roof, bw);
-      if (kind == EngineKind::DoubleBuffer && a.dims.size() >= 2) {
-        DoubleBufferEngine eng(a.dims, dir, opts);
-        std::copy(original.begin(), original.end(), in.begin());
-        eng.execute(in.data(), out.data());
-        const auto& st = eng.last_stats();
+      if (const auto* eng = dynamic_cast<DoubleBufferEngine*>(plan.get())) {
+        const auto& st = eng->last_stats();
         for (std::size_t s = 0; s < st.size(); ++s) {
           std::printf("  stage %zu: %.3f ms, %lld iters x %lld rows/block\n",
                       s, st[s].seconds * 1e3,
@@ -408,15 +379,9 @@ int main(int argc, char** argv) {
     if (total <= (1 << 18)) {
       // Dense-oracle check for small sizes.
       cvec ref_in = original;
-      if (a.dims.size() == 1) {
-        reference_dft_1d(ref_in.data(), want.data(), a.dims[0], dir);
-      } else if (a.dims.size() == 2) {
-        reference_dft_2d(ref_in.data(), want.data(), a.dims[0], a.dims[1],
-                         dir);
-      } else {
-        reference_dft_3d(ref_in.data(), want.data(), a.dims[0], a.dims[1],
-                         a.dims[2], dir);
-      }
+      FftOptions ref;
+      ref.engine = EngineKind::Reference;
+      make_engine(a.dims, dir, ref)->execute(ref_in.data(), want.data());
       double verr = 0.0;
       for (idx_t i = 0; i < total; ++i) {
         verr = std::max(verr, std::abs(want[static_cast<std::size_t>(i)] -
@@ -431,15 +396,8 @@ int main(int argc, char** argv) {
     iopts.normalize_inverse = true;
     const Direction idir = a.inverse ? Direction::Forward : Direction::Inverse;
     cvec back(original.size());
-    if (a.dims.size() == 1) {
-      make_engine(a.dims, idir, iopts)->execute(out.data(), back.data());
-    } else if (a.dims.size() == 2) {
-      Fft2d invp(a.dims[0], a.dims[1], idir, iopts);
-      invp.execute(out.data(), back.data());
-    } else {
-      Fft3d invp(a.dims[0], a.dims[1], a.dims[2], idir, iopts);
-      invp.execute(out.data(), back.data());
-    }
+    make_engine_recovering(a.dims, idir, iopts)
+        ->execute(out.data(), back.data());
     double verr = 0.0;
     const double scale =
         a.inverse ? static_cast<double>(total) : 1.0;  // inv∘fwd picks up N
