@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "fft1d/fft1d.h"
 #include "fft1d/mixed_radix.h"
+#include "kernels/batch.h"
 #include "kernels/vecops.h"
 
 namespace {
@@ -24,6 +25,40 @@ void BM_BatchContig(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * count);
 }
 BENCHMARK(BM_BatchContig)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+// One compute thread's share of an md-ooc stage 0 (2^24 elements, four
+// threads): n = 256 x 1024 pencils for 256^3, n = 4096 x 64 for 4096^2.
+// The gathered contiguous-pencil path runs these at full SIMD width.
+void BM_BatchStage0(benchmark::State& state) {
+  const idx_t n = state.range(0);
+  const idx_t count = state.range(1);
+  Fft1d plan(n, Direction::Forward);
+  cvec data = random_cvec(n * count);
+  for (auto _ : state) {
+    plan.apply_batch(data.data(), count);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * count);
+}
+BENCHMARK(BM_BatchStage0)->Args({256, 1024})->Args({4096, 64});
+
+// G + 3 pencils, G the dispatched codelet chunk width: one full gather
+// plus a width-3 remainder tile.
+void BM_BatchTail(benchmark::State& state) {
+  const idx_t n = state.range(0);
+  const idx_t count =
+      kernels::batch_table(kernels::resolve_isa(kernels::Isa::Auto)).width + 3;
+  Fft1d plan(n, Direction::Forward);
+  cvec data = random_cvec(n * count);
+  for (auto _ : state) {
+    plan.apply_batch(data.data(), count);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * count);
+}
+BENCHMARK(BM_BatchTail)->Arg(256)->Arg(4096);
 
 void BM_LanesCacheline(benchmark::State& state) {
   const idx_t n = state.range(0);

@@ -1,11 +1,21 @@
 #include "fft/stage_parallel.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "layout/rotate.h"
 #include "obs/obs.h"
 #include "parallel/team_pool.h"
 
 namespace bwfft {
+
+namespace {
+
+/// Rows per transform call on contiguous-pencil stages: the widest
+/// codelet chunk (AVX-512's 8 lanes); narrower ISAs gather twice a run.
+constexpr idx_t kPencilRun = 8;
+
+}  // namespace
 
 StageParallelEngine::StageParallelEngine(std::vector<idx_t> dims,
                                          Direction dir,
@@ -30,13 +40,18 @@ void StageParallelEngine::run_stage(const PlannedStage& s, const Fft1d& fft,
   BWFFT_OBS_SCOPE(obs_stage, s.name, 'G', g.rows());
   BWFFT_OBS_COUNT(BytesLoaded, g.rows() * row_elems * sizeof(cplx));
   BWFFT_OBS_COUNT(BytesStored, g.rows() * row_elems * sizeof(cplx));
+  // Contiguous-pencil rows (lanes = 1) go in runs of kPencilRun so Fft1d
+  // can gather them into SIMD-width tiles; a lane row already fills the
+  // SIMD width on its own.
+  const idx_t run = g.lanes == 1 ? kPencilRun : 1;
   parallel_for_chunks(*team_, g.rows(), [&](int, idx_t b, idx_t e) {
-    for (idx_t r = b; r < e; ++r) {
-      cplx* row = src + r * row_elems;
-      fft.apply_lanes(row, g.lanes, 1);
+    for (idx_t r = b; r < e; r += run) {
+      const idx_t nrows = std::min(run, e - r);
+      cplx* rows = src + r * row_elems;
+      fft.apply_lanes(rows, g.lanes, nrows);
       // Temporal scatter: the classic algorithm does not know the packets
       // will not be reused, so it pays the cache pollution.
-      rotate_store_rows(row, dst, r, 1, g.a, g.b, g.cp(), g.mu,
+      rotate_store_rows(rows, dst, r, nrows, g.a, g.b, g.cp(), g.mu,
                         /*nontemporal=*/false);
     }
   });

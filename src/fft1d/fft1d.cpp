@@ -1,5 +1,6 @@
 #include "fft1d/fft1d.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -16,6 +17,12 @@ cplx* thread_scratch(std::size_t elems) {
   if (scratch.size() < elems) scratch.resize(elems);
   return scratch.data();
 }
+
+/// Core-private budget of the gathered contiguous-pencil path: n * G
+/// elements per n x G tile, so the tile plus its Stockham scratch stay
+/// within 1 MiB of the thread scratch. Longer pencils keep the per-pencil
+/// path, whose later levels already run at full SIMD width.
+constexpr idx_t kGatherMaxElems = 32768;
 
 }  // namespace
 
@@ -36,7 +43,7 @@ Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
       for (idx_t p = 0; p < q; ++p) {
         for (idx_t k = 1; k < r; ++k) {
           lvl.tw[static_cast<std::size_t>((r - 1) * p + (k - 1))] =
-              root_of_unity(len, (k * p) % len, dir_);
+              root_of_unity(len, k * p, dir_);
         }
       }
       slevels_.push_back(std::move(lvl));
@@ -87,7 +94,9 @@ void Fft1d::stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
   // packets at stride s: the batched codelet reads rows src + s*(p + j*q)
   // (row stride s*q), writes rows dst + s*(r*p + k) (row stride s), and
   // scales output row k by w_len^{p*k} — afterwards len /= r, s *= r, and
-  // the buffers swap. The result is copied back if it ends in scratch.
+  // the buffers swap. The last level has q = 1, so it reads and writes at
+  // the same row stride s; the BatchFn ABI then allows it in place, and it
+  // always writes the tile — the result never needs a copy back.
   cplx* src = tile;
   cplx* dst = scratch;
   idx_t len = n_;
@@ -97,6 +106,7 @@ void Fft1d::stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
     const idx_t q = len / r;
     const kernels::BatchFn fn = bt.fn[r];
     const cplx* tw = lvl.tw.data();
+    if (q == 1) dst = tile;
     fn(src, s * q, dst, s, s, nullptr, dir_);  // p = 0: unit twiddles
     for (idx_t p = 1; p < q; ++p) {
       fn(src + s * p, s * q, dst + s * r * p, s, s, tw + (r - 1) * p, dir_);
@@ -105,8 +115,28 @@ void Fft1d::stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
     s *= r;
     std::swap(src, dst);
   }
-  if (src != tile) {
-    std::memcpy(tile, src, static_cast<std::size_t>(n_ * lanes) * sizeof(cplx));
+}
+
+void Fft1d::gathered_batch(cplx* data, idx_t count,
+                           const kernels::BatchTable& bt) const {
+  // I_count (x) DFT_n at full SIMD width (the short-vector rewrite
+  // I_G (x) DFT_n = L^{nG}_n (DFT_n (x) I_G) L^{nG}_G): G consecutive
+  // pencils are gathered into an n x G tile, transformed at lanes = G and
+  // scattered back. A remainder of two or more pencils is gathered at its
+  // own width; a single leftover pencil takes the per-pencil path.
+  const idx_t g = bt.width;
+  cplx* tile = thread_scratch(static_cast<std::size_t>(2 * n_ * g));
+  cplx* scratch = tile + n_ * g;
+  for (idx_t t = 0; t < count; t += g) {
+    cplx* pencils = data + t * n_;
+    const idx_t w = std::min(g, count - t);
+    if (w == 1) {
+      stockham_tile(pencils, scratch, 1, bt);
+      break;
+    }
+    bt.transpose(pencils, n_, tile, w, w, n_);  // L^{nw}_w
+    stockham_tile(tile, scratch, w, bt);
+    bt.transpose(tile, w, pencils, n_, n_, w);  // L^{nw}_n
   }
 }
 
@@ -116,6 +146,11 @@ void Fft1d::apply_lanes(cplx* data, idx_t lanes, idx_t count) const {
 
   if (is_pow2(n_)) {
     const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa_);
+    if (lanes == 1 && bt.width > 1 && count >= bt.width &&
+        n_ * bt.width <= kGatherMaxElems) {
+      gathered_batch(data, count, bt);
+      return;
+    }
     cplx* scratch = thread_scratch(static_cast<std::size_t>(n_ * lanes));
     for (idx_t t = 0; t < count; ++t) {
       stockham_tile(data + t * n_ * lanes, scratch, lanes, bt);

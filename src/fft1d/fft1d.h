@@ -13,8 +13,19 @@
 //    {16, 8, 4, 2}, SIMD-dispatched at run time (scalar / AVX2+FMA /
 //    AVX-512 from cpuid).
 //
-//  * apply_batch(data, count) — lanes = 1 special case (I_count (x) DFT_n),
-//    the stage-1 kernel operating on contiguous pencils.
+//  * apply_batch(data, count) — lanes = 1 special case (I_count (x) DFT_n)
+//    on contiguous pencils: the stage-0 kernel of the multi-D engines and
+//    the row-pass kernel of the four-step 1D transform. A lone pencil's
+//    first radix-16 level has row stride 1, i.e. one lane per codelet
+//    call, so power-of-two batches are instead gathered G pencils at a
+//    time (G = the dispatched codelet chunk width: 8 AVX-512, 4 AVX2)
+//    into an n x G tile — L^{nG}_G, the short-vector rewrite of
+//    I_G (x) DFT_n — run at lanes = G and scattered back, both copies
+//    through the table's SIMD block transpose. The gather
+//    needs count >= G and n*G <= 32768 elements (tile plus Stockham
+//    scratch within 1 MiB of per-thread scratch); a remainder of two or
+//    more pencils is gathered at its own width. Scalar dispatch and
+//    longer pencils keep the per-pencil path.
 //
 //  * apply_strided_inplace(data, stride) — a single pencil transformed in
 //    place at an element stride, the access pattern of the *naive* pencil
@@ -85,6 +96,8 @@ class Fft1d {
  private:
   void stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
                      const kernels::BatchTable& bt) const;
+  void gathered_batch(cplx* data, idx_t count,
+                      const kernels::BatchTable& bt) const;
   void bluestein(cplx* data) const;
 
   /// One Stockham DIF level of radix r in {16, 8, 4, 2}: the greedy

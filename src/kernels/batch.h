@@ -39,10 +39,22 @@ namespace bwfft::kernels {
 using BatchFn = void (*)(const cplx* in, idx_t is, cplx* out, idx_t os,
                          idx_t lanes, const cplx* tw, Direction dir);
 
+/// Out-of-place transpose of a rows x cols block of complex elements:
+/// out[c*os + r] = in[r*is + c]. `in` and `out` must not overlap.
+using TransposeFn = void (*)(const cplx* in, idx_t is, cplx* out, idx_t os,
+                             idx_t rows, idx_t cols);
+
 /// Dispatch table of one ISA: fn[n] for n = 2..kMaxCodelet (16); fn[0]
-/// and fn[1] are null (a 1-point DFT is the identity).
+/// and fn[1] are null (a 1-point DFT is the identity). `width` is the
+/// complex lanes of one full register chunk (8 AVX-512, 4 AVX2, 1
+/// scalar): a call with lanes < width runs only the narrower tail steps.
+/// `transpose` moves whole register blocks (4x4 complex AVX-512, 2x2
+/// AVX2) through shuffles — the pencil <-> tile gather and scatter of
+/// Fft1d's contiguous-pencil batches.
 struct BatchTable {
   BatchFn fn[codelets::kMaxCodelet + 1] = {};
+  idx_t width = 1;
+  TransposeFn transpose = nullptr;
 };
 
 /// Table of a concrete ISA. Requests the host cannot execute (or that

@@ -16,11 +16,32 @@
 
 namespace bwfft::kernels::detail {
 
+namespace {
+
+/// 2x2 complex blocks: one 256-bit row pair, two lane permutes.
+void transpose_avx2(const cplx* in, idx_t is, cplx* out, idx_t os,
+                    idx_t rows, idx_t cols) {
+  gen::transpose_tiled<2>(
+      in, is, out, os, rows, cols,
+      [](const cplx* i, idx_t bis, cplx* o, idx_t bos) {
+        const auto* s = reinterpret_cast<const double*>(i);
+        auto* d = reinterpret_cast<double*>(o);
+        const __m256d r0 = _mm256_loadu_pd(s);            // a0 a1
+        const __m256d r1 = _mm256_loadu_pd(s + 2 * bis);  // b0 b1
+        _mm256_storeu_pd(d, _mm256_permute2f128_pd(r0, r1, 0x20));  // a0 b0
+        _mm256_storeu_pd(d + 2 * bos,
+                         _mm256_permute2f128_pd(r0, r1, 0x31));  // a1 b1
+      });
+}
+
+}  // namespace
+
 // The Avx2Backend itself lives in batch_gen.h (shared with the AVX-512
 // TU, where it is the first tail step of the width cascade). Lane counts
 // below 4 cascade through gen::Sse2Backend before reaching scalar.
 const BatchTable* avx2_table() {
-  static const BatchTable t = gen::make_table<gen::Avx2Backend>();
+  static const BatchTable t =
+      gen::make_table<gen::Avx2Backend>(&transpose_avx2);
   return &t;
 }
 

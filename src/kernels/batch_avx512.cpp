@@ -57,10 +57,40 @@ struct Avx512Backend {
   }
 };
 
+/// 4x4 complex blocks: four 512-bit rows, eight two-source permutes of
+/// 128-bit lanes (permutex2var, like loadc; shuffle_f64x2 would do too,
+/// but GCC 12 flags its undefined passthrough as maybe-uninitialized).
+void transpose_avx512(const cplx* in, idx_t is, cplx* out, idx_t os,
+                      idx_t rows, idx_t cols) {
+  gen::transpose_tiled<4>(
+      in, is, out, os, rows, cols,
+      [](const cplx* i, idx_t bis, cplx* o, idx_t bos) {
+        const __m512i lo = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+        const __m512i hi = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+        const __m512i even = _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13);
+        const __m512i odd = _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15);
+        const auto* s = reinterpret_cast<const double*>(i);
+        auto* d = reinterpret_cast<double*>(o);
+        const __m512d r0 = _mm512_loadu_pd(s);  // a0 a1 a2 a3
+        const __m512d r1 = _mm512_loadu_pd(s + 2 * bis);
+        const __m512d r2 = _mm512_loadu_pd(s + 4 * bis);
+        const __m512d r3 = _mm512_loadu_pd(s + 6 * bis);
+        const __m512d t0 = _mm512_permutex2var_pd(r0, lo, r1);  // a0 a1 b0 b1
+        const __m512d t1 = _mm512_permutex2var_pd(r2, lo, r3);  // c0 c1 d0 d1
+        const __m512d t2 = _mm512_permutex2var_pd(r0, hi, r1);  // a2 a3 b2 b3
+        const __m512d t3 = _mm512_permutex2var_pd(r2, hi, r3);  // c2 c3 d2 d3
+        _mm512_storeu_pd(d, _mm512_permutex2var_pd(t0, even, t1));  // a0 b0 c0 d0
+        _mm512_storeu_pd(d + 2 * bos, _mm512_permutex2var_pd(t0, odd, t1));
+        _mm512_storeu_pd(d + 4 * bos, _mm512_permutex2var_pd(t2, even, t3));
+        _mm512_storeu_pd(d + 6 * bos, _mm512_permutex2var_pd(t2, odd, t3));
+      });
+}
+
 }  // namespace
 
 const BatchTable* avx512_table() {
-  static const BatchTable t = gen::make_table<Avx512Backend>();
+  static const BatchTable t =
+      gen::make_table<Avx512Backend>(&transpose_avx512);
   return &t;
 }
 

@@ -429,8 +429,29 @@ void run(const cplx* in, idx_t is, cplx* out, idx_t os, idx_t lanes,
   }
 }
 
+/// Block transpose driver behind BatchTable::transpose: whole K x K
+/// blocks of complex elements go through `block(in, is, out, os)`, a
+/// register kernel of the TU's ISA; the edge rows and columns run
+/// element by element.
+template <idx_t K, class Block>
+void transpose_tiled(const cplx* in, idx_t is, cplx* out, idx_t os,
+                     idx_t rows, idx_t cols, Block block) {
+  const idx_t rk = rows - rows % K;
+  const idx_t ck = cols - cols % K;
+  for (idx_t r = 0; r < rk; r += K) {
+    for (idx_t c = 0; c < ck; c += K) {
+      block(in + r * is + c, is, out + c * os + r, os);
+    }
+  }
+  for (idx_t r = 0; r < rows; ++r) {
+    for (idx_t c = r < rk ? ck : 0; c < cols; ++c) {
+      out[c * os + r] = in[r * is + c];
+    }
+  }
+}
+
 template <class B>
-BatchTable make_table() {
+BatchTable make_table(TransposeFn transpose) {
   BatchTable t;
   t.fn[2] = &run<B, 2>;
   t.fn[3] = &run<B, 3>;
@@ -447,6 +468,8 @@ BatchTable make_table() {
   t.fn[14] = &run<B, 14>;
   t.fn[15] = &run<B, 15>;
   t.fn[16] = &run<B, 16>;
+  t.width = B::kWidth;
+  t.transpose = transpose;
   return t;
 }
 

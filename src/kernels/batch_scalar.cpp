@@ -15,8 +15,19 @@
 
 namespace bwfft::kernels::detail {
 
+namespace {
+
+void transpose_scalar(const cplx* in, idx_t is, cplx* out, idx_t os,
+                      idx_t rows, idx_t cols) {
+  gen::transpose_tiled<1>(in, is, out, os, rows, cols,
+                          [](const cplx* i, idx_t, cplx* o, idx_t) { *o = *i; });
+}
+
+}  // namespace
+
 const BatchTable& scalar_table() {
-  static const BatchTable t = gen::make_table<gen::ScalarBackend>();
+  static const BatchTable t =
+      gen::make_table<gen::ScalarBackend>(&transpose_scalar);
   return t;
 }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -247,6 +248,33 @@ TEST(NtCopy, MisalignedDestinationDeclines) {
   // Offset by 8 bytes: no 16-byte-aligned streaming store can hit it.
   cplx* dst = reinterpret_cast<cplx*>(reinterpret_cast<double*>(buf.data()) + 1);
   EXPECT_EQ(-1, kernels::nt_copy(dst, src.data(), 4));
+}
+
+TEST(BatchTranspose, MatchesElementwiseAtEveryShapeAndIsa) {
+  // Whole register blocks (4x4, 2x2), ragged edges on either side, and
+  // padded strides: out[c*os + r] = in[r*is + c], nothing else written.
+  const cplx kUntouched(9.0, -9.0);
+  for (Isa isa : compiled_isas()) {
+    const kernels::BatchTable& bt = kernels::batch_table(isa);
+    ASSERT_NE(bt.transpose, nullptr) << kernels::isa_name(isa);
+    for (auto [rows, cols] : {std::pair<idx_t, idx_t>{8, 256}, {256, 8},
+                              {4, 4}, {3, 5}, {7, 64}, {64, 7}, {2, 2},
+                              {1, 1}, {5, 1}}) {
+      const idx_t is = cols + 3, os = rows + 1;
+      const cvec in = random_cvec(rows * is, 40 + rows * cols);
+      cvec out(static_cast<std::size_t>(cols * os), kUntouched);
+      bt.transpose(in.data(), is, out.data(), os, rows, cols);
+      for (idx_t c = 0; c < cols; ++c) {
+        for (idx_t r = 0; r < os; ++r) {
+          const cplx want = r < rows ? in[static_cast<std::size_t>(r * is + c)]
+                                     : kUntouched;
+          ASSERT_EQ(want, out[static_cast<std::size_t>(c * os + r)])
+              << kernels::isa_name(isa) << " " << rows << "x" << cols
+              << " at (" << r << "," << c << ")";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
 #include "fft1d/mixed_radix.h"
+#include "kernels/batch.h"
+#include "kernels/isa.h"
 #include "kernels/vecops.h"
 #include "test_util.h"
 
@@ -15,6 +17,7 @@ namespace {
 
 using test::fft_tol;
 using test::max_err;
+using test::ShiftedBatch;
 
 cvec reference_fft(const cvec& x, Direction dir) {
   cvec y(x.size());
@@ -260,6 +263,93 @@ TEST(MixedRadix, Fft1dRoutesSmoothSizesToMixedRadix) {
   plan.apply_batch(got.data(), 1);
   EXPECT_LT(max_err(want, got), fft_tol(360.0));
 }
+
+// Installs an ISA override for one scope (requests clamp to the host).
+class IsaScope {
+ public:
+  explicit IsaScope(kernels::Isa isa) { kernels::set_isa_override(isa); }
+  ~IsaScope() { kernels::set_isa_override(kernels::Isa::Auto); }
+  IsaScope(const IsaScope&) = delete;
+  IsaScope& operator=(const IsaScope&) = delete;
+};
+
+constexpr kernels::Isa kAllIsas[] = {kernels::Isa::Scalar, kernels::Isa::Avx2,
+                                     kernels::Isa::Avx512};
+
+/// Codelet chunk width G of the table apply_* dispatches to right now.
+idx_t dispatched_width() {
+  return kernels::batch_table(kernels::resolve_isa(kernels::Isa::Auto)).width;
+}
+
+// Contiguous-pencil batches: n <= 4096 gathers G pencils per tile on SIMD
+// dispatch, n = 8192 sits above the gather cap. The counts cover a lone
+// pencil, a batch too small to gather, exact multiples of G, and the
+// remainders (G+3 gathers a width-3 tail, 2G+1 a single leftover).
+class GatheredBatch : public ::testing::TestWithParam<idx_t> {};
+
+TEST_P(GatheredBatch, MatchesReferenceOnEveryIsaAndCount) {
+  const idx_t n = GetParam();
+  for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+    const ShiftedBatch oracle(n, dir, 900 + n);
+    Fft1d plan(n, dir);
+    for (kernels::Isa isa : kAllIsas) {
+      IsaScope scope(isa);
+      const idx_t g = dispatched_width();
+      for (idx_t count : {idx_t{1}, g - 1, g, g + 3, 2 * g + 1, idx_t{64}}) {
+        if (count < 1) continue;
+        cvec data(static_cast<std::size_t>(n * count));
+        for (idx_t p = 0; p < count; ++p) oracle.fill(data.data() + p * n, p);
+        plan.apply_batch(data.data(), count);
+        for (idx_t p = 0; p < count; ++p) {
+          EXPECT_LT(oracle.error(data.data() + p * n, p),
+                    fft_tol(static_cast<double>(n)))
+              << "n=" << n << " isa=" << kernels::isa_name(isa)
+              << " count=" << count << " pencil " << p;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PowerOfTwo, GatheredBatch,
+                         ::testing::Values<idx_t>(2, 16, 64, 256, 4096, 8192));
+
+// Odd level counts (16 = 16; 512 = 16*16*2; 4096 = 16^3) end on a level
+// that runs in place on the tile; lanes = 1 also covers the gather.
+class OddLevelLanes
+    : public ::testing::TestWithParam<std::tuple<idx_t, idx_t>> {};
+
+TEST_P(OddLevelLanes, MatchesReferenceOnEveryIsa) {
+  const auto [n, lanes] = GetParam();
+  const idx_t count = 2;
+  for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+    const ShiftedBatch oracle(n, dir, 950 + n);
+    Fft1d plan(n, dir);
+    for (kernels::Isa isa : kAllIsas) {
+      IsaScope scope(isa);
+      cvec data(static_cast<std::size_t>(n * lanes * count));
+      // Lane l of tile t holds pencil t*lanes + l at element stride lanes.
+      for (idx_t p = 0; p < lanes * count; ++p) {
+        oracle.fill(data.data() + (p / lanes) * n * lanes + p % lanes, p,
+                    lanes);
+      }
+      plan.apply_lanes(data.data(), lanes, count);
+      for (idx_t p = 0; p < lanes * count; ++p) {
+        EXPECT_LT(oracle.error(data.data() + (p / lanes) * n * lanes +
+                                   p % lanes,
+                               p, lanes),
+                  fft_tol(static_cast<double>(n)))
+            << "n=" << n << " lanes=" << lanes
+            << " isa=" << kernels::isa_name(isa) << " pencil " << p;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InPlaceLastLevel, OddLevelLanes,
+    ::testing::Combine(::testing::Values<idx_t>(16, 512, 4096),
+                       ::testing::Values<idx_t>(1, 4, 8, 32)));
 
 }  // namespace
 }  // namespace bwfft
