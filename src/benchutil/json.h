@@ -1,12 +1,12 @@
 // Minimal JSON value: build, serialize, parse.
 //
-// The bench trajectory (BENCH_*.json), the chrome-trace validator tests
-// and tools/bench_report need machine-readable output without an external
-// dependency, so this is a deliberately small subset: objects keep
-// insertion order, numbers are doubles (exact for the int64 range the
-// counters use in practice is NOT guaranteed — counters are serialized as
-// integers when they fit), strings support the standard escapes. Parsing
-// is strict recursive descent; any trailing junk is an error.
+// Wisdom files (tune/wisdom) and the chrome-trace validator tests need
+// machine-readable JSON without an external dependency, so this is a
+// deliberately small subset: objects keep insertion order, numbers are
+// doubles (exact for the int64 range the counters use in practice is NOT
+// guaranteed — counters are serialized as integers when they fit),
+// strings support the standard escapes. Parsing is strict recursive
+// descent; any trailing junk is an error.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "fft/slab_pencil.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -51,16 +52,18 @@ void SlabPencilEngine::execute(cplx* in, cplx* out) {
       for (idx_t z = zb; z < ze; ++z) {
         cplx* src = in + z * slab;
         cplx* dst = out + z * slab;
-        for (idx_t r = 0; r < g0.rows(); ++r) {
-          cplx* row = src + r * g0.row_elems();
-          fft_m_->apply_lanes(row, g0.lanes, 1);
-          rotate_store_rows(row, work, r, 1, g0.a, g0.b, g0.cp(), g0.mu,
+        for (idx_t r = 0; r < g0.rows(); r += g0.run_rows()) {
+          const idx_t nrows = std::min(g0.run_rows(), g0.rows() - r);
+          cplx* rows = src + r * g0.row_elems();
+          fft_m_->apply_lanes(rows, g0.lanes, nrows);
+          rotate_store_rows(rows, work, r, nrows, g0.a, g0.b, g0.cp(), g0.mu,
                             false);
         }
-        for (idx_t r = 0; r < g1.rows(); ++r) {
-          cplx* row = work + r * g1.row_elems();
-          fft_n_->apply_lanes(row, g1.lanes, 1);
-          rotate_store_rows(row, dst, r, 1, g1.a, g1.b, g1.cp(), g1.mu,
+        for (idx_t r = 0; r < g1.rows(); r += g1.run_rows()) {
+          const idx_t nrows = std::min(g1.run_rows(), g1.rows() - r);
+          cplx* rows = work + r * g1.row_elems();
+          fft_n_->apply_lanes(rows, g1.lanes, nrows);
+          rotate_store_rows(rows, dst, r, nrows, g1.a, g1.b, g1.cp(), g1.mu,
                             false);
         }
       }

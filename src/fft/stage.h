@@ -19,6 +19,10 @@
 
 namespace bwfft {
 
+/// Rows per transform call on contiguous-pencil stages: the widest
+/// codelet chunk (AVX-512's 8 lanes); narrower ISAs gather twice a run.
+constexpr idx_t kPencilRun = 8;
+
 struct StageGeometry {
   idx_t a = 1;       ///< slow rotation-grid dimension
   idx_t b = 1;       ///< mid rotation-grid dimension
@@ -30,6 +34,10 @@ struct StageGeometry {
   idx_t cp() const { return row_elems() / mu; }
   idx_t rows() const { return a * b; }
   idx_t total() const { return rows() * row_elems(); }
+  /// Rows per apply_lanes + rotate_store_rows call: contiguous-pencil
+  /// rows (lanes = 1) go in runs of kPencilRun so Fft1d can gather them
+  /// into SIMD-width tiles; a lane row already fills the SIMD width.
+  idx_t run_rows() const { return lanes == 1 ? kPencilRun : 1; }
 };
 
 /// Largest packet size usable for the fast dimension m: a power of two

@@ -9,14 +9,6 @@
 
 namespace bwfft {
 
-namespace {
-
-/// Rows per transform call on contiguous-pencil stages: the widest
-/// codelet chunk (AVX-512's 8 lanes); narrower ISAs gather twice a run.
-constexpr idx_t kPencilRun = 8;
-
-}  // namespace
-
 StageParallelEngine::StageParallelEngine(std::vector<idx_t> dims,
                                          Direction dir,
                                          const FftOptions& opts)
@@ -40,10 +32,7 @@ void StageParallelEngine::run_stage(const PlannedStage& s, const Fft1d& fft,
   BWFFT_OBS_SCOPE(obs_stage, s.name, 'G', g.rows());
   BWFFT_OBS_COUNT(BytesLoaded, g.rows() * row_elems * sizeof(cplx));
   BWFFT_OBS_COUNT(BytesStored, g.rows() * row_elems * sizeof(cplx));
-  // Contiguous-pencil rows (lanes = 1) go in runs of kPencilRun so Fft1d
-  // can gather them into SIMD-width tiles; a lane row already fills the
-  // SIMD width on its own.
-  const idx_t run = g.lanes == 1 ? kPencilRun : 1;
+  const idx_t run = g.run_rows();
   parallel_for_chunks(*team_, g.rows(), [&](int, idx_t b, idx_t e) {
     for (idx_t r = b; r < e; r += run) {
       const idx_t nrows = std::min(run, e - r);

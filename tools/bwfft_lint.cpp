@@ -22,13 +22,14 @@
 // Exit codes: 0 = everything proven clean, 1 = violations (or an inject
 // that was caught — the expected outcome under --inject), 2 = usage.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/hazard_checker.h"
 #include "analysis/static_verify.h"
+#include "benchutil/args.h"
 #include "common/types.h"
 #include "fft/options.h"
 #include "parallel/roles.h"
@@ -68,27 +69,6 @@ int usage() {
       "        schedule-half | schedule-dup  (seeded defect; exit 1 =\n"
       "        caught, the expected outcome)\n");
   return 2;
-}
-
-bool parse_dims(const char* s, std::vector<idx_t>* out) {
-  out->clear();
-  idx_t cur = 0;
-  bool any = false;
-  for (const char* p = s;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      cur = cur * 10 + (*p - '0');
-      any = true;
-    } else if (*p == 'x' || *p == '\0') {
-      if (!any || cur <= 0) return false;
-      out->push_back(cur);
-      cur = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      return false;
-    }
-  }
-  return !out->empty() && out->size() <= 3;
 }
 
 std::string dims_str(const std::vector<idx_t>& dims) {
@@ -343,13 +323,23 @@ int main(int argc, char** argv) {
   LintOptions opt;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    std::string err;
     if (!std::strcmp(a, "--dims") && i + 1 < argc) {
       std::vector<idx_t> d;
-      if (!parse_dims(argv[++i], &d)) return usage();
+      if (!cli::parse_dims(argv[++i], &d, &err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return usage();
+      }
       opt.dims_list.push_back(std::move(d));
     } else if (!std::strcmp(a, "--threads") && i + 1 < argc) {
-      opt.threads = std::atoi(argv[++i]);
-      if (opt.threads < 1) return usage();
+      long long threads = 0;
+      if (!cli::parse_int(argv[++i], 1, &threads, &err) ||
+          threads > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "bad --threads: %s\n",
+                     err.empty() ? "out of range" : err.c_str());
+        return usage();
+      }
+      opt.threads = static_cast<int>(threads);
     } else if (!std::strcmp(a, "--inject") && i + 1 < argc) {
       opt.inject = argv[++i];
     } else if (!std::strcmp(a, "-v") || !std::strcmp(a, "--verbose")) {

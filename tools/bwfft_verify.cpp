@@ -17,10 +17,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/hazard_checker.h"
+#include "benchutil/args.h"
 #include "common/rng.h"
 #include "common/topology.h"
 #include "parallel/roles.h"
@@ -34,6 +36,8 @@ using namespace bwfft;
 
 namespace {
 
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s spl --dims KxNxM|NxM [--mu MU] [--socket-split SK]\n"
@@ -41,18 +45,6 @@ namespace {
                "[--block ELEMS] [--iters N]\n",
                argv0, argv0);
   std::exit(2);
-}
-
-std::vector<idx_t> parse_dims(const std::string& s) {
-  std::vector<idx_t> dims;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t next = s.find('x', pos);
-    if (next == std::string::npos) next = s.size();
-    dims.push_back(std::atoll(s.substr(pos, next - pos).c_str()));
-    pos = next + 1;
-  }
-  return dims;
 }
 
 int check_term(const char* name, const spl::Expr& term, bool expect_perm) {
@@ -224,21 +216,37 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Strict numbers: the whole token must parse and lie in
+    // [min_value, INT_MAX].
+    auto next_int = [&](long long min_value) {
+      long long v = 0;
+      std::string err;
+      if (!cli::parse_int(next(), min_value, &v, &err) || v > kMaxInt) {
+        if (err.empty()) err = "out of range";
+        std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), err.c_str());
+        usage(argv[0]);
+      }
+      return v;
+    };
     if (arg == "--dims") {
-      dims = parse_dims(next());
+      std::string err;
+      if (!cli::parse_dims(next(), &dims, &err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        usage(argv[0]);
+      }
     } else if (arg == "--mu") {
-      mu = std::atoll(next().c_str());
+      mu = next_int(1);
       mu_requested = true;
     } else if (arg == "--socket-split") {
-      sk = std::atoi(next().c_str());
+      sk = static_cast<int>(next_int(1));
     } else if (arg == "--threads") {
-      threads = std::atoi(next().c_str());
+      threads = static_cast<int>(next_int(0));
     } else if (arg == "--compute") {
-      compute = std::atoi(next().c_str());
+      compute = static_cast<int>(next_int(0));
     } else if (arg == "--block") {
-      block = std::atoll(next().c_str());
+      block = next_int(1);
     } else if (arg == "--iters") {
-      iters = std::atoll(next().c_str());
+      iters = next_int(1);
     } else {
       usage(argv[0]);
     }

@@ -4,7 +4,8 @@
 #   ./tools/check.sh            # ASan+UBSan, then TSan
 #   ./tools/check.sh asan       # just ASan+UBSan
 #   ./tools/check.sh tsan       # just TSan
-#   ./tools/check.sh quick      # plain build: tier-1 suite + bench smoke
+#   ./tools/check.sh quick      # plain build: tier-1 suite, tune smoke,
+#                               # short same-host perf A/B vs HEAD~1
 #   ./tools/check.sh --quick    # same as quick
 #   ./tools/check.sh faults     # ASan+UBSan: fault tests, then the tier-1
 #                               # suite once per BWFFT_FAULTS fault family
@@ -33,15 +34,18 @@
 #   14  lint failed        15  chaos failed
 #
 # The quick configuration is the fast pre-push gate: an uninstrumented
-# RelWithDebInfo build running `ctest -L tier1`, then a bench smoke —
-# bench/run_all --smoke swept through tools/bench_report, which validates
-# the emitted BENCH json against the bwfft-bench-v1 schema, then gated
-# against bench/baselines/bench_smoke_baseline.json with
-# `bench_report --check` (any engine losing over 60% of its baseline
-# pct-of-peak fails the run) and pivoted with --trajectory across the
-# committed BENCH_PR*.json history — and a tune smoke: bwfft_tune twice
-# against a temp wisdom file, asserting the second run is wisdom-warmed
-# ("wisdom: hit").
+# RelWithDebInfo build running `ctest -L tier1`; a tune smoke (bwfft_tune
+# twice against a temp wisdom file, asserting the second run is
+# wisdom-warmed, "wisdom: hit"); then the short form of the perf gate,
+# `tools/perf_ab.py BASE --pairs 3 --seconds 5`: this checkout against
+# BASE on the same host, alternating pairs over every BENCHMARK.json
+# workload, failing on a correctness miss, a higher failed-op share or an
+# end-to-end metric worse than its bound. BASE is $BWFFT_AB_BASE, default
+# HEAD~1; when BASE's perfbench/ or BENCHMARK.json differs, this commit
+# sets a new baseline and the A/B is skipped. The report is written to
+# build-quick/perf_ab.txt. The short form took 5.2-6.6 minutes of wall
+# time on a 4-core AVX-512 host, the base's perfbench build (~90 s)
+# included.
 #
 # The faults configuration reuses the ASan+UBSan tree: first the targeted
 # `ctest -L fault` suite (spawn/stall injections live there — they need a
@@ -100,21 +104,6 @@ run_quick() {
   cmake --build "$build" -j "$JOBS"
   echo "=== [quick] ctest -L tier1 ==="
   ctest --test-dir "$build" -L tier1 --output-on-failure -j "$JOBS"
-  echo "=== [quick] bench smoke ==="
-  local smoke="$build/bench_smoke.json"
-  "$build/bench/run_all" --smoke --label smoke --out "$smoke"
-  "$build/tools/bench_report" "$smoke"
-  echo "=== [quick] bench regression gate ==="
-  # Generous tolerance: CI runners and laptops differ from the committed
-  # baseline's host by far more than a real in-tree regression would
-  # move a row, and pct-of-peak already folds out the bandwidth
-  # difference. The gate exists to catch an engine falling off a cliff
-  # (wrong path planned, vectorisation lost), not a 10% wobble.
-  "$build/tools/bench_report" --check \
-      "$ROOT/bench/baselines/bench_smoke_baseline.json" "$smoke" \
-      --tolerance 60
-  echo "=== [quick] perf trajectory ==="
-  "$build/tools/bench_report" --trajectory "$ROOT"/BENCH_PR*.json
   echo "=== [quick] tune smoke ==="
   local wisdom_dir
   wisdom_dir="$(mktemp -d)"
@@ -127,6 +116,20 @@ run_quick() {
   "$build/tools/bwfft_tune" --dims 64x64x64 --level estimate \
       --wisdom "$wisdom" | tee "$wisdom_dir/second.log"
   grep -q "wisdom: hit" "$wisdom_dir/second.log"
+  local base="${BWFFT_AB_BASE:-HEAD~1}"
+  echo "=== [quick] perf A/B vs $base (short form) ==="
+  # Exit 1 = the benchmark differs; any other failure (a BASE that is
+  # not a commit) falls through to perf_ab.py, which reports it.
+  local differs=0
+  git -C "$ROOT" diff --quiet "$base" -- perfbench BENCHMARK.json \
+      2> /dev/null || differs=$?
+  if [[ $differs -eq 1 ]]; then
+    echo "benchmark differs from $base: this commit sets a new baseline;" \
+         "A/B skipped"
+  else
+    "$ROOT/tools/perf_ab.py" "$base" --pairs 3 --seconds 5 \
+        | tee "$build/perf_ab.txt"
+  fi
   echo "=== [quick] clean ==="
 }
 
