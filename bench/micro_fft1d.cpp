@@ -60,6 +60,28 @@ void BM_BatchTail(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchTail)->Arg(256)->Arg(4096);
 
+// The four-step row pass at 2^24 (n2 = 32768, R = 8): eight contiguous
+// rows as apply_batch (Arg 0; past the gather cap, so the first level
+// runs lane-wide) against the same rows as one q-major 32768 x 8 tile at
+// apply_lanes(lanes = 8) (Arg 1), the shape the Rows stage computes on.
+void BM_RowPass(benchmark::State& state) {
+  const idx_t n = 32768, rows = 8;
+  const bool lanes = state.range(0) != 0;
+  Fft1d plan(n, Direction::Forward);
+  cvec data = random_cvec(n * rows);
+  for (auto _ : state) {
+    if (lanes) {
+      plan.apply_lanes(data.data(), rows, 1);
+    } else {
+      plan.apply_batch(data.data(), rows);
+    }
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * rows);
+}
+BENCHMARK(BM_RowPass)->Arg(0)->Arg(1);
+
 void BM_LanesCacheline(benchmark::State& state) {
   const idx_t n = state.range(0);
   const idx_t lanes = kMu;

@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "kernels/batch.h"
 #include "layout/rotate.h"
 #include "layout/stream_copy.h"
 #include "layout/transpose.h"
@@ -41,6 +42,22 @@ void BM_TransposePackets(benchmark::State& state) {
                           static_cast<idx_t>(sizeof(cplx)));
 }
 BENCHMARK(BM_TransposePackets)->Args({128, 0})->Args({128, 1})->Args({512, 0})->Args({512, 1});
+
+// The Rows stage's load: eight contiguous 32768-element rows into a
+// q-major 32768 x 8 tile through the dispatched SIMD block transpose.
+void BM_RowGatherTranspose(benchmark::State& state) {
+  const idx_t n2 = 32768, rows = 8;
+  const kernels::BatchTable& bt = kernels::dispatch_batch_table();
+  cvec src = random_cvec(rows * n2), tile(src.size());
+  for (auto _ : state) {
+    bt.transpose(src.data(), n2, tile.data(), rows, rows, n2);
+    benchmark::DoNotOptimize(tile.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<idx_t>(src.size()) *
+                          static_cast<idx_t>(sizeof(cplx)));
+}
+BENCHMARK(BM_RowGatherTranspose);
 
 void BM_RotateCubePackets(benchmark::State& state) {
   const idx_t side = state.range(0);

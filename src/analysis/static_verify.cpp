@@ -91,8 +91,9 @@ void add_row_windows(const StagePlan& plan, const PlannedStage& s, idx_t row,
       }
       break;
     case StageKind::Rows:
-      // Contiguous R-row loads; the L permutation stores column j of row
-      // group q as one R-wide run at j * n1 + q * R.
+      // Contiguous R-row loads (transposed into a q-major tile on the
+      // way in, which folds L into the load); the store writes tile row j
+      // of row group q as one R-wide run at j * n1 + q * R.
       st->loads.push_back({owner, rows_iv});
       for (idx_t q = row; q < row + nrows; ++q) {
         st->stores.push_back({owner, {q * s.group, s.group, plan.n1, plan.n2}});

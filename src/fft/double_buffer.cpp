@@ -181,39 +181,36 @@ PipelineStage DoubleBufferEngine::make_stage(std::size_t k, const cplx* src,
       break;
     }
     case StageKind::Rows: {
-      // (I_{n1} (x) DFT_{n2}) then the final L_{n2}^{n1 n2}: contiguous
-      // rows in, transposing scatter out. Blocks are R-row groups, so the
-      // output side writes R-element (up to 2 KiB) contiguous runs — the
-      // gather feeding each run walks R cached rows of the tile in
-      // lockstep.
+      // (I_{n1} (x) DFT_{n2}) then the final L_{n2}^{n1 n2}, with L folded
+      // into the load (the paper's L (x) I_mu data movement, §III-A):
+      // each R-row group streams its contiguous rows into a q-major
+      // n2 x R tile through the SIMD block transpose, the compute runs
+      // every Stockham level at lanes = R, and the store writes tile row
+      // q as one contiguous R-element run at q * n1 + row0.
       const idx_t n1 = plan_.n1, n2 = plan_.n2;
       const idx_t R = s.group;
+      const kernels::Isa isa = opts_.isa;
       stage.load = [=](idx_t i, cplx* buf, int rank, int parts) {
         auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
-        if (g1 > g0) {
-          const idx_t row0 = (i * block_rows + g0) * R;
-          std::memcpy(buf + g0 * row_elems, src + row0 * n2,
-                      static_cast<std::size_t>((g1 - g0) * row_elems) *
-                          sizeof(cplx));
-          BWFFT_OBS_COUNT(BytesLoaded, (g1 - g0) * row_elems * sizeof(cplx));
+        if (g1 <= g0) return;
+        const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa);
+        for (idx_t g = g0; g < g1; ++g) {
+          const idx_t row0 = (i * block_rows + g) * R;
+          bt.transpose(src + row0 * n2, n2, buf + g * row_elems, R, R, n2);
         }
+        BWFFT_OBS_COUNT(BytesLoaded, (g1 - g0) * row_elems * sizeof(cplx));
       };
       stage.compute = [=, &fft](idx_t, cplx* buf, int rank, int parts) {
         auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
-        if (g1 > g0) fft.apply_batch(buf + g0 * row_elems, (g1 - g0) * R);
+        if (g1 > g0) fft.apply_lanes(buf + g0 * row_elems, R, g1 - g0);
       };
       stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
         auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
-        cplx run[kFourStepMaxRows];
         for (idx_t g = g0; g < g1; ++g) {
           const idx_t row0 = (i * block_rows + g) * R;
           const cplx* tile = buf + g * row_elems;
-          // The output run for column q is the q-th element of each of the
-          // R rows. Consecutive q revisit the same R cachelines, so the
-          // gather stays L1-resident between the contiguous NT stores.
           for (idx_t q = 0; q < n2; ++q) {
-            for (idx_t l = 0; l < R; ++l) run[l] = tile[l * n2 + q];
-            store_packet(dst + q * n1 + row0, run, R, nt);
+            store_packet(dst + q * n1 + row0, tile + q * R, R, nt);
           }
         }
         if (g1 > g0) {

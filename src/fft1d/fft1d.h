@@ -14,11 +14,12 @@
 //    AVX-512 from cpuid).
 //
 //  * apply_batch(data, count) — lanes = 1 special case (I_count (x) DFT_n)
-//    on contiguous pencils: the stage-0 kernel of the multi-D engines and
-//    the row-pass kernel of the four-step 1D transform. A lone pencil's
-//    first radix-16 level has row stride 1, i.e. one lane per codelet
-//    call, so power-of-two batches are instead gathered G pencils at a
-//    time (G = the dispatched codelet chunk width: 8 AVX-512, 4 AVX2)
+//    on contiguous pencils: the stage-0 kernel of the multi-D engines. (The
+//    four-step 1D row pass does not use it: its load transposes R rows
+//    into an n2 x R tile, and it runs apply_lanes at lanes = R.) A lone
+//    pencil's first radix-16 level has row stride 1, i.e. one lane per
+//    codelet call, so power-of-two batches are instead gathered G pencils
+//    at a time (G = the dispatched codelet chunk width: 8 AVX-512, 4 AVX2)
 //    into an n x G tile — L^{nG}_G, the short-vector rewrite of
 //    I_G (x) DFT_n — run at lanes = G and scattered back, both copies
 //    through the table's SIMD block transpose. The gather

@@ -19,19 +19,42 @@ constexpr idx_t kColTileTargetElems = 16384;
 /// Stockham ping-pong scratch) stays cache-resident during the row pass.
 constexpr idx_t kMaxRowFitElems = 65536;
 
-/// Width of one four-step pass's groups: the caller's packet_elems when
-/// it fits (kBadPlan otherwise — the tuner never enumerates a misfit),
-/// else the largest divisor of `dim` within the block budget, pushed
-/// toward `cap` so the strided side of the pass moves long runs.
-idx_t pick_width(idx_t dim, idx_t block_budget, idx_t cap, idx_t requested) {
+/// Column-group width W: the caller's packet_elems when it fits (kBadPlan
+/// otherwise — the tuner never enumerates a misfit), else the largest
+/// divisor of n2 within the block budget, pushed toward
+/// kFourStepMaxCols so the strided side of the column pass moves long
+/// runs.
+idx_t pick_cols(idx_t n2, idx_t block_budget, idx_t requested) {
   if (requested > 0) {
-    BWFFT_CHECK(requested <= cap && dim % requested == 0,
-                "packet_elems must divide both four-step factors");
+    BWFFT_CHECK(requested <= kFourStepMaxCols && n2 % requested == 0,
+                "packet_elems must divide the four-step row length n2");
     return requested;
   }
-  const idx_t hi = std::min(cap, dim);
+  const idx_t hi = std::min(kFourStepMaxCols, n2);
   const idx_t lo = std::min<idx_t>(4, hi);
-  return rows_per_block(dim, std::clamp(block_budget, lo, hi));
+  return rows_per_block(n2, std::clamp(block_budget, lo, hi));
+}
+
+/// Row-group height R: the largest divisor of n1 (at most
+/// kFourStepMaxRows) whose R x n2 groups still fill a block with at least
+/// `ranks` of them, so ThreadTeam::chunk hands every compute and data
+/// rank a group. R never drops below the smallest divisor that fills a
+/// cacheline (kMu elements): the store writes R-element NT runs, and a
+/// partial-line NT run costs several times its bytes.
+idx_t pick_rows(idx_t n1, idx_t n2, idx_t block, idx_t ranks) {
+  const idx_t hi = std::min(kFourStepMaxRows, n1);
+  idx_t lo = 1;
+  for (idx_t d = 2; d <= hi && lo < kMu; ++d) {
+    if (n1 % d == 0) lo = d;
+  }
+  for (idx_t r = hi; r > lo; --r) {
+    const idx_t budget = block / (r * n2);
+    if (n1 % r == 0 && budget >= ranks &&
+        rows_per_block(n1 / r, budget) >= ranks) {
+      return r;
+    }
+  }
+  return lo;
 }
 
 PlannedStage tiled(StageKind kind, const char* name, idx_t rows,
@@ -115,11 +138,16 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
       return plan;
     }
     const idx_t n1 = plan.n1, n2 = plan.n2;
-    const idx_t w =
-        pick_width(n2, block / n1, kFourStepMaxCols, opts.packet_elems);
-    const idx_t r =
-        pick_width(n1, block / n2, kFourStepMaxRows, opts.packet_elems);
-    block = std::max({block, n1 * w, r * n2});
+    const idx_t w = pick_cols(n2, block / n1, opts.packet_elems);
+    // R ignores packet_elems: it is sized so every rank of both roles
+    // gets a row group. When the cacheline floor leaves fewer groups than
+    // ranks, the block grows to the fewest groups (a divisor of n1 / R)
+    // that cover every rank.
+    const idx_t ranks = std::max({pc, p - pc, 1});
+    const idx_t r = pick_rows(n1, n2, block, ranks);
+    idx_t groups = std::min(ranks, n1 / r);
+    while ((n1 / r) % groups != 0) ++groups;
+    block = std::max({block, n1 * w, groups * r * n2});
     plan.stages = {
         tiled(StageKind::Columns, "large1d-cols", n2 / w, n1 * w, block, nt),
         tiled(StageKind::Rows, "large1d-rows", n1 / r, r * n2, block, nt)};

@@ -9,7 +9,8 @@
 //     their roles, team, pipeline and stage lambdas from the plan, and
 //     DualSocketFft3d takes its per-socket p_c and block from it;
 //   - analysis::build_plan_model turns the plan into symbolic windows;
-//   - tune::estimate_seconds and tools/bwfft_lint read p, p_c and b.
+//   - tune::estimate_seconds reads p, p_c, b and the four-step groups;
+//     tools/bwfft_lint reads p, p_c and b.
 //
 // Building a plan is a few integer loops: no allocation beyond the stage
 // vector, no threads, no twiddles.
@@ -23,11 +24,12 @@
 
 namespace bwfft {
 
-/// Four-step group caps: the Columns and Rows stages keep a column group's
-/// twiddle recurrence and a row group's output run in stack arrays of this
-/// size. 32 columns (512 B runs) and 128 rows (2 KiB runs) make every
-/// strided access in either pass a multi-line run instead of a single
-/// cacheline.
+/// Four-step group caps. The Columns stage keeps a column group's twiddle
+/// recurrence in stack arrays of kFourStepMaxCols entries; 32 columns make
+/// each strided access a 512 B run. kFourStepMaxRows bounds R, which is
+/// both the Rows stage's NT store run (at most 2 KiB) and the lanes of
+/// its n2 x R tile, whose Stockham scratch costs n2 * R elements per
+/// compute thread.
 constexpr idx_t kFourStepMaxCols = 32;
 constexpr idx_t kFourStepMaxRows = 128;
 

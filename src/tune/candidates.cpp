@@ -268,23 +268,16 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
         return flat_model();
       case EngineKind::DoubleBuffer: {
         // Two software-pipelined passes (the Columns and Rows stages of
-        // fft/double_buffer.h): packet-strided column gathers + NT packet
-        // stores, then contiguous row loads + packet-transposed scatters.
-        // This is the bandwidth term that ranks the factorization axis:
-        // the packet widths (and so the streamed-line utilisation) follow
-        // from each factor, and a group that outgrows the pipeline block
-        // costs its cache residency.
+        // fft/double_buffer.h): W-wide column-group gathers + NT W-runs,
+        // then contiguous row loads + NT R-runs. The plan's group widths
+        // W and R set each pass's streamed-line utilisation, which is
+        // the bandwidth term that ranks the factorization axis.
         const idx_t f1 = plan.n1, f2 = plan.n2;
         if (f1 <= 1) return flat_model();  // degenerate split
-        const idx_t mu1 = std::min(packet_size_for(f2), f2);
-        const idx_t mu2 = std::min(packet_size_for(f1), f1);
-        const double group =
-            static_cast<double>(std::max(f1 * mu1, mu2 * f2));
-        const double spill = std::max(1.0, group / block);
         const double io1 =
-            (bytes + write) / (bw * packet_efficiency(mu1)) * spill;
+            (bytes + write) / (bw * packet_efficiency(plan.stages[0].group));
         const double io2 =
-            (bytes / bw + write / (bw * packet_efficiency(mu2))) * spill;
+            bytes / bw + write / (bw * packet_efficiency(plan.stages[1].group));
         const double rate =
             static_cast<double>(pc) * isa_gflops_per_core(c.isa) * 1e9;
         // 5 n log2(f) per pass plus ~6 flops/elem of twiddle diagonal.
@@ -293,7 +286,13 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
             6.0 * n;
         const double fl2 =
             5.0 * n * std::log2(std::max(2.0, static_cast<double>(f2)));
-        const double iters = 2.0 * std::max(1.0, n / block);
+        // Per-step overhead is priced at the policy block, not the plan's:
+        // a block the Rows stage grew to cover every rank takes fewer,
+        // longer steps whose halves overflow the LLC budget by the same
+        // factor, and the model does not credit the trade either way.
+        const double policy = static_cast<double>(
+            c.block_elems > 0 ? c.block_elems : default_block_elems(topo));
+        const double iters = 2.0 * std::max(1.0, n / policy);
         if (p <= 1) {
           // One thread runs load/compute/store sequentially: a pass
           // costs io + compute, with neither overlap nor the

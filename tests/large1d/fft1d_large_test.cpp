@@ -39,14 +39,14 @@ FftOptions large_opts(int threads) {
   return o;
 }
 
-class Fft1dLargeSizes : public ::testing::TestWithParam<int> {};
-
-TEST_P(Fft1dLargeSizes, ForwardMatchesStockham) {
-  const idx_t n = idx_t{1} << GetParam();
-  auto x = random_cvec(n, 9500 + GetParam());
+/// Forward transform of 2^lg points through the facade's 1D plan on
+/// `threads` threads, against the flat Stockham oracle.
+void expect_large_forward(int lg, int threads) {
+  const idx_t n = idx_t{1} << lg;
+  auto x = random_cvec(n, 9500 + lg);
   const cvec want = stockham_oracle(x);
   // The facade's 1D double-buffer plan is the engine itself.
-  auto engine = make_engine({n}, Direction::Forward, large_opts(1));
+  auto engine = make_engine({n}, Direction::Forward, large_opts(threads));
   auto* plan = dynamic_cast<DoubleBufferEngine*>(engine.get());
   ASSERT_NE(nullptr, plan);
   const StagePlan& sp = plan->plan();
@@ -55,16 +55,35 @@ TEST_P(Fft1dLargeSizes, ForwardMatchesStockham) {
   ASSERT_EQ(2u, sp.stages.size());
   EXPECT_EQ(StageKind::Columns, sp.stages[0].kind);
   EXPECT_EQ(StageKind::Rows, sp.stages[1].kind);
-  cvec in = x, got(x.size());
-  plan->execute(in.data(), got.data());
+  // The input doubles as the Columns pass's in-place buffer.
+  cvec got(x.size());
+  plan->execute(x.data(), got.data());
   EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
-      << "n=2^" << GetParam() << " n1=" << sp.n1;
+      << "n=2^" << lg << " n1=" << sp.n1 << " threads=" << threads;
+}
+
+class Fft1dLargeSizes : public ::testing::TestWithParam<int> {};
+
+TEST_P(Fft1dLargeSizes, ForwardMatchesStockham) {
+  expect_large_forward(GetParam(), 1);
 }
 
 // 2^18 (LLC-resident) through 2^24 (the out-of-LLC regime the engine
 // exists for). 2^24 is 268 MiB per array — still fine on CI runners.
 INSTANTIATE_TEST_SUITE_P(Sweep, Fft1dLargeSizes,
                          ::testing::Values(18, 20, 22, 24));
+
+// The same out-of-LLC sizes on a 4-thread team: the Rows stage then
+// splits each block's row groups across both compute and both data
+// ranks, the tiling a single thread never exercises.
+class Fft1dLargeSizesFourThreads : public ::testing::TestWithParam<int> {};
+
+TEST_P(Fft1dLargeSizesFourThreads, ForwardMatchesStockham) {
+  expect_large_forward(GetParam(), 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, Fft1dLargeSizesFourThreads,
+                         ::testing::Values(22, 24));
 
 TEST(Fft1dLarge, InverseRoundTripNormalized) {
   const idx_t n = idx_t{1} << 20;
@@ -128,6 +147,47 @@ TEST(Fft1dLarge, MultiThreadedPipelineMatches) {
     plan.execute(in.data(), got.data());
     EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
         << "threads=" << threads;
+  }
+}
+
+TEST(Fft1dLarge, MultiThreadedPipelineMatchesUnevenSplits) {
+  // p_c = 1 and p_c = 3 on four threads: one role has three ranks, so
+  // ThreadTeam::chunk hands them uneven shares of a block's row groups.
+  const idx_t n = idx_t{1} << 20;
+  auto x = random_cvec(n, 9540);
+  const cvec want = stockham_oracle(x);
+  for (int pc : {1, 3}) {
+    FftOptions o = large_opts(4);
+    o.compute_threads = pc;
+    DoubleBufferEngine plan({n}, Direction::Forward, o);
+    const PlannedStage& rows = plan.plan().stages[1];
+    EXPECT_GE(rows.rows_per_block, 3) << "pc=" << pc;
+    cvec in = x, got(x.size());
+    plan.execute(in.data(), got.data());
+    EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
+        << "pc=" << pc << " R=" << rows.group
+        << " groups/block=" << rows.rows_per_block;
+  }
+}
+
+TEST(Fft1dLarge, MixedRadixRowsMatchOnFourThreads) {
+  // n = 3 * 2^16 on four threads. n1 = 256 leaves n2 = 768 = 3 * 2^8,
+  // so the Rows stage's lanes-R compute runs the mixed-radix engine; the
+  // default split (n1 = 384) puts the odd factor on the column side.
+  const idx_t n = 3 * (idx_t{1} << 16);
+  auto x = random_cvec(n, 9545);
+  const cvec want = stockham_oracle(x);
+  for (idx_t req : {idx_t{256}, idx_t{0}}) {
+    FftOptions o = large_opts(4);
+    o.factor_n1 = req;
+    DoubleBufferEngine plan({n}, Direction::Forward, o);
+    if (req > 0) {
+      EXPECT_EQ(n / req, plan.plan().n2);
+    }
+    cvec in = x, got(x.size());
+    plan.execute(in.data(), got.data());
+    EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
+        << "requested n1=" << req << " n2=" << plan.plan().n2;
   }
 }
 

@@ -3,6 +3,7 @@
 // verifier, lint and cost model read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -61,6 +62,53 @@ TEST(StagePlan, FourStepPassesAndFlatFallback) {
   ASSERT_EQ(1u, flat.stages.size());
   EXPECT_EQ(StageKind::Flat, flat.stages[0].kind);
   EXPECT_EQ(1, flat.threads);  // the flat pass runs on the caller
+}
+
+TEST(StagePlan, RowGroupsCoverEveryRank) {
+  // The Rows stage's R is capped so that every block holds at least
+  // max(p_c, p_d) row groups: ThreadTeam::chunk then hands each compute
+  // and each data rank a group instead of leaving ranks idle at the
+  // barrier.
+  for (int lg = 18; lg <= 26; ++lg) {
+    for (int p : {2, 4, 8}) {
+      for (int pc : {-1, 1, p - 1}) {
+        FftOptions o;
+        o.threads = p;
+        o.compute_threads = pc;
+        const StagePlan plan = make_stage_plan({idx_t{1} << lg}, o);
+        SCOPED_TRACE(::testing::Message()
+                     << "n=2^" << lg << " p=" << p << " pc=" << pc);
+        ASSERT_EQ(2u, plan.stages.size());
+        const PlannedStage& rows = plan.stages[1];
+        ASSERT_EQ(StageKind::Rows, rows.kind);
+        const idx_t ranks =
+            std::max(plan.compute_threads, plan.data_threads);
+        EXPECT_GE(rows.rows_per_block, ranks) << "R=" << rows.group;
+        EXPECT_EQ(0, plan.n1 % rows.group) << "R=" << rows.group;
+        EXPECT_LE(rows.group, kFourStepMaxRows);
+      }
+    }
+  }
+}
+
+TEST(StagePlan, PacketElemsPinsOnlyTheColumnWidth) {
+  FftOptions o;
+  o.threads = 4;
+  const StagePlan def = make_stage_plan({idx_t{1} << 24}, o);
+  EXPECT_EQ(32, def.stages[0].group);  // W: 512 B column runs
+
+  // A requested packet pins W; R still comes from the rank rule.
+  o.packet_elems = 8;
+  const StagePlan pinned = make_stage_plan({idx_t{1} << 24}, o);
+  EXPECT_EQ(8, pinned.stages[0].group);
+  EXPECT_EQ(def.stages[1].group, pinned.stages[1].group);
+  EXPECT_EQ(def.stages[1].rows_per_block, pinned.stages[1].rows_per_block);
+
+  // kBadPlan unless it divides n2 and fits the column cap.
+  o.packet_elems = 3;
+  EXPECT_THROW(make_stage_plan({idx_t{1} << 24}, o), Error);
+  o.packet_elems = 2 * kFourStepMaxCols;
+  EXPECT_THROW(make_stage_plan({idx_t{1} << 24}, o), Error);
 }
 
 TEST(StagePlan, RejectsComputeSplitOutsideTheTeam) {
