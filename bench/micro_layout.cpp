@@ -74,6 +74,30 @@ void BM_RotateCubePackets(benchmark::State& state) {
 }
 BENCHMARK(BM_RotateCubePackets)->Args({64, 0})->Args({64, 1})->Args({128, 0})->Args({128, 1});
 
+// The data threads' store over packet width mu: one 4 MiB buffer of
+// 256-element rows scattered block by block through the stage-0
+// rotation of a 512 x 256 x 256 cube (512 MiB, beyond the LLC), so every
+// packet is an NT run of mu * 16 B.
+void BM_RotateStoreRows(benchmark::State& state) {
+  const idx_t a = 512, b = 256, len = 256, mu = state.range(0);
+  const idx_t block_rows = 1024, rows = a * b;
+  cvec buf = random_cvec(block_rows * len);
+  cvec cube(static_cast<std::size_t>(rows * len));  // touched up front
+  for (auto _ : state) {
+    for (idx_t r0 = 0; r0 < rows; r0 += block_rows) {
+      rotate_store_rows(buf.data(), cube.data(), r0, block_rows, a, b,
+                        len / mu, mu, true);
+    }
+    stream_fence();
+    benchmark::DoNotOptimize(cube.data());
+  }
+  state.SetBytesProcessed(state.iterations() * rows * len *
+                          static_cast<idx_t>(sizeof(cplx)));
+}
+BENCHMARK(BM_RotateStoreRows)
+    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ElementRotation(benchmark::State& state) {
   const idx_t side = state.range(0);
   cvec src = random_cvec(side * side * side), dst(src.size());

@@ -79,10 +79,13 @@ struct FftOptions {
   /// bench flips this off.
   bool nontemporal = true;
 
-  /// Rotation packet size mu in complex elements; 0 = auto (one cacheline,
-  /// i.e. 4 complex doubles, when it divides the fast dimension). Setting
-  /// 1 forces the element-wise rotation of the unblocked formulas — the
-  /// blocked-vs-element ablation of §III-A.
+  /// Rotation packet size mu in complex elements; it must divide the fast
+  /// dimension. 0 = auto: the SIMD packet (8 under AVX-512, else one
+  /// cacheline of 4), widened by make_stage_plan up to a 1 KiB store run
+  /// while the lane rows stay core-private. Setting 1 forces the
+  /// element-wise rotation of the unblocked formulas — the
+  /// blocked-vs-element ablation of §III-A. 1D plans read it as the
+  /// four-step column width W instead.
   idx_t packet_elems = 0;
 
   /// 1D transforms only: the n = n1*n2 four-step factorization the

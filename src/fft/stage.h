@@ -28,7 +28,7 @@ struct StageGeometry {
   idx_t b = 1;       ///< mid rotation-grid dimension
   idx_t fft_len = 1; ///< pencil length L of this stage
   idx_t lanes = 1;   ///< SIMD lanes per pencil element (1 or mu)
-  idx_t mu = 1;      ///< cacheline packet size for the rotation
+  idx_t mu = 1;      ///< rotation packet size in elements
 
   idx_t row_elems() const { return fft_len * lanes; }
   idx_t cp() const { return row_elems() / mu; }
@@ -48,19 +48,17 @@ inline idx_t packet_size_for(idx_t m, idx_t cap = kMu) {
   return mu;
 }
 
-/// Cap for the *auto* packet under the current dispatch state. The
-/// AVX-512 batch tables run 8 complex lanes per chunk, so a mu = 4
-/// packet would leave their chunk loop empty and cascade down to 256-bit
-/// ops; double the packet to two cachelines there. Narrower dispatch
-/// keeps the one-cacheline packet of §III-A.
-inline idx_t auto_packet_cap() {
-  return kernels::active_isa() == kernels::Isa::Avx512 ? 2 * kMu : kMu;
-}
-
-/// Resolve a requested packet size against the fast dimension: 0 = auto
-/// (the widest packet the dispatched ISA can fill, see auto_packet_cap).
+/// The SIMD packet for the fast dimension m: a requested size is checked
+/// (it must divide m) and returned; 0 asks for the widest packet the
+/// dispatched batch tables fill in one chunk — two cachelines (mu = 8)
+/// under AVX-512, whose tables run 8 complex lanes, one cacheline (kMu)
+/// otherwise. make_stage_plan widens the auto packet from here (§III-A's
+/// "one cacheline" is the minimum store run, not the best one).
 inline idx_t resolve_packet_size(idx_t requested, idx_t m) {
-  if (requested <= 0) return packet_size_for(m, auto_packet_cap());
+  if (requested <= 0) {
+    const bool avx512 = kernels::active_isa() == kernels::Isa::Avx512;
+    return packet_size_for(m, avx512 ? 2 * kMu : kMu);
+  }
   BWFFT_CHECK(m % requested == 0, "packet_elems must divide the fast dim");
   return requested;
 }

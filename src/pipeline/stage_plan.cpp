@@ -10,11 +10,6 @@ namespace bwfft {
 
 namespace {
 
-/// Column-tile budget: the default n1 keeps one n1 x kFourStepMaxCols
-/// column tile within ~256 KiB, so the column-pass lanes transform runs
-/// on core-private cache instead of the shared LLC.
-constexpr idx_t kColTileTargetElems = 16384;
-
 /// Row-length ceiling: n2 is kept small enough that one row (plus its
 /// Stockham ping-pong scratch) stays cache-resident during the row pass.
 constexpr idx_t kMaxRowFitElems = 65536;
@@ -57,6 +52,38 @@ idx_t pick_rows(idx_t n1, idx_t n2, idx_t block, idx_t ranks) {
   return lo;
 }
 
+/// The rotated stage chain of a 2D/3D shape at packet mu.
+std::vector<StageGeometry> rotated_stages(const std::vector<idx_t>& dims,
+                                          idx_t mu) {
+  if (dims.size() == 2) {
+    const auto s = make_2d_stages(dims[0], dims[1], mu);
+    return {s.begin(), s.end()};
+  }
+  const auto s = make_3d_stages(dims[0], dims[1], dims[2], mu);
+  return {s.begin(), s.end()};
+}
+
+/// Auto rotation packet (rule at make_stage_plan). A lane stage is one
+/// whose pencils are mu lanes wide; holding `ranks` rows there lets
+/// ThreadTeam::chunk hand every compute and data rank a row.
+idx_t pick_packet(const std::vector<idx_t>& dims, idx_t ranks) {
+  const idx_t m = dims.back();
+  const auto fits = [&](idx_t mu) {
+    for (const StageGeometry& g : rotated_stages(dims, mu)) {
+      if (g.lanes > 1 &&
+          (g.row_elems() > kCoreTileElems || g.rows() < ranks)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  idx_t mu = resolve_packet_size(0, m);
+  while (2 * mu <= kMaxPacketElems && m % (2 * mu) == 0 && fits(2 * mu)) {
+    mu *= 2;
+  }
+  return mu;
+}
+
 PlannedStage tiled(StageKind kind, const char* name, idx_t rows,
                    idx_t row_elems, idx_t block, bool nt) {
   PlannedStage s;
@@ -80,7 +107,7 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1) {
     return {requested_n1, n / requested_n1};
   }
   // Skewed default: the largest divisor of n that keeps the column tile
-  // core-private (n1 <= ~kColTileTargetElems / W) while capping the row
+  // core-private (n1 <= ~kCoreTileElems / W) while capping the row
   // length (n2 <= kMaxRowFitElems once n is big enough to force it).
   // Measured against near-square splits this is 15-30% faster across
   // 2^22..2^26: short column FFTs run in L2 and the long n2 rows stay
@@ -89,7 +116,7 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1) {
   idx_t root = 1;
   while ((root + 1) * (root + 1) <= n) ++root;
   const idx_t target =
-      std::min(std::max<idx_t>(kColTileTargetElems / kFourStepMaxCols,
+      std::min(std::max<idx_t>(kCoreTileElems / kFourStepMaxCols,
                                n / kMaxRowFitElems),
                root);
   for (idx_t d = std::min(target, n / 2); d >= 2; --d) {
@@ -123,6 +150,9 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
   idx_t block = opts.block_elems > 0 ? opts.block_elems
                                      : default_block_elems(opts.topo);
   const bool nt = opts.nontemporal;
+  // Both the 1D row groups and the rotation packet are sized so that
+  // every rank of either role gets a row.
+  const idx_t ranks = std::max({pc, p - pc, 1});
 
   if (dims.size() == 1) {
     const idx_t n = dims[0];
@@ -143,7 +173,6 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
     // gets a row group. When the cacheline floor leaves fewer groups than
     // ranks, the block grows to the fewest groups (a divisor of n1 / R)
     // that cover every rank.
-    const idx_t ranks = std::max({pc, p - pc, 1});
     const idx_t r = pick_rows(n1, n2, block, ranks);
     idx_t groups = std::min(ranks, n1 / r);
     while ((n1 / r) % groups != 0) ++groups;
@@ -154,15 +183,10 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
     plan.stages[0].group = w;
     plan.stages[1].group = r;
   } else {
-    plan.mu = resolve_packet_size(opts.packet_elems, dims.back());
-    std::vector<StageGeometry> geoms;
-    if (dims.size() == 2) {
-      const auto s = make_2d_stages(dims[0], dims[1], plan.mu);
-      geoms.assign(s.begin(), s.end());
-    } else {
-      const auto s = make_3d_stages(dims[0], dims[1], dims[2], plan.mu);
-      geoms.assign(s.begin(), s.end());
-    }
+    plan.mu = opts.packet_elems > 0
+                  ? resolve_packet_size(opts.packet_elems, dims.back())
+                  : pick_packet(dims, ranks);
+    const std::vector<StageGeometry> geoms = rotated_stages(dims, plan.mu);
     static constexpr const char* kNames[3] = {"stage-0", "stage-1",
                                               "stage-2"};
     for (const StageGeometry& g : geoms) block = std::max(block, g.row_elems());

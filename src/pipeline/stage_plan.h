@@ -33,6 +33,15 @@ namespace bwfft {
 constexpr idx_t kFourStepMaxCols = 32;
 constexpr idx_t kFourStepMaxRows = 128;
 
+/// Core-private tile budget (256 KiB): the default four-step n1 keeps one
+/// n1 x kFourStepMaxCols column tile within it, and the auto rotation
+/// packet widens only while the longest lane-stage row (L x mu) does, so
+/// the lanes transforms run on core-private cache, not the shared LLC.
+constexpr idx_t kCoreTileElems = 16384;
+
+/// Widest auto rotation packet: a 1 KiB NT store run.
+constexpr idx_t kMaxPacketElems = 64;
+
 enum class StageKind {
   Rotated,  ///< batch FFT over the rows of `geom`, then the rotation
   Columns,  ///< four-step column pass (DFT_{n1} (x) I_{n2}), then D; in place
@@ -62,7 +71,7 @@ struct StagePlan {
   int compute_threads = 1;  ///< p_c
   int data_threads = 0;     ///< p_d = p - p_c
   idx_t block_elems = 1;    ///< per-half block b, >= every stage's widest row
-  idx_t mu = 1;             ///< rotation packet (2D/3D)
+  idx_t mu = 1;             ///< rotation packet (2D/3D), see make_stage_plan
   idx_t n1 = 1, n2 = 1;     ///< 1D four-step split (n1 == 1: the flat pass)
   std::vector<PlannedStage> stages;
 };
@@ -75,7 +84,13 @@ struct StagePlan {
 std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 
 /// Plan dims (size 1, 2 or 3, slowest first) under opts. 2D/3D plans are
-/// the rotated stage chain of fft/stage.h; 1D plans are the two
+/// the rotated stage chain of fft/stage.h. Their packet mu is
+/// opts.packet_elems when set; auto starts from the SIMD packet
+/// (resolve_packet_size) and doubles while the wider packet divides the
+/// fast dimension, stays within kMaxPacketElems, keeps every lane-stage
+/// row within kCoreTileElems and leaves every lane stage at least
+/// max(p_c, p_d) rows: the rotation then stores long NT runs wherever the
+/// lanes transform stays core-private. 1D plans are the two
 /// four-step passes, or one Flat stage on a single thread when n does not
 /// split. The engine kind is not consulted: stage-parallel executes the
 /// same stages untiled. Throws kBadPlan on options no engine can run.

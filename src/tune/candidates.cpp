@@ -15,7 +15,8 @@ namespace bwfft::tune {
 namespace {
 
 /// Fraction of each streamed cacheline actually used when moving
-/// mu-element packets (mu = 0 means the auto cacheline packet).
+/// mu-element packets (mu = 0 means the auto packet, at least one
+/// cacheline wide).
 double packet_efficiency(idx_t mu) {
   if (mu <= 0) mu = kMu;
   const double bytes = static_cast<double>(mu) * sizeof(cplx);
@@ -137,12 +138,19 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
   } else if (req.packet_elems > 0) {
     packets = {req.packet_elems};
   } else {
-    // Where the auto packet widens past the cacheline (AVX-512 dispatch,
-    // see auto_packet_cap), keep the one-cacheline §III-A packet as an
-    // explicit candidate so measurement can reject the wider packet on
-    // hosts where it loses (e.g. under heavy downclocking).
-    if (m % kMu == 0 && packet_size_for(m, auto_packet_cap()) != kMu) {
-      packets.push_back(kMu);
+    // The auto packet is the plan's, widened past the SIMD width where
+    // the lane rows stay core-private. Keep the SIMD packet and the
+    // one-cacheline §III-A packet as explicit candidates where they
+    // differ from it, so measurement can reject a wide packet on hosts
+    // where it loses (e.g. a smaller L2, or heavy downclocking).
+    FftOptions auto_req = req;
+    auto_req.packet_elems = 0;
+    const idx_t auto_mu = make_stage_plan(dims, auto_req).mu;
+    for (idx_t alt : {resolve_packet_size(0, m), kMu}) {
+      if (m % alt == 0 && alt != auto_mu &&
+          std::find(packets.begin(), packets.end(), alt) == packets.end()) {
+        packets.push_back(alt);
+      }
     }
     // The element-wise (mu = 1) and half-cacheline variants of the
     // §III-A ablation, only where they divide the fast dimension.

@@ -27,7 +27,7 @@ struct TuneCandidate {
   EngineKind engine = EngineKind::DoubleBuffer;
   int compute_threads = -1;  ///< -1 = even split
   idx_t block_elems = 0;     ///< 0 = LLC/2 policy
-  idx_t packet_elems = 0;    ///< 0 = auto (cacheline packet)
+  idx_t packet_elems = 0;    ///< 0 = auto (the StagePlan's packet)
   idx_t factor_n1 = 0;       ///< 1D four-step split; 0 = default split
   bool nontemporal = true;
   kernels::Isa isa = kernels::Isa::Auto;  ///< codelet ISA request

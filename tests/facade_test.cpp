@@ -173,8 +173,9 @@ TEST(Facade, StageGeometryHelpers) {
   EXPECT_EQ(4, packet_size_for(4));
   EXPECT_EQ(2, packet_size_for(6));
   EXPECT_EQ(1, packet_size_for(7));
-  // The auto packet widens to two cachelines only under AVX-512 dispatch
-  // (its batch table runs 8 complex lanes per chunk).
+  // The SIMD packet, where the plan's auto packet starts, is two
+  // cachelines only under AVX-512 dispatch (its batch table runs 8
+  // complex lanes per chunk).
   const bool avx512 = kernels::active_isa() == kernels::Isa::Avx512;
   EXPECT_EQ(avx512 ? 8 : 4, resolve_packet_size(0, 64));
   EXPECT_EQ(4, resolve_packet_size(0, 4));  // capped by the fast dim

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "fft/double_buffer.h"
+#include "kernels/isa.h"
 #include "pipeline/stage_plan.h"
 
 namespace bwfft {
@@ -109,6 +110,108 @@ TEST(StagePlan, PacketElemsPinsOnlyTheColumnWidth) {
   EXPECT_THROW(make_stage_plan({idx_t{1} << 24}, o), Error);
   o.packet_elems = 2 * kFourStepMaxCols;
   EXPECT_THROW(make_stage_plan({idx_t{1} << 24}, o), Error);
+}
+
+// Installs an ISA override for one scope (requests clamp to the host).
+class IsaScope {
+ public:
+  explicit IsaScope(kernels::Isa isa) { kernels::set_isa_override(isa); }
+  ~IsaScope() { kernels::set_isa_override(kernels::Isa::Auto); }
+  IsaScope(const IsaScope&) = delete;
+  IsaScope& operator=(const IsaScope&) = delete;
+};
+
+/// Smallest row count over the stages whose pencils are mu lanes wide.
+idx_t min_lane_stage_rows(const StagePlan& plan) {
+  idx_t rows = plan.total;
+  for (const PlannedStage& s : plan.stages) {
+    if (s.geom.lanes > 1) rows = std::min(rows, s.rows);
+  }
+  return rows;
+}
+
+TEST(StagePlan, AutoPacketWidensWhereLaneRowsStayCorePrivate) {
+  FftOptions o;
+  o.threads = 4;
+  const idx_t simd = resolve_packet_size(0, 256);
+
+  // 256^3: a 256 x 64 lane row is exactly the core-private budget, so the
+  // packet grows to the widest store run.
+  const StagePlan cube = make_stage_plan({256, 256, 256}, o);
+  EXPECT_EQ(kMaxPacketElems, cube.mu);
+  EXPECT_EQ(kCoreTileElems, 256 * cube.mu);
+
+  // 4096^2: one SIMD-packet lane row already overflows the budget.
+  const StagePlan square = make_stage_plan({4096, 4096}, o);
+  EXPECT_EQ(simd, square.mu);
+  EXPECT_EQ(simd, make_stage_plan({8192, 8192}, o).mu);
+}
+
+TEST(StagePlan, AutoPacketKeepsARowForEveryRank) {
+  // 256 x 64: the budget alone would allow mu = 64, i.e. one stage-1 row
+  // for four ranks. The rank cap stops at two rows: max(p_c, p_d) = 2.
+  FftOptions o;
+  o.threads = 4;
+  const StagePlan plan = make_stage_plan({256, 64}, o);
+  const idx_t ranks = std::max(plan.compute_threads, plan.data_threads);
+  EXPECT_LT(plan.mu, kMaxPacketElems);
+  EXPECT_GE(min_lane_stage_rows(plan), ranks);
+  EXPECT_LT(min_lane_stage_rows(plan), 2 * ranks);
+
+  // The cap follows the larger role: p_c = 3 leaves three ranks to feed.
+  o.compute_threads = 3;
+  const StagePlan skewed = make_stage_plan({256, 64}, o);
+  EXPECT_GE(min_lane_stage_rows(skewed), 3);
+  EXPECT_LT(skewed.mu, plan.mu);
+
+  // A sweep of small shapes and splits: a packet widened past the SIMD
+  // packet always leaves every lane stage a row per rank.
+  for (const auto& dims : std::vector<std::vector<idx_t>>{
+           {16, 16}, {64, 64}, {256, 128}, {16, 16, 16}, {32, 32, 32},
+           {16, 32, 64}, {64, 64, 64}}) {
+    for (int p : {1, 2, 4, 8}) {
+      FftOptions q;
+      q.threads = p;
+      const StagePlan got = make_stage_plan(dims, q);
+      const idx_t simd = resolve_packet_size(0, dims.back());
+      const idx_t r = std::max({got.compute_threads, got.data_threads, 1});
+      SCOPED_TRACE(::testing::Message() << "dims[0]=" << dims[0]
+                                        << " rank=" << dims.size()
+                                        << " p=" << p << " mu=" << got.mu);
+      EXPECT_GE(got.mu, simd);
+      EXPECT_LE(got.mu, std::max(simd, kMaxPacketElems));
+      EXPECT_EQ(0, dims.back() % got.mu);
+      if (got.mu > simd) {
+        EXPECT_GE(min_lane_stage_rows(got), r);
+      }
+    }
+  }
+}
+
+TEST(StagePlan, ExplicitPacketIsHonoured) {
+  FftOptions o;
+  o.threads = 4;
+  for (idx_t mu : {idx_t{1}, idx_t{2}, kMu, idx_t{128}}) {
+    o.packet_elems = mu;
+    EXPECT_EQ(mu, make_stage_plan({256, 256, 256}, o).mu);
+    EXPECT_EQ(mu, make_stage_plan({4096, 4096}, o).mu);
+  }
+  o.packet_elems = 3;
+  EXPECT_THROW(make_stage_plan({256, 256, 256}, o), Error);
+}
+
+TEST(StagePlan, NarrowDispatchStartsFromTheCachelinePacket) {
+  FftOptions o;
+  o.threads = 4;
+  for (kernels::Isa isa : {kernels::Isa::Avx2, kernels::Isa::Scalar}) {
+    IsaScope scope(isa);
+    SCOPED_TRACE(kernels::isa_name(isa));
+    EXPECT_EQ(kMu, resolve_packet_size(0, 4096));
+    // No widening at 4096^2: the auto packet is the §III-A cacheline.
+    EXPECT_EQ(kMu, make_stage_plan({4096, 4096}, o).mu);
+    // The widening rule does not depend on the dispatch.
+    EXPECT_EQ(kMaxPacketElems, make_stage_plan({256, 256, 256}, o).mu);
+  }
 }
 
 TEST(StagePlan, RejectsComputeSplitOutsideTheTeam) {

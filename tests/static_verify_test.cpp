@@ -219,6 +219,10 @@ PlanModel valid_model() {
   PlanModel model;
   std::string why;
   FftOptions o = opts_for(EngineKind::DoubleBuffer, 8);
+  // A one-cacheline packet keeps several packets per stage-0 row (the
+  // auto packet at 64^3 is the whole row), so a store window can shrink
+  // without vanishing.
+  o.packet_elems = kMu;
   EXPECT_TRUE(analysis::build_plan_model({64, 64, 64}, o, &model, &why))
       << why;
   return model;

@@ -7,6 +7,8 @@
 
 #include "common/error.h"
 #include "common/topology.h"
+#include "kernels/isa.h"
+#include "pipeline/stage_plan.h"
 #include "tune/candidates.h"
 
 namespace bwfft::tune {
@@ -73,6 +75,30 @@ TEST(Candidates, PacketCandidatesDivideTheFastDimension) {
       EXPECT_EQ(0, 15 % c.packet_elems);
     }
   }
+}
+
+TEST(Candidates, WideAutoPacketKeepsTheNarrowPacketsAsAlternates) {
+  // 256^3 at p = 4: the auto packet is the plan's wide one; the SIMD
+  // packet and the one-cacheline packet stay in the grid so measurement
+  // can reject the wide packet, each exactly once per configuration.
+  FftOptions req = auto_request();
+  req.threads = 4;
+  const std::vector<idx_t> dims{256, 256, 256};
+  const idx_t wide = make_stage_plan(dims, req).mu;
+  ASSERT_EQ(kMaxPacketElems, wide);
+  std::vector<idx_t> packets;
+  for (const TuneCandidate& c : enumerate_candidates(dims, req)) {
+    if (c.engine == EngineKind::DoubleBuffer && c.compute_threads < 0 &&
+        c.block_elems == 0 && c.nontemporal && c.isa == kernels::Isa::Auto) {
+      packets.push_back(c.packet_elems);
+    }
+  }
+  std::vector<idx_t> want = {0, resolve_packet_size(0, 256)};
+  if (want.back() != kMu) want.push_back(kMu);
+  want.push_back(2);
+  want.push_back(1);
+  EXPECT_EQ(want, packets);
+  EXPECT_EQ(0, std::count(packets.begin(), packets.end(), wide));
 }
 
 TEST(Candidates, OnlyOneToThreeDimensionalShapes) {

@@ -57,6 +57,18 @@ TEST_F(TunerTest, EstimateResolvesConcreteWithoutExecuting) {
   EXPECT_TRUE(same_config(report.chosen, report.candidates.front()));
 }
 
+TEST_F(TunerTest, EstimateKeepsTheWideAutoPacket) {
+  // The cost model prices every packet of at least one cacheline alike;
+  // the stable ranking must keep the auto (wide) packet ahead of the
+  // narrower SIMD and cacheline alternates enumerated after it.
+  TuneReport report;
+  const FftOptions resolved =
+      resolve_auto({256, 256, 256}, Direction::Forward,
+                   auto_opts(TuneLevel::Estimate), &report);
+  EXPECT_EQ(0, resolved.packet_elems) << candidate_label(report.chosen);
+  EXPECT_EQ(0, report.chosen.packet_elems);
+}
+
 TEST_F(TunerTest, MeasureNeverLosesToTheDefaultConfig) {
   TuneReport report;
   resolve_auto({16, 16, 16}, Direction::Forward, auto_opts(TuneLevel::Measure),
