@@ -1,12 +1,12 @@
 // google-benchmark microbenchmarks for the data-movement layer: streaming
-// copies, blocked transposes and cube rotations, temporal vs non-temporal.
+// copies, the four-step row-gather transpose and cube rotations, temporal
+// vs non-temporal.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "kernels/batch.h"
 #include "layout/rotate.h"
 #include "layout/stream_copy.h"
-#include "layout/transpose.h"
 
 namespace {
 
@@ -28,20 +28,6 @@ BENCHMARK(BM_CopyStream)
     ->Args({1 << 16, 1})
     ->Args({1 << 21, 0})
     ->Args({1 << 21, 1});
-
-void BM_TransposePackets(benchmark::State& state) {
-  const idx_t side = state.range(0);
-  const bool nt = state.range(1) != 0;
-  cvec src = random_cvec(side * side * kMu), dst(src.size());
-  for (auto _ : state) {
-    transpose_packets(src.data(), dst.data(), side, side, kMu, nt);
-    stream_fence();
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<idx_t>(src.size()) *
-                          static_cast<idx_t>(sizeof(cplx)));
-}
-BENCHMARK(BM_TransposePackets)->Args({128, 0})->Args({128, 1})->Args({512, 0})->Args({512, 1});
 
 // The Rows stage's load: eight contiguous 32768-element rows into a
 // q-major 32768 x 8 tile through the dispatched SIMD block transpose.

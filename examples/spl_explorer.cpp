@@ -1,14 +1,13 @@
 // SPL explorer — the formalism of §II-C as a runnable demo.
 //
-// Prints the paper's factorisations (Cooley–Tukey, the rotated 3D
-// decomposition, the Table III dual-socket write matrices) and verifies
-// each against the dense DFT numerically, mirroring how SPIRAL-derived
-// implementations are validated.
+// Prints the paper's factorisations (Cooley–Tukey, the rotated 2D/3D
+// decompositions the engines run, the Table III dual-socket write
+// matrices) and verifies each against the dense DFT numerically,
+// mirroring how SPIRAL-derived implementations are validated.
 #include <cstdio>
 
-#include "common/rng.h"
+#include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
-#include "spl/lower.h"
 
 using namespace bwfft;
 using namespace bwfft::spl;
@@ -19,6 +18,14 @@ void show(const char* title, const ExprPtr& got, const ExprPtr& want) {
   const double err = max_abs_diff(*got, *want);
   std::printf("%s\n  %s\n  max |got - dense| = %.2e  [%s]\n\n", title,
               got->str().c_str(), err, err < 1e-10 ? "OK" : "MISMATCH");
+}
+
+/// The plan the engines would run for dims, with the packet pinned
+/// (0 = the plan's auto packet on this host).
+StagePlan plan_for(const std::vector<idx_t>& dims, idx_t mu) {
+  FftOptions opts;
+  opts.packet_elems = mu;
+  return make_stage_plan(dims, opts);
 }
 
 }  // namespace
@@ -33,11 +40,11 @@ int main() {
   show("2D pencil: DFT_{4x4}", dft2d_pencil(4, 4),
        kron(dft(4), dft(4)));
 
-  show("2D blocked (mu=2): DFT_{4x8}", dft2d_blocked(4, 8, 2),
+  show("2D blocked plan (mu=2): DFT_{4x8}", plan_term(plan_for({4, 8}, 2)),
        kron(dft(4), dft(8)));
 
-  show("3D rotated (mu=2): DFT_{2x4x4}", dft3d_rotated(2, 4, 4, 2),
-       kron(dft(2), kron(dft(4), dft(4))));
+  show("3D rotated plan (mu=2): DFT_{2x4x4}",
+       plan_term(plan_for({2, 4, 4}, 2)), kron(dft(2), kron(dft(4), dft(4))));
 
   show("3D slab-pencil: DFT_{2x4x4}", dft3d_slab_pencil(2, 4, 4),
        kron(dft(2), kron(dft(4), dft(4))));
@@ -51,19 +58,16 @@ int main() {
   std::printf("Stage-1 write matrix W_{b=8,i=1} for 2x4x4, mu=2:\n  %s\n\n",
               write_matrix_stage1(2, 4, 4, 2, 8, 1)->str().c_str());
 
-  // Lowering: from formula to executable plan (the SPIRAL role).
-  auto term = dft3d_rotated(4, 4, 8, 4);
-  Program prog = lower(*term);
-  std::printf("Lowered plan for the rotated 3D decomposition of "
-              "DFT_{4x4x8}:\n%s", prog.describe().c_str());
-  auto x = random_cvec(term->cols());
-  auto got = prog.run(x);
-  auto want = (*term)(x);
-  double err = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    err = std::max(err, std::abs(got[i] - want[i]));
+  // The plan the engines execute for DFT_{4x4x8}, one term per stage.
+  const StagePlan plan = plan_for({4, 4, 8}, 0);
+  std::printf("Planned stages of DFT_{4x4x8} (auto packet mu=%lld):\n",
+              static_cast<long long>(plan.mu));
+  for (std::size_t k = 0; k < plan.stages.size(); ++k) {
+    std::printf("  %s: %s\n", plan.stages[k].name,
+                stage_term(plan, k)->str().c_str());
   }
-  std::printf("plan vs formula: max err = %.2e  [%s]\n", err,
-              err < 1e-10 ? "OK" : "MISMATCH");
+  std::printf("\n");
+  show("Whole plan term: DFT_{4x4x8}", plan_term(plan),
+       kron(dft(4), kron(dft(4), dft(8))));
   return 0;
 }

@@ -11,12 +11,13 @@
 //
 // Stage kinds (pipeline/stage_plan.h): Rotated stages scatter each block
 // through the blocked rotation (2D/3D). A 1D plan is the four-step rewrite
-// spl::dft1d_four_step(n1, n2) as two stages — Columns (DFT_{n1} (x)
-// I_{n2}, then the twiddle diagonal, in place) and Rows (I_{n1} (x)
-// DFT_{n2}, then the stride permutation) — so a transform larger than the
-// LLC streams exactly twice through DRAM: the case the paper's §V leaves
-// open. Sizes the four-step cannot split run one Flat Fft1d pass with no
-// team and no pipeline.
+// DFT_n = L (I_{n1} (x) DFT_{n2}) D (DFT_{n1} (x) I_{n2}) as two stages —
+// Columns (DFT_{n1} (x) I_{n2}, then the twiddle diagonal, in place) and
+// Rows (I_{n1} (x) DFT_{n2}, then the stride permutation) — so a transform
+// larger than the LLC streams exactly twice through DRAM: the case the
+// paper's §V leaves open. Sizes the four-step cannot split run one Flat
+// Fft1d pass with no team and no pipeline. spl::plan_term states each
+// stage kind as its SPL term.
 #pragma once
 
 #include <memory>

@@ -27,6 +27,7 @@ class StageParallelEngine final : public MdEngine {
                       const FftOptions& opts);
   void execute(cplx* in, cplx* out) override;
   const char* name() const override { return "stage-parallel"; }
+  const StagePlan& plan() const { return plan_; }
 
  private:
   void run_stage(const PlannedStage& s, const Fft1d& fft, cplx* src,

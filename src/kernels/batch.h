@@ -1,8 +1,8 @@
 // Batched split-format SIMD codelets with runtime ISA dispatch.
 //
 // The scalar codelets (kernels/codelets.h) transform ONE pencil at an
-// element stride; the double-buffer compute stage and the SPL-lowered
-// DFT_n (x) I_mu nodes used to loop them once per lane. The batched
+// element stride; the double-buffer compute stage's DFT_n (x) I_mu
+// nodes used to loop them once per lane. The batched
 // codelets instead transform `lanes` pencils at once, with SIMD vector
 // lanes running ACROSS the batch dimension (the paper's DFT_n (x) I_mu
 // shape): element (j, l) of the tile sits at in[j*is + l], interleaved

@@ -9,6 +9,9 @@
 //     their roles, team, pipeline and stage lambdas from the plan, and
 //     DualSocketFft3d takes its per-socket p_c and block from it;
 //   - analysis::build_plan_model turns the plan into symbolic windows;
+//   - spl::plan_term restates it as the SPL formula of the transform,
+//     which bwfft_lint, `bwfft_verify spl` and the tests verify and
+//     check against the dense DFT and the engines' output;
 //   - tune::estimate_seconds reads p, p_c, b and the four-step groups;
 //     tools/bwfft_lint reads p, p_c and b.
 //

@@ -1,5 +1,7 @@
 #include "spl/algorithms.h"
 
+#include "pipeline/stage_plan.h"
+
 namespace bwfft::spl {
 
 namespace {
@@ -20,16 +22,6 @@ ExprPtr cooley_tukey(idx_t m, idx_t n, Direction dir) {
   });
 }
 
-ExprPtr dft1d_four_step(idx_t a, idx_t b, Direction dir) {
-  BWFFT_CHECK(a > 1 && b > 1, "four-step needs a,b > 1");
-  return compose({
-      stride_perm(a * b, b),
-      kron(identity(a), dft(b, dir)),
-      twiddle_diag(a, b, dir),
-      kron(dft(a, dir), identity(b)),
-  });
-}
-
 // ------------------------------------------------------------------ 2D FFT
 
 ExprPtr dft2d_pencil(idx_t n, idx_t m, Direction dir) {
@@ -45,16 +37,6 @@ ExprPtr dft2d_transposed(idx_t n, idx_t m, Direction dir) {
       kron(identity(m), dft(n, dir)),        // columns as unit-stride rows
       stride_perm(m * n, m),                 // L_m^{mn}: n x m -> m x n
       kron(identity(n), dft(m, dir)),        // rows
-  });
-}
-
-ExprPtr dft2d_blocked(idx_t n, idx_t m, idx_t mu, Direction dir) {
-  check_divides(mu, m, "dft2d_blocked needs mu | m");
-  return compose({
-      kron(stride_perm(m * n / mu, n), identity(mu)),
-      kron(kron(identity(m / mu), dft(n, dir)), identity(mu)),
-      kron(stride_perm(m * n / mu, m / mu), identity(mu)),
-      kron(identity(n), dft(m, dir)),
   });
 }
 
@@ -90,25 +72,47 @@ ExprPtr rotation_k_blocked(idx_t a, idx_t b, idx_t c, idx_t mu) {
   return kron(rotation_k(a, b, c / mu), identity(mu));
 }
 
-ExprPtr dft3d_rotated(idx_t k, idx_t n, idx_t m, idx_t mu, Direction dir) {
-  check_divides(mu, m, "dft3d_rotated needs mu | m");
-  // Stage 1: cube k x n x m, pencils along x (size m, unit stride).
-  ExprPtr stage1 = compose({
-      rotation_k_blocked(k, n, m, mu),               // -> packets [xp][z][y]
-      kron(identity(k * n), dft(m, dir)),
-  });
-  // Stage 2: layout [xp][z][y][xl]; pencils along y at stride mu.
-  ExprPtr stage2 = compose({
-      kron(rotation_k(m / mu, k, n), identity(mu)),  // -> [y][xp][z][xl]
-      kron(kron(identity((m / mu) * k), dft(n, dir)), identity(mu)),
-  });
-  // Stage 3: layout [y][xp][z][xl]; pencils along z at stride mu; the final
-  // rotation restores the natural k x n x m order.
-  ExprPtr stage3 = compose({
-      kron(rotation_k(n, m / mu, k), identity(mu)),  // -> [z][y][xp][xl]
-      kron(kron(identity(n * (m / mu)), dft(k, dir)), identity(mu)),
-  });
-  return compose({stage3, stage2, stage1});
+// ------------------------------------------------------ The planned stages
+
+namespace {
+
+/// e (x) I_n, or e itself for n == 1 (keeps the rendered terms short).
+ExprPtr with_lanes(ExprPtr e, idx_t n) {
+  return n == 1 ? e : kron(std::move(e), identity(n));
+}
+
+}  // namespace
+
+ExprPtr stage_term(const StagePlan& plan, std::size_t k, Direction dir) {
+  BWFFT_CHECK(k < plan.stages.size(), "stage_term: no such stage");
+  const PlannedStage& s = plan.stages[k];
+  switch (s.kind) {
+    case StageKind::Rotated: {
+      const StageGeometry& g = s.geom;
+      return compose({
+          rotation_k_blocked(g.a, g.b, g.row_elems(), g.mu),
+          with_lanes(kron(identity(g.rows()), dft(g.fft_len, dir)), g.lanes),
+      });
+    }
+    case StageKind::Columns:
+      return compose({twiddle_diag(plan.n1, plan.n2, dir),
+                      kron(dft(plan.n1, dir), identity(plan.n2))});
+    case StageKind::Rows:
+      return compose({stride_perm(plan.total, plan.n2),
+                      kron(identity(plan.n1), dft(plan.n2, dir))});
+    case StageKind::Flat:
+      return dft(plan.total, dir);
+  }
+  throw Error("unknown stage kind");
+}
+
+ExprPtr plan_term(const StagePlan& plan, Direction dir) {
+  BWFFT_CHECK(!plan.stages.empty(), "plan_term needs a planned stage");
+  std::vector<ExprPtr> stages;
+  for (std::size_t k = plan.stages.size(); k-- > 0;) {
+    stages.push_back(stage_term(plan, k, dir));
+  }
+  return stages.size() == 1 ? stages.front() : compose(std::move(stages));
 }
 
 // ------------------------------------------- Tiled stage / W and R matrices

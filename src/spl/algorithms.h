@@ -6,6 +6,11 @@
 // semantics at small sizes, so the factorisations double as the library's
 // correctness oracle (the role SPIRAL plays for the paper's authors).
 //
+// plan_term() is the formula of what the engines run: it reads a
+// StagePlan (pipeline/stage_plan.h) stage by stage, so the rotated 2D/3D
+// chain and the 1D four-step passes have one description, the plan, and
+// the term follows it (packet mu, split n1 x n2) instead of restating it.
+//
 // Convention for the rotation operator (paper §III-A, Fig 5):
 //   K_c^{a,b} = (L_c^{ca} (x) I_b) (I_a (x) L_c^{cb})
 // maps a row-major cube a x b x c (c fastest) to the rotated cube c x a x b.
@@ -16,6 +21,10 @@
 
 #include "spl/expr.h"
 
+namespace bwfft {
+struct StagePlan;
+}
+
 namespace bwfft::spl {
 
 // ------------------------------------------------------------------ 1D FFT
@@ -23,11 +32,6 @@ namespace bwfft::spl {
 /// Cooley–Tukey factorisation of DFT_{m n} (§II-D):
 ///   DFT_mn = (DFT_m (x) I_n) D_n^{mn} (I_m (x) DFT_n) L_m^{mn}.
 ExprPtr cooley_tukey(idx_t m, idx_t n, Direction dir = Direction::Forward);
-
-/// Transposed ("four-step") factorisation used by the double-buffered
-/// large 1D engine — permutation last, strided-lanes stage first:
-///   DFT_ab = L_b^{ab} (I_a (x) DFT_b) D_b^{ab} (DFT_a (x) I_b).
-ExprPtr dft1d_four_step(idx_t a, idx_t b, Direction dir = Direction::Forward);
 
 // ------------------------------------------------------------------ 2D FFT
 
@@ -38,12 +42,6 @@ ExprPtr dft2d_pencil(idx_t n, idx_t m, Direction dir = Direction::Forward);
 /// Transposed (row–column) form (§III-A):
 ///   DFT_{n x m} = L_n^{mn}(I_m (x) DFT_n) . L_m^{mn}(I_n (x) DFT_m).
 ExprPtr dft2d_transposed(idx_t n, idx_t m, Direction dir = Direction::Forward);
-
-/// Cacheline-blocked form (§III-A):
-///   DFT_{n x m} = (L_n^{mn/mu} (x) I_mu)(I_{m/mu} (x) DFT_n (x) I_mu)
-///                 (L_{m/mu}^{mn/mu} (x) I_mu)(I_n (x) DFT_m).
-ExprPtr dft2d_blocked(idx_t n, idx_t m, idx_t mu,
-                      Direction dir = Direction::Forward);
 
 // ------------------------------------------------------------------ 3D FFT
 
@@ -64,11 +62,23 @@ ExprPtr rotation_k(idx_t a, idx_t b, idx_t c);
 /// packets: cube a x b x c with c = (c/mu)*mu -> packets rotated.
 ExprPtr rotation_k_blocked(idx_t a, idx_t b, idx_t c, idx_t mu);
 
-/// The paper's adopted 3D decomposition (§III-A): three stages, each a
-/// batch of unit-stride 1D FFTs followed by a blocked rotation; after the
-/// third rotation data is back in natural k x n x m order.
-ExprPtr dft3d_rotated(idx_t k, idx_t n, idx_t m, idx_t mu,
-                      Direction dir = Direction::Forward);
+// ------------------------------------------------------ The planned stages
+
+/// The term of one planned transform, last stage outermost. Per stage:
+///   Rotated: (K_{cp}^{a,b} (x) I_mu)(I_{ab} (x) DFT_L (x) I_lanes), read
+///            from the stage's geometry — the 2D/3D chain of §III-A,
+///            ending in natural order;
+///   Columns: D_{n2}^{n1 n2} (DFT_{n1} (x) I_{n2});
+///   Rows:    L_{n2}^{n} (I_{n1} (x) DFT_{n2}) — with Columns, the
+///            four-step DFT_n of the 1D plans;
+///   Flat:    DFT_n.
+/// Tile sizes (block, W, R) and the role split do not appear: they change
+/// how a stage is scheduled, not what it computes.
+ExprPtr plan_term(const StagePlan& plan, Direction dir = Direction::Forward);
+
+/// The term of plan.stages[k] alone (one factor of plan_term).
+ExprPtr stage_term(const StagePlan& plan, std::size_t k,
+                   Direction dir = Direction::Forward);
 
 // ------------------------------------------- Tiled stage / W and R matrices
 

@@ -81,12 +81,16 @@ Dft::Dft(idx_t n, Direction dir) : n_(n), dir_(dir) {
 }
 
 void Dft::apply(const cplx* x, cplx* y) const {
-  // Direct O(n^2) evaluation; k*l is reduced mod n to keep the root-power
-  // table exact for large n.
+  // Direct O(n^2) evaluation over a table of the n roots; k*l is reduced
+  // mod n, so every entry is a directly computed root.
+  cvec roots(static_cast<std::size_t>(n_));
+  for (idx_t p = 0; p < n_; ++p) {
+    roots[static_cast<std::size_t>(p)] = omega(n_, p, dir_);
+  }
   for (idx_t k = 0; k < n_; ++k) {
     cplx acc(0.0, 0.0);
     for (idx_t l = 0; l < n_; ++l) {
-      acc += omega(n_, (k * l) % n_, dir_) * x[l];
+      acc += roots[static_cast<std::size_t>((k * l) % n_)] * x[l];
     }
     y[k] = acc;
   }

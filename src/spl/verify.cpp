@@ -17,7 +17,6 @@ const char* kind_name(VerifyIssue::Kind k) {
     case VerifyIssue::Kind::WindowBounds: return "window-out-of-bounds";
     case VerifyIssue::Kind::BadShape: return "bad-shape";
     case VerifyIssue::Kind::NonFinite: return "non-finite";
-    case VerifyIssue::Kind::NotConservative: return "not-conservative";
   }
   return "?";
 }
@@ -161,44 +160,6 @@ VerifyReport verify_compose(const std::vector<ExprPtr>& factors) {
   return rep;
 }
 
-VerifyReport verify(const Program& p) {
-  VerifyReport rep;
-  const idx_t len = p.length();
-  for (const LowerOp& op : p.ops()) {
-    ++rep.nodes;
-    idx_t touched = 0;
-    switch (op.kind) {
-      case LowerOp::Kind::BatchFft:
-        touched = op.batch * op.n * op.lanes;
-        if (op.plan == nullptr) {
-          add(rep, VerifyIssue::Kind::NotConservative, op.str(),
-              "batch FFT op carries no 1D plan");
-        }
-        break;
-      case LowerOp::Kind::BatchTranspose:
-        touched = op.batch * op.rows * op.cols * op.lanes;
-        break;
-      case LowerOp::Kind::Scale:
-        touched = static_cast<idx_t>(op.diag.size());
-        for (const cplx v : op.diag) {
-          if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
-            add(rep, VerifyIssue::Kind::NonFinite, op.str(),
-                "scale diagonal contains a non-finite entry");
-            break;
-          }
-        }
-        break;
-    }
-    if (touched != len) {
-      std::ostringstream os;
-      os << "op touches " << touched << " elements but the program vector "
-         << "holds " << len;
-      add(rep, VerifyIssue::Kind::NotConservative, op.str(), os.str());
-    }
-  }
-  return rep;
-}
-
 bool is_permutation(const Expr& e, idx_t limit) {
   const idx_t n = e.rows();
   if (n != e.cols() || n < 1 || n > limit) return false;
@@ -224,11 +185,6 @@ bool is_permutation(const Expr& e, idx_t limit) {
 void verify_or_throw(const Expr& e) {
   const VerifyReport rep = verify(e);
   BWFFT_CHECK(rep.ok(), "SPL term failed verification:\n" + rep.str());
-}
-
-void verify_or_throw(const Program& p) {
-  const VerifyReport rep = verify(p);
-  BWFFT_CHECK(rep.ok(), "lowered program failed verification:\n" + rep.str());
 }
 
 }  // namespace bwfft::spl

@@ -1,11 +1,10 @@
-// SPL static verifier — structural checks over expression trees and
-// lowered plans, run before anything executes.
+// SPL static verifier — structural checks over expression trees, run
+// before anything executes.
 //
 // The Expr constructors fail fast on locally-detectable mistakes, but the
-// trees they build are an open hierarchy: rewrite passes, user-defined
-// nodes, and hand-assembled Programs can all introduce inconsistencies the
-// constructors never see. This pass re-derives the invariants the library
-// depends on:
+// trees they build are an open hierarchy: rewrite passes and user-defined
+// nodes can introduce inconsistencies the constructors never see. This
+// pass re-derives the invariants the library depends on:
 //
 //   * dimension compatibility along every ∘ chain (and between every
 //     combinator and its children);
@@ -15,20 +14,16 @@
 //     (e.g. the K rotation compositions) for the same property;
 //   * G/S (gather/scatter) windows stay inside their vectors;
 //   * diagonals contain only finite entries (a NaN twiddle table is the
-//     classic silent-corruption bug);
-//   * lowered Programs conserve element counts at every op.
+//     classic silent-corruption bug).
 //
-// In checked builds (BWFFT_CHECKED) lower() verifies its input term and
-// its output Program automatically, and Program::run re-verifies before
-// executing, so a malformed plan throws bwfft::Error instead of quietly
-// producing garbage.
+// bwfft_lint and `bwfft_verify spl` run it over spl::plan_term of the
+// plans the engines execute.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "spl/expr.h"
-#include "spl/lower.h"
 
 namespace bwfft::spl {
 
@@ -39,18 +34,17 @@ struct VerifyIssue {
     WindowBounds,     ///< a G/S window reaching outside its vector
     BadShape,         ///< a node reporting a non-positive dimension
     NonFinite,        ///< a diagonal with NaN/Inf entries
-    NotConservative,  ///< a lowered op that changes the element count
   };
 
   Kind kind;
-  std::string node;  ///< str() of the offending node / op
+  std::string node;  ///< str() of the offending node
   std::string detail;
 
   std::string str() const;
 };
 
 struct VerifyReport {
-  std::size_t nodes = 0;   ///< nodes (or ops) visited
+  std::size_t nodes = 0;   ///< nodes visited
   std::size_t opaque = 0;  ///< nodes of unknown type (skipped, not errors)
   std::vector<VerifyIssue> issues;
 
@@ -68,11 +62,6 @@ VerifyReport verify(const Expr& e);
 /// mismatched ⊗/∘ combinations are diagnosed without throwing.
 VerifyReport verify_compose(const std::vector<ExprPtr>& factors);
 
-/// Verify a lowered Program: every op must conserve the element count
-/// (batch·n·lanes == length for FFTs, batch·rows·cols·lanes == length for
-/// transposes, |diag| == length for scales) and carry a usable plan.
-VerifyReport verify(const Program& p);
-
 /// Probe a square operator for permutation-ness by applying it to the
 /// index-encoding vector x[j] = j+1: the result must be exactly a
 /// rearrangement of the inputs. Exact for 0/1 operators; returns false for
@@ -82,6 +71,5 @@ bool is_permutation(const Expr& e, idx_t limit = idx_t(1) << 22);
 
 /// Throw bwfft::Error carrying the report if verification fails.
 void verify_or_throw(const Expr& e);
-void verify_or_throw(const Program& p);
 
 }  // namespace bwfft::spl

@@ -2,8 +2,8 @@
 // stages (and the Flat fallback) DoubleBufferEngine runs for out-of-LLC 1D
 // transforms (docs/INTERNALS.md §15). Large sizes are checked against the
 // flat Stockham pass (itself dense-oracle-verified in fft1d_test); tiny
-// sizes are cross-checked against the spl::dft1d_four_step specification
-// the engine implements.
+// sizes are cross-checked against spl::plan_term, the specification of
+// the plan the engine runs.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "fft/double_buffer.h"
 #include "fft/reference.h"
+#include "fft/stage_parallel.h"
 #include "fft1d/fft1d.h"
 #include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
@@ -192,22 +193,52 @@ TEST(Fft1dLarge, MixedRadixRowsMatchOnFourThreads) {
 }
 
 TEST(Fft1dLarge, TinySizesMatchFourStepSpec) {
-  // The engine IS the spl::dft1d_four_step rewrite; at dense-checkable
-  // sizes its output must match the specification matrix applied
-  // directly, for the exact same (n1, n2) split.
-  for (auto [a, b] :
-       {std::pair<idx_t, idx_t>{4, 8}, {8, 8}, {3, 16}, {16, 4}}) {
-    const idx_t n = a * b;
-    FftOptions o = large_opts(1);
-    o.factor_n1 = a;
-    DoubleBufferEngine plan({n}, Direction::Forward, o);
-    auto x = random_cvec(n, 9550 + n);
-    cvec want(x.size());
-    spl::dft1d_four_step(a, b)->apply(x.data(), want.data());
-    cvec in = x, got(x.size());
-    plan.execute(in.data(), got.data());
-    EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
-        << a << "x" << b;
+  // An engine that executes a StagePlan IS its plan's term: at
+  // dense-checkable sizes its output equals spl::plan_term(engine.plan())
+  // applied to the same input. The table covers the four-step Columns /
+  // Rows passes at pinned splits, the Flat pass, and the rotated 2D/3D
+  // chains, at packets {1, kMu, auto} on one and four threads, both
+  // directions (the inverse unnormalised).
+  struct Shape {
+    std::vector<idx_t> dims;
+    idx_t n1;  // 1D four-step split (0: the default)
+  };
+  const Shape shapes[] = {{{32}, 4},   {{64}, 8},      {{48}, 3},
+                          {{64}, 16},  {{17}, 0},      {{8, 16}, 0},
+                          {{6, 4}, 0}, {{4, 4, 8}, 0}, {{2, 3, 6}, 0}};
+  for (const Shape& s : shapes) {
+    idx_t n = 1;
+    for (idx_t d : s.dims) n *= d;
+    // The packet must divide the fast dimension (in 1D: the row length
+    // n2, as the column-group width).
+    const idx_t fast = s.n1 > 0 ? n / s.n1 : s.dims.back();
+    const cvec x = random_cvec(n, 9550 + n);
+    for (idx_t mu : {idx_t{1}, kMu, idx_t{0}}) {
+      if (mu > 0 && fast % mu != 0) continue;
+      for (int p : {1, 4}) {
+        for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+          FftOptions o = large_opts(p);
+          o.packet_elems = mu;
+          o.factor_n1 = s.n1;
+          auto check = [&](auto& engine) {
+            cvec want(x.size());
+            spl::plan_term(engine.plan(), dir)->apply(x.data(), want.data());
+            cvec in = x, got(x.size());
+            engine.execute(in.data(), got.data());
+            EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
+                << engine.name() << " n=" << n << " dims=" << s.dims.size()
+                << "D mu=" << mu << " p=" << p
+                << (dir == Direction::Forward ? " forward" : " inverse");
+          };
+          DoubleBufferEngine db(s.dims, dir, o);
+          check(db);
+          if (s.dims.size() > 1) {
+            StageParallelEngine sp(s.dims, dir, o);
+            check(sp);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -240,10 +271,18 @@ TEST(Fft1dLarge, ChooseFactorsPolicy) {
 // ---------------------------------------------------------------------------
 
 TEST(FourStepSpl, EqualsDenseDft) {
+  // The four-step plan's term at a pinned split is DFT_n.
   for (auto [a, b] : {std::pair<idx_t, idx_t>{4, 4}, {4, 8}, {8, 4}, {3, 5}}) {
-    auto got = spl::dft1d_four_step(a, b);
-    EXPECT_LT(spl::max_abs_diff(*got, *spl::dft(a * b)), 1e-10)
-        << a << "x" << b;
+    FftOptions o;
+    o.factor_n1 = a;
+    const StagePlan plan = make_stage_plan({a * b}, o);
+    ASSERT_EQ(a, plan.n1);
+    for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+      EXPECT_LT(spl::max_abs_diff(*spl::plan_term(plan, dir),
+                                  *spl::dft(a * b, dir)),
+                1e-10)
+          << a << "x" << b;
+    }
   }
 }
 

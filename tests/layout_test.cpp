@@ -1,6 +1,7 @@
 // Tests for the data-movement kernels: every transpose/rotation kernel is
 // checked against its SPL term's dense semantics, plus round-trip
-// properties.
+// properties. A transpose is the rotation K_c^{r,1} = L_c^{rc}: the 2D
+// plan's stages run it through the rotation kernels with b = 1.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -9,8 +10,8 @@
 #include "common/rng.h"
 #include "obs/obs.h"
 #include "layout/rotate.h"
+#include "kernels/batch.h"
 #include "layout/stream_copy.h"
-#include "layout/transpose.h"
 #include "spl/algorithms.h"
 #include "test_util.h"
 
@@ -23,17 +24,18 @@ TEST(Transpose, MatchesStridePerm) {
   const idx_t r = 5, c = 7;
   auto x = random_cvec(r * c, 21);
   cvec got(x.size());
-  transpose(x.data(), got.data(), r, c);
+  rotate_cube(x.data(), got.data(), r, 1, c);
   auto want = (*spl::stride_perm(r * c, c))(x);
   EXPECT_EQ(0.0, max_err(want, got));
 }
 
+// The four-step row gather's tiled SIMD transpose against the plain one.
 TEST(Transpose, TiledMatchesPlain) {
   const idx_t r = 37, c = 53;
   auto x = random_cvec(r * c, 22);
   cvec a(x.size()), b(x.size());
-  transpose(x.data(), a.data(), r, c);
-  transpose_tiled(x.data(), b.data(), r, c, 8);
+  rotate_cube(x.data(), a.data(), r, 1, c);
+  kernels::dispatch_batch_table().transpose(x.data(), c, b.data(), r, r, c);
   EXPECT_EQ(0.0, max_err(a, b));
 }
 
@@ -41,8 +43,8 @@ TEST(Transpose, RoundTripIsIdentity) {
   const idx_t r = 12, c = 20;
   auto x = random_cvec(r * c, 23);
   cvec t(x.size()), back(x.size());
-  transpose(x.data(), t.data(), r, c);
-  transpose(t.data(), back.data(), c, r);
+  rotate_cube(x.data(), t.data(), r, 1, c);
+  rotate_cube(t.data(), back.data(), c, 1, r);
   EXPECT_EQ(0.0, max_err(x, back));
 }
 
@@ -53,7 +55,8 @@ TEST_P(TransposePackets, MatchesBlockedStridePerm) {
   const auto [r, c, mu, nt] = GetParam();
   auto x = random_cvec(r * c * mu, 24);
   cvec got(x.size());
-  transpose_packets(x.data(), got.data(), r, c, mu, nt);
+  rotate_cube_packets(x.data(), got.data(), r, 1, c, mu, nt);
+  stream_fence();
   // (L_c^{rc} (x) I_mu)
   auto want = (*spl::kron(spl::stride_perm(r * c, c), spl::identity(mu)))(x);
   EXPECT_EQ(0.0, max_err(want, got));

@@ -1,5 +1,5 @@
 // Gap-closing tests: out-of-place 1D API, twiddle diagonal content,
-// topology helpers, assertion machinery, inverse-direction lowering.
+// topology helpers, assertion machinery, the odd/even-log2 Stockham schedule.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -7,7 +7,6 @@
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
 #include "spl/expr.h"
-#include "spl/lower.h"
 #include "test_util.h"
 
 namespace bwfft {
@@ -65,15 +64,6 @@ TEST(Misc, CheckMacroThrowsWithContext) {
     EXPECT_NE(std::string::npos, what.find("the message"));
     EXPECT_NE(std::string::npos, what.find("misc_test.cpp"));
   }
-}
-
-TEST(Misc, LowerInverseDirection) {
-  auto term = spl::kron(spl::identity(4), spl::dft(8, Direction::Inverse));
-  auto prog = spl::lower(*term);
-  auto x = random_cvec(32, 9501);
-  auto want = (*term)(x);
-  auto got = prog.run(x);
-  EXPECT_LT(max_err(want, got), fft_tol(32.0));
 }
 
 TEST(Misc, StockhamHandlesOddAndEvenLog2) {

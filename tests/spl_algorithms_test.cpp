@@ -2,21 +2,56 @@
 // §II-D/§III-A/§III-B/§IV-B must equal the dense multidimensional DFT.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/rng.h"
+#include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
+#include "spl/verify.h"
 #include "test_util.h"
+#include "tune/candidates.h"
 
 namespace bwfft::spl {
 namespace {
 
 using bwfft::test::max_err;
 
-ExprPtr dense_2d(idx_t n, idx_t m, Direction dir = Direction::Forward) {
-  return kron(dft(n, dir), dft(m, dir));
+/// The dense Kronecker DFT of dims (slowest first).
+ExprPtr dense_dft(const std::vector<idx_t>& dims,
+                  Direction dir = Direction::Forward) {
+  ExprPtr e = dft(dims.back(), dir);
+  for (std::size_t i = dims.size() - 1; i-- > 0;) {
+    e = kron(dft(dims[i], dir), e);
+  }
+  return e;
 }
 
-ExprPtr dense_3d(idx_t k, idx_t n, idx_t m, Direction dir = Direction::Forward) {
-  return kron(dft(k, dir), kron(dft(n, dir), dft(m, dir)));
+std::string dims_str(const std::vector<idx_t>& dims) {
+  std::string s;
+  for (idx_t d : dims) s += (s.empty() ? "" : "x") + std::to_string(d);
+  return s;
+}
+
+/// plan_term of `plan` is verify-clean and equals the dense DFT of its
+/// dims, forward and inverse.
+void expect_plan_term_is_dft(const StagePlan& plan) {
+  for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+    const ExprPtr term = plan_term(plan, dir);
+    const VerifyReport rep = verify(*term);
+    EXPECT_TRUE(rep.ok()) << rep.str();
+    EXPECT_LT(max_abs_diff(*term, *dense_dft(plan.dims, dir)), 1e-10)
+        << dims_str(plan.dims) << " mu=" << plan.mu << " n1=" << plan.n1
+        << (dir == Direction::Forward ? " forward" : " inverse");
+  }
+}
+
+/// The plan the engines run for dims with the rotation packet pinned
+/// (0 = the plan's auto packet).
+StagePlan plan_with_packet(const std::vector<idx_t>& dims, idx_t mu) {
+  FftOptions opts;
+  opts.packet_elems = mu;
+  return make_stage_plan(dims, opts);
 }
 
 TEST(SplAlgorithms, CooleyTukeyEqualsDenseDft) {
@@ -37,27 +72,28 @@ TEST(SplAlgorithms, CooleyTukeyInverseDirection) {
 }
 
 TEST(SplAlgorithms, Pencil2dEqualsDense) {
-  EXPECT_LT(max_abs_diff(*dft2d_pencil(4, 6), *dense_2d(4, 6)), 1e-10);
+  EXPECT_LT(max_abs_diff(*dft2d_pencil(4, 6), *dense_dft({4, 6})), 1e-10);
 }
 
 TEST(SplAlgorithms, Transposed2dEqualsDense) {
-  EXPECT_LT(max_abs_diff(*dft2d_transposed(4, 6), *dense_2d(4, 6)), 1e-10);
-  EXPECT_LT(max_abs_diff(*dft2d_transposed(8, 4), *dense_2d(8, 4)), 1e-10);
+  EXPECT_LT(max_abs_diff(*dft2d_transposed(4, 6), *dense_dft({4, 6})), 1e-10);
+  EXPECT_LT(max_abs_diff(*dft2d_transposed(8, 4), *dense_dft({8, 4})), 1e-10);
 }
 
 TEST(SplAlgorithms, Blocked2dEqualsDense) {
-  // mu = 2 and 4 cover the cacheline-packet blocking of §III-A.
-  EXPECT_LT(max_abs_diff(*dft2d_blocked(4, 8, 2), *dense_2d(4, 8)), 1e-10);
-  EXPECT_LT(max_abs_diff(*dft2d_blocked(4, 8, 4), *dense_2d(4, 8)), 1e-10);
-  EXPECT_LT(max_abs_diff(*dft2d_blocked(6, 4, 2), *dense_2d(6, 4)), 1e-10);
+  // The 2D plan is the cacheline-blocked form of §III-A; mu = 2 and 4
+  // cover its packet blocking.
+  expect_plan_term_is_dft(plan_with_packet({4, 8}, 2));
+  expect_plan_term_is_dft(plan_with_packet({4, 8}, 4));
+  expect_plan_term_is_dft(plan_with_packet({6, 4}, 2));
 }
 
 TEST(SplAlgorithms, Pencil3dEqualsDense) {
-  EXPECT_LT(max_abs_diff(*dft3d_pencil(2, 4, 4), *dense_3d(2, 4, 4)), 1e-10);
+  EXPECT_LT(max_abs_diff(*dft3d_pencil(2, 4, 4), *dense_dft({2, 4, 4})), 1e-10);
 }
 
 TEST(SplAlgorithms, SlabPencil3dEqualsDense) {
-  EXPECT_LT(max_abs_diff(*dft3d_slab_pencil(3, 2, 4), *dense_3d(3, 2, 4)),
+  EXPECT_LT(max_abs_diff(*dft3d_slab_pencil(3, 2, 4), *dense_dft({3, 2, 4})),
             1e-10);
 }
 
@@ -93,22 +129,56 @@ TEST(SplAlgorithms, BlockedRotationWithMuOneIsElementRotation) {
             1e-15);
 }
 
-// The paper's adopted decomposition (§III-A) equals the dense 3D DFT and
-// ends in natural order — for several shapes and packet sizes.
+// The paper's adopted decomposition (§III-A), as the 3D plan runs it,
+// equals the dense 3D DFT and ends in natural order — for several shapes
+// (non-powers of two too) and packet sizes.
 TEST(SplAlgorithms, Rotated3dEqualsDense) {
   struct Case {
     idx_t k, n, m, mu;
   };
   for (const Case& c : {Case{2, 2, 4, 2}, Case{2, 4, 4, 4}, Case{4, 2, 8, 4},
-                        Case{3, 2, 4, 2}, Case{2, 3, 6, 2}}) {
-    auto got = dft3d_rotated(c.k, c.n, c.m, c.mu);
-    EXPECT_LT(max_abs_diff(*got, *dense_3d(c.k, c.n, c.m)), 1e-10)
-        << c.k << "x" << c.n << "x" << c.m << " mu=" << c.mu;
+                        Case{3, 2, 4, 2}, Case{2, 3, 6, 2}, Case{3, 5, 6, 3}}) {
+    expect_plan_term_is_dft(plan_with_packet({c.k, c.n, c.m}, c.mu));
   }
 }
 
+// The 2D chain at the packet the plan picks itself.
 TEST(SplAlgorithms, Rotated2dViaBlockedFormulaEqualsDense) {
-  EXPECT_LT(max_abs_diff(*dft2d_blocked(4, 8, 4), *dense_2d(4, 8)), 1e-10);
+  for (const std::vector<idx_t>& dims :
+       {std::vector<idx_t>{4, 8}, {8, 16}, {6, 4}, {5, 6}}) {
+    expect_plan_term_is_dft(plan_with_packet(dims, 0));
+  }
+}
+
+// Every plan the tuner grid can hand an engine that executes the
+// StagePlan (double-buffer; stage-parallel in 2D/3D) has a verify-clean
+// term equal to the dense DFT. The schedule knobs (split, block, NT, ISA)
+// leave the term unchanged, so each distinct term is densified once.
+TEST(SplAlgorithms, PlanTermsOfTheTunerGridEqualDense) {
+  const std::vector<std::vector<idx_t>> shapes = {
+      {64}, {192}, {256}, {17},  // four-step, 3 * 2^6, Flat (prime)
+      {8, 16}, {16, 16}, {6, 4},
+      {4, 4, 8}, {8, 8, 8}, {4, 8, 16}, {2, 8, 8}, {2, 3, 6}};
+  for (const auto& dims : shapes) {
+    std::set<std::string> seen;
+    for (int threads : {1, 4}) {
+      FftOptions req;
+      req.engine = EngineKind::Auto;
+      req.threads = threads;
+      for (const auto& c : tune::enumerate_candidates(dims, req)) {
+        const bool runs_plan =
+            c.engine == EngineKind::DoubleBuffer ||
+            (dims.size() > 1 && c.engine == EngineKind::StageParallel);
+        if (!runs_plan) continue;
+        const StagePlan plan =
+            make_stage_plan(dims, tune::apply_candidate(c, req));
+        const ExprPtr term = plan_term(plan);
+        EXPECT_TRUE(verify(*term).ok()) << tune::candidate_label(c);
+        if (seen.insert(term->str()).second) expect_plan_term_is_dft(plan);
+      }
+    }
+    EXPECT_FALSE(seen.empty()) << dims_str(dims);
+  }
 }
 
 // §III-B: the tiled stage-1 sum over W_{b,i} . compute . R_{b,i} equals
@@ -145,7 +215,7 @@ TEST(SplAlgorithms, DualSocketEqualsDense) {
   for (const Case& c : {Case{4, 4, 4, 2, 2}, Case{4, 2, 4, 2, 2},
                         Case{2, 2, 4, 2, 1}, Case{4, 4, 8, 4, 2}}) {
     auto got = dft3d_dual_socket(c.k, c.n, c.m, c.mu, c.sk);
-    EXPECT_LT(max_abs_diff(*got, *dense_3d(c.k, c.n, c.m)), 1e-10)
+    EXPECT_LT(max_abs_diff(*got, *dense_dft({c.k, c.n, c.m})), 1e-10)
         << c.k << "x" << c.n << "x" << c.m << " sk=" << c.sk;
   }
 }

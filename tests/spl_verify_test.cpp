@@ -1,14 +1,13 @@
 // Tests for the SPL static verifier: clean passes over the paper's
-// factorisations, rejection of mismatched ⊗/∘ dimension chains and
-// non-finite diagonals, permutation probing of L/K nodes, and element-
-// count conservation of lowered programs.
+// factorisations and the planned terms, rejection of mismatched ⊗/∘
+// dimension chains and non-finite diagonals, and permutation probing of
+// L/K nodes.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
+#include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
-#include "spl/lower.h"
 #include "spl/verify.h"
 
 namespace bwfft::spl {
@@ -23,9 +22,13 @@ bool has_issue(const VerifyReport& rep, VerifyIssue::Kind kind) {
 
 TEST(SplVerify, PaperFactorisationsAreClean) {
   EXPECT_TRUE(verify(*cooley_tukey(4, 8)).ok());
-  EXPECT_TRUE(verify(*dft1d_four_step(4, 4)).ok());
-  EXPECT_TRUE(verify(*dft2d_blocked(8, 8, 2)).ok());
-  EXPECT_TRUE(verify(*dft3d_rotated(4, 4, 8, 2)).ok());
+  FftOptions four_step;
+  four_step.factor_n1 = 4;
+  EXPECT_TRUE(verify(*plan_term(make_stage_plan({16}, four_step))).ok());
+  FftOptions blocked;
+  blocked.packet_elems = 2;
+  EXPECT_TRUE(verify(*plan_term(make_stage_plan({8, 8}, blocked))).ok());
+  EXPECT_TRUE(verify(*plan_term(make_stage_plan({4, 4, 8}, blocked))).ok());
   EXPECT_TRUE(verify(*dft3d_dual_socket(4, 4, 8, 2, 2)).ok());
   const auto rep = verify(*rotation_k_blocked(3, 4, 8, 2));
   EXPECT_TRUE(rep.ok()) << rep.str();
@@ -92,57 +95,6 @@ TEST(SplVerify, GatherScatterWindowsVerified) {
   EXPECT_THROW(gather(16, 4, 4), Error);   // constructor rejects
   EXPECT_THROW(scatter(16, 4, 4), Error);  // past the end
 }
-
-TEST(SplVerify, LoweredProgramConserves) {
-  const auto term = dft1d_four_step(4, 8);
-  const Program prog = lower(*term);
-  const auto rep = verify(prog);
-  EXPECT_TRUE(rep.ok()) << rep.str();
-  EXPECT_EQ(rep.nodes, prog.ops().size());
-}
-
-TEST(SplVerify, FlagsNonConservativeProgram) {
-  Program prog(32);
-  LowerOp op;
-  op.kind = LowerOp::Kind::BatchTranspose;
-  op.batch = 2;
-  op.rows = 4;
-  op.cols = 2;
-  op.lanes = 1;  // 2*4*2*1 = 16 != 32
-  prog.push(std::move(op));
-  const auto rep = verify(prog);
-  EXPECT_TRUE(has_issue(rep, VerifyIssue::Kind::NotConservative)) << rep.str();
-}
-
-TEST(SplVerify, FlagsScaleLengthMismatchAndNonFinite) {
-  Program prog(8);
-  LowerOp op;
-  op.kind = LowerOp::Kind::Scale;
-  op.diag = cvec(4, cplx(1.0, 0.0));  // wrong length
-  prog.push(std::move(op));
-  EXPECT_TRUE(has_issue(verify(prog), VerifyIssue::Kind::NotConservative));
-
-  Program prog2(4);
-  LowerOp op2;
-  op2.kind = LowerOp::Kind::Scale;
-  op2.diag = cvec(4, cplx(1.0, 0.0));
-  op2.diag[1] = cplx(0.0, std::numeric_limits<double>::infinity());
-  prog2.push(std::move(op2));
-  EXPECT_TRUE(has_issue(verify(prog2), VerifyIssue::Kind::NonFinite));
-}
-
-#ifdef BWFFT_CHECKED
-// In checked builds a malformed hand-assembled program refuses to run.
-TEST(SplVerify, CheckedRunRejectsMalformedProgram) {
-  Program prog(32);
-  LowerOp op;
-  op.kind = LowerOp::Kind::Scale;
-  op.diag = cvec(16, cplx(1.0, 0.0));
-  prog.push(std::move(op));
-  const cvec in(32, cplx(1.0, 0.0));
-  EXPECT_THROW(prog.run(in), Error);
-}
-#endif
 
 TEST(SplVerify, ReportRendersIssues) {
   const auto rep = verify_compose({dft(4), dft(5)});

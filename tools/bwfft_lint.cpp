@@ -10,8 +10,9 @@
 //      role split the grid produces, and cross-checks that the runtime
 //      hazard checker (analysis::audit_schedule) agrees with the
 //      symbolic checker on the same trace;
-//   3. runs the SPL static verifier over the expression trees and
-//      lowered programs of the shape's algorithm variants.
+//   3. runs the SPL static verifier over spl::plan_term of every distinct
+//      StagePlan the grid builds (one per packet mu / four-step n1), so
+//      the formula proven is the one the engines execute.
 //
 // `--inject MODE` seeds one deliberate defect into an otherwise valid
 // model or trace and exits nonzero ONLY IF the static pass catches it
@@ -21,6 +22,7 @@
 //
 // Exit codes: 0 = everything proven clean, 1 = violations (or an inject
 // that was caught — the expected outcome under --inject), 2 = usage.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -35,7 +37,6 @@
 #include "parallel/roles.h"
 #include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
-#include "spl/lower.h"
 #include "spl/verify.h"
 #include "tune/candidates.h"
 
@@ -80,6 +81,31 @@ std::string dims_str(const std::vector<idx_t>& dims) {
 }
 
 // ---------------------------------------------------------------------------
+// Leg 3: the SPL term of each distinct plan the grid sweep builds.
+// ---------------------------------------------------------------------------
+
+void lint_plan_term(const StagePlan& plan, LintTally* tally) {
+  char what[96];
+  if (plan.dims.size() > 1) {
+    std::snprintf(what, sizeof what, "%s mu=%lld", dims_str(plan.dims).c_str(),
+                  static_cast<long long>(plan.mu));
+  } else {
+    std::snprintf(what, sizeof what, "%s n1=%lld n2=%lld",
+                  dims_str(plan.dims).c_str(),
+                  static_cast<long long>(plan.n1),
+                  static_cast<long long>(plan.n2));
+  }
+  const spl::VerifyReport rep = spl::verify(*spl::plan_term(plan));
+  if (!rep.ok()) {
+    std::printf("FAIL  spl plan_term %s\n%s\n", what, rep.str().c_str());
+    tally->violations += static_cast<int>(rep.issues.size());
+    return;
+  }
+  ++tally->spl_verified;
+  std::printf("  ok    spl plan_term %s (%zu nodes)\n", what, rep.nodes);
+}
+
+// ---------------------------------------------------------------------------
 // Leg 1+2: the tuner grid, engine models, and schedule cross-check.
 // ---------------------------------------------------------------------------
 
@@ -91,6 +117,7 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
   const auto grid = tune::enumerate_candidates(dims, req);
 
   std::vector<int> splits_seen;
+  std::vector<std::pair<idx_t, idx_t>> terms_seen;  // (mu, n1)
   for (const auto& c : grid) {
     const FftOptions opts = tune::apply_candidate(c, req);
     analysis::PlanModel model;
@@ -113,6 +140,16 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
         std::printf("  ok    %s (%zu proofs)\n", model.label().c_str(),
                     rep.checks);
       }
+    }
+
+    // SPL leg: the term of every distinct plan (a model was built, so
+    // this engine runs the StagePlan).
+    const StagePlan plan = make_stage_plan(dims, opts);
+    const std::pair<idx_t, idx_t> key{plan.mu, plan.n1};
+    if (std::find(terms_seen.begin(), terms_seen.end(), key) ==
+        terms_seen.end()) {
+      terms_seen.push_back(key);
+      lint_plan_term(plan, tally);
     }
 
     // Schedule leg: one symbolic + runtime agreement pass per distinct
@@ -141,70 +178,6 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
         ++tally->schedules_verified;
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Leg 3: SPL expression trees and lowered programs.
-// ---------------------------------------------------------------------------
-
-void lint_one_term(const char* name, const spl::ExprPtr& term,
-                   const LintOptions& opt, LintTally* tally) {
-  const spl::VerifyReport tr = spl::verify(*term);
-  if (!tr.ok()) {
-    std::printf("FAIL  spl term %s\n%s\n", name, tr.str().c_str());
-    tally->violations += static_cast<int>(tr.issues.size());
-    return;
-  }
-  const spl::Program prog = spl::lower(*term);
-  const spl::VerifyReport pr = spl::verify(prog);
-  if (!pr.ok()) {
-    std::printf("FAIL  spl program %s\n%s\n", name, pr.str().c_str());
-    tally->violations += static_cast<int>(pr.issues.size());
-    return;
-  }
-  ++tally->spl_verified;
-  if (opt.verbose) {
-    std::printf("  ok    spl %s (%zu + %zu nodes)\n", name, tr.nodes,
-                pr.nodes);
-  }
-}
-
-/// Largest packet size in {8,4,2,1} dividing m — what packet resolution
-/// would pick for the blocked variants.
-idx_t pick_mu(idx_t m) {
-  for (idx_t mu : {idx_t{8}, idx_t{4}, idx_t{2}}) {
-    if (m % mu == 0) return mu;
-  }
-  return 1;
-}
-
-void lint_spl(const std::vector<idx_t>& dims, const LintOptions& opt,
-              LintTally* tally) {
-  if (dims.size() == 1) {
-    const auto [n1, n2] = four_step_factors(dims[0], 0);
-    if (n1 > 1) {
-      lint_one_term("dft1d_four_step", spl::dft1d_four_step(n1, n2), opt,
-                    tally);
-    }
-  } else if (dims.size() == 2) {
-    const idx_t n = dims[0], m = dims[1];
-    lint_one_term("dft2d_pencil", spl::dft2d_pencil(n, m), opt, tally);
-    lint_one_term("dft2d_transposed", spl::dft2d_transposed(n, m), opt,
-                  tally);
-    lint_one_term("dft2d_blocked", spl::dft2d_blocked(n, m, pick_mu(m)), opt,
-                  tally);
-  } else {
-    const idx_t k = dims[0], n = dims[1], m = dims[2];
-    const idx_t mu = pick_mu(m);
-    lint_one_term("dft3d_pencil", spl::dft3d_pencil(k, n, m), opt, tally);
-    lint_one_term("dft3d_slab_pencil", spl::dft3d_slab_pencil(k, n, m), opt,
-                  tally);
-    lint_one_term("rotation_k", spl::rotation_k(k, n, m), opt, tally);
-    lint_one_term("rotation_k_blocked",
-                  spl::rotation_k_blocked(k, n, m, mu), opt, tally);
-    lint_one_term("dft3d_rotated", spl::dft3d_rotated(k, n, m, mu), opt,
-                  tally);
   }
 }
 
@@ -360,7 +333,6 @@ int main(int argc, char** argv) {
     std::printf("lint %s (threads=%d)\n", dims_str(dims).c_str(),
                 opt.threads);
     lint_grid(dims, opt, &tally);
-    lint_spl(dims, opt, &tally);
   }
   std::printf(
       "bwfft_lint: %d configurations proven, %d skipped, %d schedule "

@@ -1,10 +1,12 @@
 // bwfft_verify — correctness-tooling CLI.
 //
-//   bwfft_verify spl --dims KxNxM|NxM [--mu MU] [--socket-split SK]
-//       Build the paper's factorisations for the given problem, run the
-//       SPL static verifier over every term, probe the L/K nodes for
-//       permutation-ness, and verify the lowered program of the 1D
-//       four-step term. Exit 0 iff everything is clean.
+//   bwfft_verify spl --dims KxNxM|NxM|N [--mu MU] [--socket-split SK]
+//       Plan the transform (make_stage_plan; --mu pins packet_elems, else
+//       the plan's auto packet), run the SPL static verifier over
+//       spl::plan_term stage by stage and whole, probe each stage's data
+//       movement (K or L) for permutation-ness, and verify the paper's
+//       other 2D/3D factorisations at the same shape. Exit 0 iff
+//       everything is clean.
 //
 //   bwfft_verify pipeline [--threads P] [--compute PC] [--block ELEMS]
 //                         [--iters N]
@@ -28,8 +30,8 @@
 #include "parallel/roles.h"
 #include "parallel/team.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
-#include "spl/lower.h"
 #include "spl/verify.h"
 
 using namespace bwfft;
@@ -40,110 +42,99 @@ constexpr long long kMaxInt = std::numeric_limits<int>::max();
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s spl --dims KxNxM|NxM [--mu MU] [--socket-split SK]\n"
+               "usage: %s spl --dims KxNxM|NxM|N [--mu MU] "
+               "[--socket-split SK]\n"
                "       %s pipeline [--threads P] [--compute PC] "
                "[--block ELEMS] [--iters N]\n",
                argv0, argv0);
   std::exit(2);
 }
 
-int check_term(const char* name, const spl::Expr& term, bool expect_perm) {
+int check_term(const char* name, const spl::Expr& term) {
   const spl::VerifyReport rep = spl::verify(term);
-  int failures = 0;
   if (!rep.ok()) {
     std::printf("  %-22s FAIL\n    %s\n", name, rep.str().c_str());
-    ++failures;
-  } else {
-    std::printf("  %-22s ok (%zu nodes)\n", name, rep.nodes);
+    return 1;
   }
-  if (expect_perm && !spl::is_permutation(term)) {
-    std::printf("  %-22s FAIL: not a permutation\n", name);
-    ++failures;
-  }
-  return failures;
+  std::printf("  %-22s ok (%zu nodes)\n", name, rep.nodes);
+  return 0;
 }
 
-int run_spl(const std::vector<idx_t>& dims, idx_t mu, bool mu_requested,
-            int sk) {
+/// Probe a stage's data movement for permutation-ness: the rotation at
+/// packet level (K (x) I_mu permutes iff K does) or the four-step L.
+/// Compute-only stages (Columns, Flat) have nothing to probe.
+int probe_movement(const char* name, const StagePlan& plan,
+                   const PlannedStage& s, int* skipped) {
+  spl::ExprPtr move;
+  if (s.kind == StageKind::Rotated) {
+    move = spl::rotation_k(s.geom.a, s.geom.b, s.geom.cp());
+  } else if (s.kind == StageKind::Rows) {
+    move = spl::stride_perm(plan.total, plan.n2);
+  } else {
+    return 0;
+  }
+  constexpr idx_t kProbeLimit = idx_t{1} << 22;
+  if (move->rows() > kProbeLimit) {
+    std::printf("  %-22s probe skipped (%lld elements)\n", name,
+                static_cast<long long>(move->rows()));
+    ++*skipped;
+    return 0;
+  }
+  if (!spl::is_permutation(*move, kProbeLimit)) {
+    std::printf("  %-22s FAIL: %s is not a permutation\n", name,
+                move->str().c_str());
+    return 1;
+  }
+  return 0;
+}
+
+int run_spl(const std::vector<idx_t>& dims, idx_t mu, int sk) {
   int failures = 0;
   int skipped = 0;
   std::printf("spl verify:\n");
-  // An inapplicable packet size used to skip the blocked variants
-  // SILENTLY, so `--mu 3` on an odd row length reported CLEAN and exit 0
-  // without verifying anything the caller asked for. Now every skip
-  // prints, and a skip of an explicitly requested --mu is a failure.
-  const bool mu_ok = mu >= 1 && dims.back() % mu == 0;
-  if (!mu_ok && mu_requested) {
-    std::printf("  %-22s FAIL: requested --mu %lld does not divide m=%lld\n",
-                "packet size", static_cast<long long>(mu),
-                static_cast<long long>(dims.back()));
-    ++failures;
+  // A --mu the plan cannot use (it does not divide the fast dimension,
+  // or in 1D the four-step row length) is a failure, never a skip.
+  FftOptions opts;
+  opts.packet_elems = mu;
+  StagePlan plan;
+  try {
+    plan = make_stage_plan(dims, opts);
+  } catch (const Error& e) {
+    std::printf("  %-22s FAIL: %s\n", "stage plan", e.what());
+    std::printf("spl verify: VIOLATIONS (0 skipped, 1 failures)\n");
+    return 1;
   }
+  if (dims.size() > 1) {
+    std::printf("  plan mu=%lld\n", static_cast<long long>(plan.mu));
+  } else {
+    std::printf("  plan n1=%lld n2=%lld\n", static_cast<long long>(plan.n1),
+                static_cast<long long>(plan.n2));
+  }
+  for (std::size_t k = 0; k < plan.stages.size(); ++k) {
+    const char* name = plan.stages[k].name;
+    failures += check_term(name, *spl::stage_term(plan, k));
+    failures += probe_movement(name, plan, plan.stages[k], &skipped);
+  }
+  failures += check_term("plan_term", *spl::plan_term(plan));
+
   if (dims.size() == 2) {
     const idx_t n = dims[0], m = dims[1];
-    failures += check_term("dft2d_pencil", *spl::dft2d_pencil(n, m), false);
-    failures +=
-        check_term("dft2d_transposed", *spl::dft2d_transposed(n, m), false);
-    if (mu_ok) {
-      failures +=
-          check_term("dft2d_blocked", *spl::dft2d_blocked(n, m, mu), false);
-    } else {
-      std::printf("  %-22s skipped (mu=%lld does not divide m=%lld)\n",
-                  "dft2d_blocked", (long long)mu, (long long)m);
+    failures += check_term("dft2d_pencil", *spl::dft2d_pencil(n, m));
+    failures += check_term("dft2d_transposed", *spl::dft2d_transposed(n, m));
+  } else if (dims.size() == 3) {
+    const idx_t k = dims[0], n = dims[1], m = dims[2];
+    failures += check_term("dft3d_pencil", *spl::dft3d_pencil(k, n, m));
+    if (sk > 1 && k % sk == 0 && n % sk == 0) {
+      failures += check_term(
+          "dft3d_dual_socket",
+          *spl::dft3d_dual_socket(k, n, m, plan.mu, sk));
+    } else if (sk > 1) {
+      std::printf("  %-22s skipped (socket split %lld does not divide "
+                  "k=%lld and n=%lld)\n",
+                  "dft3d_dual_socket", (long long)sk, (long long)k,
+                  (long long)n);
       ++skipped;
     }
-    failures += check_term("L (stride perm)", *spl::stride_perm(n * m, m), true);
-  } else {
-    const idx_t k = dims[0], n = dims[1], m = dims[2];
-    failures += check_term("dft3d_pencil", *spl::dft3d_pencil(k, n, m), false);
-    if (mu_ok) {
-      failures +=
-          check_term("dft3d_rotated", *spl::dft3d_rotated(k, n, m, mu), false);
-      failures += check_term("rotation_k_blocked",
-                             *spl::rotation_k_blocked(k, n, m, mu), true);
-      if (sk > 1 && k % sk == 0) {
-        failures += check_term("dft3d_dual_socket",
-                               *spl::dft3d_dual_socket(k, n, m, mu, sk), false);
-      } else if (sk > 1) {
-        std::printf("  %-22s skipped (socket split %lld does not divide k=%lld)\n",
-                    "dft3d_dual_socket", (long long)sk, (long long)k);
-        ++skipped;
-      }
-    } else {
-      std::printf("  %-22s skipped (mu=%lld does not divide m=%lld)\n",
-                  "dft3d_rotated/blocked", (long long)mu, (long long)m);
-      skipped += 2;
-      if (sk > 1) {
-        std::printf("  %-22s skipped (needs a valid mu)\n",
-                    "dft3d_dual_socket");
-        ++skipped;
-      }
-    }
-    failures += check_term("rotation_k", *spl::rotation_k(k, n, m), true);
-  }
-
-  // Lowered-plan conservation on the four-step 1D term of the total size.
-  idx_t total = 1;
-  for (idx_t d : dims) total *= d;
-  idx_t a = 1;
-  while (a * a < total) a *= 2;
-  if (total % a == 0) {
-    const auto term = spl::dft1d_four_step(a, total / a);
-    const spl::Program prog = spl::lower(*term);
-    const spl::VerifyReport rep = spl::verify(prog);
-    if (!rep.ok()) {
-      std::printf("  %-22s FAIL\n    %s\n", "lowered four-step", rep.str().c_str());
-      ++failures;
-    } else {
-      std::printf("  %-22s ok (%zu ops conserve %lld elements)\n",
-                  "lowered four-step", prog.ops().size(),
-                  static_cast<long long>(total));
-    }
-  } else {
-    std::printf("  %-22s skipped (%lld is not split by a=%lld)\n",
-                "lowered four-step", static_cast<long long>(total),
-                static_cast<long long>(a));
-    ++skipped;
   }
   std::printf("spl verify: %s (%d skipped, %d failures)\n",
               failures == 0 ? "CLEAN" : "VIOLATIONS", skipped, failures);
@@ -207,8 +198,7 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   std::vector<idx_t> dims;
-  idx_t mu = 2, block = 4096, iters = 16;
-  bool mu_requested = false;
+  idx_t mu = 0, block = 4096, iters = 16;  // mu 0: the plan's auto packet
   int threads = 0, compute = -1, sk = 2;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -236,7 +226,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--mu") {
       mu = next_int(1);
-      mu_requested = true;
     } else if (arg == "--socket-split") {
       sk = static_cast<int>(next_int(1));
     } else if (arg == "--threads") {
@@ -255,8 +244,7 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "spl") {
       if (dims.empty()) dims = {8, 8, 8};
-      if (dims.size() != 2 && dims.size() != 3) usage(argv[0]);
-      return run_spl(dims, mu, mu_requested, sk);
+      return run_spl(dims, mu, sk);
     }
     if (cmd == "pipeline") {
       return run_pipeline(threads, compute, block, iters);
