@@ -2,7 +2,8 @@
 //
 // Two questions from §III-C:
 //  (a) what does overlapping Load/Store with Compute buy, versus running
-//      the same tiled stages in lockstep (load -> compute -> store)?
+//      the same tiled stages under the Private schedule (every thread
+//      loads, transforms and stores its own slice, no overlap)?
 //  (b) how does the p_c/p_d split affect performance for p total threads?
 //
 // On a single hardware thread the overlap cannot buy wall time (the roles
@@ -33,7 +34,7 @@ int main() {
   std::printf("Ablation: overlap & thread roles, %lld^3, host has %d cpus\n\n",
               static_cast<long long>(m), cpus);
 
-  Table table({"threads", "p_c/p_d", "pipelined GF/s", "lockstep GF/s",
+  Table table({"threads", "p_c/p_d", "pipelined GF/s", "private GF/s",
                "overlap gain"});
 
   const int totals[] = {1, 2, 4, 8};

@@ -24,6 +24,8 @@ const char* kind_name(VKind k) {
     case VKind::DuplicateTask: return "duplicate-task";
     case VKind::PartitionOverlap: return "partition-overlap";
     case VKind::PartitionGap: return "partition-gap";
+    case VKind::ProgramOrder: return "program-order";
+    case VKind::SliceMismatch: return "slice-mismatch";
   }
   return "?";
 }
@@ -146,7 +148,7 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
       in_window = ev.step >= 0 && ev.step < iterations;
       if (!in_window || ev.step != ev.iter) {
         add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
-            "sequential schedule runs every task of iteration i at step i");
+            "private schedule runs every task of iteration i at step i");
       }
     }
     // All tasks of iteration i touch half i mod 2 — for compute that is
@@ -207,12 +209,50 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
               " times in one step");
     }
   };
+  // Private program order: per thread, the first trace index of each
+  // (kind, iteration); L(i) -> C(i) -> S(i) -> L(i+2) must be increasing.
+  std::vector<std::vector<long>> first;  // [tid][iter * 3 + kind]
+  if (!table2) {
+    first.assign(static_cast<std::size_t>(roles.total),
+                 std::vector<long>(static_cast<std::size_t>(iterations) * 3,
+                                   -1));
+    for (std::size_t idx = 0; idx < trace.size(); ++idx) {
+      const auto& ev = trace[idx];
+      if (ev.tid < 0 || ev.tid >= roles.total || ev.iter < 0 ||
+          ev.iter >= iterations) {
+        continue;
+      }
+      long& slot = first[static_cast<std::size_t>(ev.tid)]
+                        [static_cast<std::size_t>(ev.iter) * 3 +
+                         static_cast<std::size_t>(ev.kind)];
+      if (slot < 0) slot = static_cast<long>(idx);
+    }
+  }
+  auto check_order = [&](int tid, idx_t i, Kind a, idx_t j, Kind b) {
+    const auto& f = first[static_cast<std::size_t>(tid)];
+    const long pa = f[static_cast<std::size_t>(i) * 3 +
+                      static_cast<std::size_t>(a)];
+    const long pb = f[static_cast<std::size_t>(j) * 3 +
+                      static_cast<std::size_t>(b)];
+    if (pa >= 0 && pb >= 0 && pb < pa) {
+      add(VKind::ProgramOrder, j, j, static_cast<int>(j % 2), tid,
+          std::string(task_name(b)) + "(" + std::to_string(j) +
+              ") ran before " + task_name(a) + "(" + std::to_string(i) +
+              ") on half " + std::to_string(j % 2));
+    }
+  };
+
   for (int tid = 0; tid < roles.total; ++tid) {
     if (!table2) {
       for (idx_t s = 0; s < iterations; ++s) {
         scan_slot(tid, s, Kind::Load);
         scan_slot(tid, s, Kind::Compute);
         scan_slot(tid, s, Kind::Store);
+        check_order(tid, s, Kind::Load, s, Kind::Compute);
+        check_order(tid, s, Kind::Compute, s, Kind::Store);
+        if (s + 2 < iterations) {
+          check_order(tid, s, Kind::Store, s + 2, Kind::Load);
+        }
       }
       continue;
     }
@@ -301,6 +341,34 @@ void audit_partition(const PartitionMap& map, bool require_cover,
   }
 }
 
+void audit_slices(const PartitionMap& load, const PartitionMap& compute,
+                  HazardReport& out) {
+  BWFFT_CHECK(load.block_elems == compute.block_elems &&
+                  load.parts == compute.parts,
+              "slice audit needs maps probed over the same block and parts");
+  const auto differs = [&](idx_t e) {
+    const auto i = static_cast<std::size_t>(e);
+    return load.writers[i] != compute.writers[i];
+  };
+  idx_t e = 0;
+  while (e < load.block_elems) {
+    if (!differs(e)) {
+      ++e;
+      continue;
+    }
+    idx_t end = e + 1;
+    while (end < load.block_elems && differs(end)) ++end;
+    std::ostringstream os;
+    os << "elements [" << e << ", " << end << ") of block " << load.block_elems
+       << " (" << load.parts
+       << " partitions): loaded by a different rank than the one that "
+          "transforms them";
+    out.violations.push_back(
+        {HazardViolation::Kind::SliceMismatch, -1, -1, -1, -1, os.str()});
+    e = end;
+  }
+}
+
 HazardChecker::HazardChecker(DoubleBufferPipeline& pipe)
     : HazardChecker(pipe, Options()) {}
 
@@ -322,15 +390,19 @@ HazardReport HazardChecker::check(const PipelineStage& stage) {
   if (opts_.probe_partitions) {
     const RolePlan& roles = pipe_.roles();
     const int data_parts = roles.data > 0 ? roles.data : roles.compute;
+    PartitionMap load, compute;
     if (stage.load) {
-      audit_partition(probe_partition(stage.load, opts_.probe_iter,
-                                      pipe_.block_elems(), data_parts),
-                      opts_.require_cover, "load", rep);
+      load = probe_partition(stage.load, opts_.probe_iter,
+                             pipe_.block_elems(), data_parts);
+      audit_partition(load, opts_.require_cover, "load", rep);
     }
     if (stage.compute) {
-      audit_partition(probe_partition(stage.compute, opts_.probe_iter,
-                                      pipe_.block_elems(), roles.compute),
-                      opts_.require_cover, "compute", rep);
+      compute = probe_partition(stage.compute, opts_.probe_iter,
+                                pipe_.block_elems(), roles.compute);
+      audit_partition(compute, opts_.require_cover, "compute", rep);
+    }
+    if (roles.data == 0 && stage.load && stage.compute) {
+      audit_slices(load, compute, rep);
     }
   }
   return rep;

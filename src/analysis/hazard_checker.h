@@ -19,11 +19,19 @@
 //         [2, iters+2); every compute thread exactly one compute per step
 //         in [1, iters]; nothing else.
 //
+//   With no data threads the Private schedule is expected instead: every
+//   thread runs load, compute and store of iteration i at step i on half
+//   i mod 2, exactly once each, in the per-thread program order
+//   L(i) -> C(i) -> S(i) -> L(i+2) on each half. Threads are not ordered
+//   against each other.
+//
 //   Partitioning (from a shadow access map): the (rank, parts) partitions
 //     of a task are pairwise disjoint and, together, cover the whole block.
 //     Each rank's write-set is discovered by probing the task callback
 //     sequentially against a sentinel-poisoned buffer, so no cooperation
-//     from the stage implementation is needed.
+//     from the stage implementation is needed. Under Private each rank's
+//     load write-set must also equal its compute write-set: a thread only
+//     ever transforms the slice it loaded itself.
 //
 // Violations carry (step, iteration, half, thread) context and render into
 // a human-readable report; HazardChecker::run_checked turns a dirty report
@@ -53,6 +61,8 @@ struct HazardViolation {
     DuplicateTask,     ///< schedule slot executed more than once
     PartitionOverlap,  ///< two ranks wrote the same block element
     PartitionGap,      ///< no rank wrote a block element
+    ProgramOrder,      ///< Private: a thread ran L/C/S of a half out of order
+    SliceMismatch,     ///< Private: a rank loads a slice it does not compute
   };
 
   Kind kind;
@@ -77,8 +87,8 @@ struct HazardReport {
 
 /// Validate the schedule invariants S1–S5 against a recorded trace.
 /// With data threads in the role plan the Table II overlap schedule is
-/// expected; with roles.data == 0 the degraded sequential schedule
-/// (load/compute/store per step, all threads) is expected instead.
+/// expected; with roles.data == 0 the Private schedule is expected
+/// instead.
 HazardReport audit_schedule(const Trace& trace, idx_t iterations,
                             const RolePlan& roles);
 
@@ -106,8 +116,15 @@ PartitionMap probe_partition(
 void audit_partition(const PartitionMap& map, bool require_cover,
                      const std::string& task_name, HazardReport& out);
 
+/// Append a SliceMismatch violation for every run of block elements whose
+/// load writer differs from its compute writer (the Private schedule's
+/// slice-ownership rule; both maps must be probed with the same parts).
+void audit_slices(const PartitionMap& load, const PartitionMap& compute,
+                  HazardReport& out);
+
 /// Convenience wrapper: executes stages on a pipeline with tracing on and
-/// audits both the schedule and the load/compute partitions afterwards.
+/// audits both the schedule and the load/compute partitions afterwards
+/// (under Private also their slice ownership).
 class HazardChecker {
  public:
   struct Options {

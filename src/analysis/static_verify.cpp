@@ -20,6 +20,7 @@ const char* issue_kind_name(StaticIssue::Kind k) {
     case StaticIssue::Kind::NotConservative: return "not-conservative";
     case StaticIssue::Kind::MissingFence: return "missing-fence";
     case StaticIssue::Kind::EpochAlias: return "epoch-alias";
+    case StaticIssue::Kind::SliceOwnership: return "slice-ownership";
     case StaticIssue::Kind::BadModel: return "bad-model";
   }
   return "?";
@@ -66,6 +67,12 @@ bool windows_overlap(const StridedInterval& a, const StridedInterval& b) {
   return false;
 }
 
+/// True when two strided windows denote the same elements run for run.
+bool same_window(const StridedInterval& a, const StridedInterval& b) {
+  return a.begin == b.begin && a.width == b.width && a.count == b.count &&
+         (a.count <= 1 || a.stride == b.stride);
+}
+
 /// Read and write windows of rows [row, row + nrows) of stage `s` (a row
 /// is the stage's tiling unit, see PlannedStage).
 void add_row_windows(const StagePlan& plan, const PlannedStage& s, idx_t row,
@@ -107,7 +114,7 @@ void add_row_windows(const StagePlan& plan, const PlannedStage& s, idx_t row,
 }
 
 StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
-                       int parts, bool pipelined) {
+                       int parts, bool pipelined, bool buffered) {
   StageModel st;
   st.name = s.name;
   st.in_elems = plan.total;
@@ -125,7 +132,7 @@ StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
       if (r1 <= r0) continue;
       add_row_windows(plan, s, i * s.rows_per_block + r0, r1 - r0,
                       static_cast<int>(i) * parts + d, &st);
-      if (pipelined && i == 0) {
+      if (buffered && i == 0) {
         // Per-rank buffer windows are iteration-independent (the chunk
         // depends only on rank), so one iteration's worth describes all.
         const StridedInterval buf = StridedInterval::contiguous(
@@ -139,17 +146,17 @@ StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
 }
 
 void build_double_buffer(const StagePlan& plan, PlanModel* out) {
-  // The Table II schedule gives load/store to the data group; with no
-  // data threads the sequential schedule partitions over the compute
-  // group (make_stage_plan guarantees p >= 1, so one of them is nonempty).
-  const bool pipelined = plan.data_threads > 0;
+  // The Table II schedule gives load/store to the data group; the Private
+  // schedule partitions every task over the whole team (make_stage_plan
+  // guarantees p >= 1, so one of them is nonempty).
+  const bool pipelined = plan.schedule() == Schedule::Split;
   const int parts = pipelined ? plan.data_threads : plan.compute_threads;
   out->engine = engine_label(EngineKind::DoubleBuffer);
   out->threads = plan.threads;
   out->compute_threads = plan.compute_threads;
   out->data_threads = plan.data_threads;
   for (const PlannedStage& s : plan.stages) {
-    out->stages.push_back(stage_model(plan, s, parts, pipelined));
+    out->stages.push_back(stage_model(plan, s, parts, pipelined, true));
   }
 }
 
@@ -164,7 +171,7 @@ void build_stage_parallel(const StagePlan& plan, PlanModel* out) {
     s.rows_per_block = s.rows;
     s.iterations = 1;
     s.nontemporal = false;
-    out->stages.push_back(stage_model(plan, s, plan.threads, false));
+    out->stages.push_back(stage_model(plan, s, plan.threads, false, false));
   }
 }
 
@@ -436,21 +443,37 @@ StaticReport verify_plan(const PlanModel& model) {
 
     // (3) Buffer epoch aliasing: in the Table II schedule Store(i-2) and
     // Load(i) run concurrently on DIFFERENT data threads with no
-    // ordering until the step barrier, so a Load window may only alias
-    // the SAME rank's Store window (program order serialises those two).
+    // ordering until the step barrier, and under Private the ranks are not
+    // ordered at all within a stage, so a Load window may only alias the
+    // SAME rank's Store window (program order serialises those two).
     ++rep.checks;
-    if (st.pipelined) {
-      for (const OwnedWindow& ld : st.buf_loads) {
-        for (const OwnedWindow& sw : st.buf_stores) {
-          if (ld.owner == sw.owner) continue;
-          if (windows_overlap(ld.iv, sw.iv)) {
-            std::ostringstream os;
-            os << "Load window of rank " << ld.owner << " " << ld.iv.str()
-               << " aliases the pending Store window of rank " << sw.owner
-               << " " << sw.iv.str() << " in the shared buffer";
-            add_issue(rep, StaticIssue::Kind::EpochAlias, st.name, os.str());
-          }
+    for (const OwnedWindow& ld : st.buf_loads) {
+      for (const OwnedWindow& sw : st.buf_stores) {
+        if (ld.owner == sw.owner) continue;
+        if (windows_overlap(ld.iv, sw.iv)) {
+          std::ostringstream os;
+          os << "Load window of rank " << ld.owner << " " << ld.iv.str()
+             << " aliases the pending Store window of rank " << sw.owner
+             << " " << sw.iv.str() << " in the shared buffer";
+          add_issue(rep, StaticIssue::Kind::EpochAlias, st.name, os.str());
         }
+      }
+    }
+
+    // (3b) Slice ownership: each rank stores exactly the buffer window it
+    // loaded. Under Private that slice is also the one the rank
+    // transforms, so no thread reads another's handoff.
+    ++rep.checks;
+    for (const OwnedWindow& ld : st.buf_loads) {
+      bool owned = false;
+      for (const OwnedWindow& sw : st.buf_stores) {
+        owned = owned || (sw.owner == ld.owner && same_window(sw.iv, ld.iv));
+      }
+      if (!owned) {
+        std::ostringstream os;
+        os << "rank " << ld.owner << " loads buffer window " << ld.iv.str()
+           << " but does not store it back";
+        add_issue(rep, StaticIssue::Kind::SliceOwnership, st.name, os.str());
       }
     }
   }
@@ -461,17 +484,13 @@ Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
   using Kind = DoubleBufferPipeline::TraceEvent::Kind;
   Trace t;
   if (roles.data == 0) {
-    // Degraded sequential schedule: barriers separate the three phases
-    // of each iteration, so any correct trace is phase-major.
-    for (idx_t i = 0; i < iterations; ++i) {
-      const int h = static_cast<int>(i % 2);
-      for (int tid = 0; tid < roles.total; ++tid) {
+    // Private schedule: no barrier orders the threads within a stage, so
+    // the trace is thread-major, each thread's tasks in program order.
+    for (int tid = 0; tid < roles.total; ++tid) {
+      for (idx_t i = 0; i < iterations; ++i) {
+        const int h = static_cast<int>(i % 2);
         t.push_back({i, Kind::Load, i, h, tid});
-      }
-      for (int tid = 0; tid < roles.total; ++tid) {
         t.push_back({i, Kind::Compute, i, h, tid});
-      }
-      for (int tid = 0; tid < roles.total; ++tid) {
         t.push_back({i, Kind::Store, i, h, tid});
       }
     }
@@ -526,6 +545,12 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
                              static_cast<std::size_t>(iterations),
                          0);
 
+  // Private schedule: a thread's tasks must arrive in the recurrence's
+  // program order L(i) -> C(i) -> S(i) -> L(i+2) per half. pos[slot] is
+  // the event's rank in its thread's own sequence.
+  std::vector<long> pos(seen.size(), -1);
+  std::vector<long> thread_events(static_cast<std::size_t>(roles.total), 0);
+
   // Per-(tid, step) flag for the S4 ordering rule in the Table II
   // schedule: Load(step) recorded before Store(step-2) on the same
   // thread means the half was refilled before it was retired.
@@ -577,6 +602,7 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
       continue;
     }
     seen[idx] = 1;
+    pos[idx] = thread_events[static_cast<std::size_t>(ev.tid)]++;
 
     if (ev.step != want_step) {
       violation(HazardViolation::Kind::WrongStep, ev,
@@ -598,6 +624,28 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
       } else if (load_seen_at_step[ts]) {
         violation(HazardViolation::Kind::StoreLoadOrder, ev,
                   "Store(i-2) recorded after Load(i) in the same step");
+      }
+    }
+  }
+
+  if (!table2) {
+    for (int tid = 0; tid < roles.total; ++tid) {
+      for (idx_t i = 0; i < iterations; ++i) {
+        const long l = pos[slot_index(Kind::Load, tid, i)];
+        const long c = pos[slot_index(Kind::Compute, tid, i)];
+        const long st = pos[slot_index(Kind::Store, tid, i)];
+        const long next =
+            i + 2 < iterations ? pos[slot_index(Kind::Load, tid, i + 2)] : -1;
+        const bool ordered = !(l >= 0 && c >= 0 && c < l) &&
+                             !(c >= 0 && st >= 0 && st < c) &&
+                             !(st >= 0 && next >= 0 && next < st);
+        if (!ordered) {
+          rep.violations.push_back(
+              {HazardViolation::Kind::ProgramOrder, i, i,
+               static_cast<int>(i % 2), tid,
+               "expected L(i) -> C(i) -> S(i) -> L(i+2) on half " +
+                   std::to_string(i % 2)});
+        }
       }
     }
   }

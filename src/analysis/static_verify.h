@@ -18,16 +18,19 @@
 //   2. every non-temporal store region reaches a stream_fence() on the
 //      storing thread before the barrier that publishes it to readers;
 //   3. buffer lifetimes across double-buffer epochs never alias live
-//      reads: the Load(i) buffer window of one data rank never overlaps
-//      the Store(i-2) window of ANOTHER rank in the same step (the same
-//      rank serialises the two by program order — Table II's S4);
+//      reads: the Load(i) buffer window of one rank never overlaps the
+//      pending Store window of ANOTHER rank (the same rank serialises the
+//      two by program order — Table II's S4), and each rank stores back
+//      exactly the window it loaded — under the Private schedule the
+//      slice it also transforms;
 //   4. element counts are conserved stage to stage.
 //
 // The schedule itself is verified symbolically as well: the Table II
 // recurrences (load(i)@step i, compute(i-1)@step i, store(i-2)@step i,
-// halves alternating) generate the one trace a correct execution can
-// record, and verify_schedule_symbolic() diffs any trace against that
-// expectation. make_table2_trace() emits the expected trace, which is how
+// halves alternating) generate the one trace a correct Split execution
+// can record, the Private recurrences (every task of block i at step i,
+// per-thread program order, no cross-thread order) the Private one, and
+// verify_schedule_symbolic() diffs any trace against that expectation. make_table2_trace() emits the expected trace, which is how
 // the symbolic and runtime checkers are cross-checked on identical input
 // (tests/static_runtime_crosscheck_test.cpp) and how tools/bwfft_lint
 // sweeps the tuner's whole candidate grid in milliseconds.
@@ -58,11 +61,12 @@ struct StageModel {
   bool fence_before_publish = false;  ///< stream_fence precedes the
                                       ///< barrier that publishes stores
   bool pipelined = false;   ///< driven by the Table II overlap schedule
+                            ///< (Split); false under Private
 
   std::vector<OwnedWindow> loads;   ///< read-set over the input array
   std::vector<OwnedWindow> stores;  ///< write-set over the output array
 
-  /// Buffer-half windows (double-buffered stages only), one per data
+  /// Buffer-half windows (double-buffered stages only), one per loading
   /// rank, owner = rank: what Load writes and what Store reads of one
   /// block. Empty for stages that do not stream through a shared buffer.
   std::vector<OwnedWindow> buf_loads;
@@ -92,6 +96,7 @@ struct StaticIssue {
     MissingFence,      ///< NT stores published by a barrier with no fence
     EpochAlias,        ///< a Load window aliases another rank's pending
                        ///< Store window in the shared buffer
+    SliceOwnership,    ///< a rank loads a buffer window it does not store
     BadModel,          ///< the configuration cannot be modelled
   };
 
@@ -127,14 +132,15 @@ bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
 StaticReport verify_plan(const PlanModel& model);
 
 /// The trace a correct execution of the Table II schedule (or, with
-/// roles.data == 0, the degraded sequential schedule) must record for
-/// `iterations` blocks. Event order matches per-thread program order.
+/// roles.data == 0, the Private schedule) must record for `iterations`
+/// blocks. Event order matches per-thread program order.
 Trace make_table2_trace(idx_t iterations, const RolePlan& roles);
 
 /// Verify a trace against the schedule recurrences, independently of
 /// audit_schedule(): every event must sit in its unique expected
 /// (step, half, tid) slot, every slot must be filled exactly once, and
-/// each data thread must retire Store(i-2) before Load(i) within a step.
+/// each data thread must retire Store(i-2) before Load(i) within a step
+/// (under Private: each thread runs L(i) -> C(i) -> S(i) -> L(i+2)).
 /// Returns the same HazardReport shape as the runtime checker so the two
 /// can be diffed directly.
 HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,

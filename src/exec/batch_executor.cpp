@@ -8,6 +8,7 @@
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "parallel/roles.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft::exec {
 
@@ -122,14 +123,16 @@ BatchExecutor::BatchExecutor(ServeOptions opts)
   threads_ = resolved_threads(budget);
 
   // Pre-spawn the persistent team the default engine will ask for: the
-  // double-buffer role plan's pin list for this thread budget. Plans with
-  // other pin shapes (unpinned engines, degraded budgets) pool their own
-  // teams on first use; this one is the steady-state workhorse.
-  const RolePlan roles =
+  // double-buffer role plan's pin list for this thread budget, at the
+  // plan rule's 2D/3D split. Plans with other pin shapes (1D plans,
+  // unpinned engines, degraded budgets) pool their own teams on first
+  // use; this one is the steady-state workhorse.
+  const RolePlan roles = make_role_plan(
+      threads_,
       opts_.plan.compute_threads >= 0
-          ? make_role_plan(threads_, opts_.plan.compute_threads,
-                           opts_.plan.topo)
-          : make_even_role_plan(threads_, opts_.plan.topo);
+          ? opts_.plan.compute_threads
+          : default_compute_threads(threads_, /*rank=*/3),
+      opts_.plan.topo);
   team_cpus_ = opts_.pin_threads ? roles.cpu : std::vector<int>{};
   team_ = parallel::TeamPool::global().acquire(threads_, team_cpus_);
 

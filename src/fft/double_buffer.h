@@ -7,7 +7,9 @@
 // block back with non-temporal stores (W_{b,i}), while the compute threads
 // run the batch 1D FFT kernel in place on the other half. Data makes
 // exactly one round-trip through DRAM per stage; all strided traffic is
-// hidden behind compute.
+// hidden behind compute. That is the Split schedule; 2D/3D plans default
+// to the Private one, where every thread loads, transforms and stores its
+// own slice of each block (pipeline/pipeline.h).
 //
 // Stage kinds (pipeline/stage_plan.h): Rotated stages scatter each block
 // through the blocked rotation (2D/3D). A 1D plan is the four-step rewrite
@@ -50,8 +52,8 @@ class DoubleBufferEngine final : public MdEngine {
   void execute(cplx* in, cplx* out) override;
   const char* name() const override { return "double-buffer"; }
 
-  /// Run with the Table II overlap disabled (load/compute/store in
-  /// lockstep) — the pipelining-ablation benchmark uses this.
+  /// Run every stage under the Private schedule whatever the plan's split
+  /// (no Table II overlap) — the pipelining-ablation benchmark uses this.
   void execute_unpipelined(cplx* in, cplx* out);
 
   const RolePlan& roles() const { return roles_; }

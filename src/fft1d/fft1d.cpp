@@ -122,21 +122,22 @@ void Fft1d::gathered_batch(cplx* data, idx_t count,
   // I_count (x) DFT_n at full SIMD width (the short-vector rewrite
   // I_G (x) DFT_n = L^{nG}_n (DFT_n (x) I_G) L^{nG}_G): G consecutive
   // pencils are gathered into an n x G tile, transformed at lanes = G and
-  // scattered back. A remainder of two or more pencils is gathered at its
-  // own width; a single leftover pencil takes the per-pencil path.
+  // scattered back. A remainder of w < G pencils is gathered into the
+  // same tile with its unused lanes zeroed, so every pencil runs the same
+  // full-width arithmetic and the output does not depend on where a
+  // thread partition cuts the batch.
   const idx_t g = bt.width;
   cplx* tile = thread_scratch(static_cast<std::size_t>(2 * n_ * g));
   cplx* scratch = tile + n_ * g;
   for (idx_t t = 0; t < count; t += g) {
     cplx* pencils = data + t * n_;
     const idx_t w = std::min(g, count - t);
-    if (w == 1) {
-      stockham_tile(pencils, scratch, 1, bt);
-      break;
+    for (idx_t r = 0; w < g && r < n_; ++r) {
+      std::fill(tile + r * g + w, tile + (r + 1) * g, cplx{});
     }
-    bt.transpose(pencils, n_, tile, w, w, n_);  // L^{nw}_w
-    stockham_tile(tile, scratch, w, bt);
-    bt.transpose(tile, w, pencils, n_, n_, w);  // L^{nw}_n
+    bt.transpose(pencils, n_, tile, g, w, n_);  // L^{nw}_w
+    stockham_tile(tile, scratch, g, bt);
+    bt.transpose(tile, g, pencils, n_, n_, w);  // L^{nw}_n
   }
 }
 

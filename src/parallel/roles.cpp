@@ -11,8 +11,8 @@ RolePlan make_role_plan(int total, int compute, const MachineTopology& topo) {
   plan.compute = compute;
   plan.data = total - compute;
   // Degenerate single-role teams: every thread does everything it is given;
-  // a team with no data threads still works because the pipeline executor
-  // falls back to compute threads doing their own loads/stores.
+  // a team with no data threads runs the pipeline's Private schedule, each
+  // thread loading and storing its own slice.
   plan.role.resize(static_cast<std::size_t>(total));
   plan.index.resize(static_cast<std::size_t>(total));
   plan.cpu.assign(static_cast<std::size_t>(total), -1);
@@ -32,10 +32,11 @@ RolePlan make_role_plan(int total, int compute, const MachineTopology& topo) {
 
   // CPU suggestions: pair 2i/2i+1 shares a core. With SMT the pair gets
   // the core's two hyperthreads; without SMT both land on the core itself.
+  // A team with no data threads has no pairs: one thread per CPU.
   const int ncpus = topo.total_threads();
   for (int tid = 0; tid < total; ++tid) {
     int cpu;
-    if (topo.smt_per_core >= 2) {
+    if (topo.smt_per_core >= 2 || plan.data == 0) {
       cpu = tid;  // Linux enumerates hyperthread siblings adjacently
     } else {
       cpu = tid / 2;  // pair shares the physical core

@@ -40,6 +40,7 @@ struct RolePlan {
 /// enumeration, so pair i maps to CPUs {2i, 2i+1}; on non-SMT machines the
 /// two threads of a pair share core i (both pinned to CPU i), matching the
 /// paper's AMD configuration where threads time-share the core's units.
+/// With compute == total there are no pairs and thread i gets CPU i.
 RolePlan make_role_plan(int total, int compute, const MachineTopology& topo);
 
 /// Even split per the paper's default: half compute, half data. For

@@ -42,13 +42,14 @@ DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
   }
 }
 
-void DoubleBufferPipeline::wait_at_barrier(SpinBarrier& barrier,
-                                           [[maybe_unused]] idx_t step) {
+namespace {
+
+/// Straggler injector with epoch selection: "pipeline.stall/<step>=<ms>"
+/// delays one thread at the chosen pipeline step (the @skip field picks
+/// which of the threads reaching that step stalls). The team's stall
+/// watchdog then diagnoses the loss as kStall instead of hanging.
+void straggle([[maybe_unused]] idx_t step) {
 #if defined(BWFFT_FAULT)
-  // Straggler injector with epoch selection: "pipeline.stall/<step>=<ms>"
-  // delays one thread at the chosen pipeline step (the @skip field picks
-  // which of the arrivals at that step stalls). The team's stall watchdog
-  // then diagnoses the loss as kStall instead of hanging.
   if (fault::active()) {
     std::int64_t delay_ms = 0;
     if (fault::should_fire_value(fault::kSitePipelineStall,
@@ -58,7 +59,13 @@ void DoubleBufferPipeline::wait_at_barrier(SpinBarrier& barrier,
     }
   }
 #endif
-  // One slice + BarrierWaitNs per thread per step: the wait time IS the
+}
+
+}  // namespace
+
+void DoubleBufferPipeline::wait_at_barrier(SpinBarrier& barrier, idx_t step) {
+  straggle(step);
+  // One slice + BarrierWaitNs per thread per barrier: the wait time IS the
   // pipeline's load-imbalance signal (a starved role shows up here).
   BWFFT_OBS_TASK(obs_wait, "barrier", 'B', step, BarrierWaitNs);
   barrier.arrive_and_wait();
@@ -84,8 +91,8 @@ void DoubleBufferPipeline::execute(const std::vector<PipelineStage>& stages) {
 
 void DoubleBufferPipeline::execute_unpipelined(const PipelineStage& stage) {
   BWFFT_CHECK(groups_ == 1, "a grouped pipeline runs one stage per group");
-  // Every thread takes a share of every task: the sequential schedule on
-  // an all-compute role plan.
+  // Every thread takes a share of every task: the Private schedule on an
+  // all-compute role plan.
   run_groups(&stage,
              make_role_plan(roles_.total, roles_.total, MachineTopology{}));
 }
@@ -165,21 +172,23 @@ void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
   };
 
   if (roles.data == 0) {
-    // No soft-DMA threads: sequential load/compute/store per iteration on
-    // the compute group. Correct, but with no overlap.
+    // Private schedule: with parts = p every task of a block gets the
+    // same ThreadTeam::chunk, so the slice a thread loads is the slice it
+    // transforms and stores, and no thread reads another's handoff. Each
+    // thread runs its slices of the blocks back to back with no step
+    // barrier; S(i) retires half i mod 2 before L(i+2) refills it by
+    // program order.
     for (idx_t i = 0; i < iters; ++i) {
       const int h = static_cast<int>(i % 2);
+      straggle(i);
       load(i, i, h);
-      wait_at_barrier(bar, i);
       compute(i, i, h);
-      wait_at_barrier(bar, i);
       store(i, i, h);
-      // The store may be non-temporal; drain the write-combining buffers
-      // before the barrier publishes the output (the same fence-pairing
-      // rule the static verifier proves for the overlap schedule).
-      stream_fence();
-      wait_at_barrier(bar, i);
     }
+    // Drain the write-combining buffers once, then meet once: the stage's
+    // only barrier publishes every slice to the next stage.
+    stream_fence();
+    wait_at_barrier(bar, iters);
   } else {
     // Table II schedule. Steps 0 .. iters+1; at step i the data threads
     // retire block i-2 and fetch block i on half (i mod 2) while the

@@ -20,6 +20,16 @@
 // steps iterations..iterations+1 the epilogue. The store precedes the load
 // on the same half and both are partitioned identically across the data
 // threads, so no thread overwrites a region another is still storing.
+// This is the Split schedule (p_d > 0).
+//
+// With no data threads (p_d = 0) every thread runs all three tasks with
+// parts = p, and every stage partitions a block the same way for all
+// three, so a thread's load, compute and store slices coincide. That is
+// the Private schedule: each thread runs L(i), C(i), S(i) on its own
+// slice of half i mod 2 with no step barrier, fences its NT stores once
+// and meets the team once at the end of the stage. On a host without SMT
+// every core then issues its own DRAM traffic, which the Split roles
+// leave to p_d cores.
 //
 // The shared buffer lives in the last-level cache: its total size follows
 // the paper's policy b = LLC/2 (both halves together), leaving the rest of
@@ -76,17 +86,16 @@ class DoubleBufferPipeline {
   idx_t block_elems() const { return block_elems_; }
   const RolePlan& roles() const { return roles_; }
 
-  /// Run one stage with full overlap (Table II). With no data threads in
-  /// the role plan the stage degrades gracefully: compute threads execute
-  /// load/compute/store back-to-back per iteration (no overlap).
+  /// Run one stage: the Table II overlap with data threads in the role
+  /// plan (Split), otherwise the Private schedule above.
   void execute(const PipelineStage& stage);
 
   /// Run stages[g] on group g, all groups at once (one stage per group).
   void execute(const std::vector<PipelineStage>& stages);
 
-  /// Run the stage WITHOUT software pipelining: every step does
-  /// load -> barrier -> compute -> barrier -> store with all threads
-  /// cooperating on each task. Used by the overlap-ablation benchmark.
+  /// Run the stage under the Private schedule whatever the role plan:
+  /// every thread loads, transforms and stores its own slice of each
+  /// block. Used by the overlap-ablation benchmark.
   void execute_unpipelined(const PipelineStage& stage);
 
   /// Record the schedule of subsequent execute() calls into `sink`
@@ -94,14 +103,15 @@ class DoubleBufferPipeline {
   void set_trace(std::vector<TraceEvent>* sink) { trace_ = sink; }
 
   /// Aggregate busy time per task kind over one execute() call, summed
-  /// across the threads of each role group. busy/(wall * group size) is
-  /// the utilisation of that role — the soft-DMA balance the thread-split
-  /// ablation inspects.
+  /// across the threads that ran it. Under Split busy/(wall * group size)
+  /// is the utilisation of that role — the soft-DMA balance the
+  /// thread-split ablation inspects; under Private every thread runs all
+  /// three tasks, so each sum spreads over the whole team.
   struct RoleUtilization {
     double wall_seconds = 0.0;
-    double load_seconds = 0.0;     // data threads (or compute fallback)
-    double store_seconds = 0.0;    // data threads (or compute fallback)
-    double compute_seconds = 0.0;  // compute threads
+    double load_seconds = 0.0;     // data threads (Split) or all (Private)
+    double store_seconds = 0.0;    // data threads (Split) or all (Private)
+    double compute_seconds = 0.0;  // compute threads (Split) or all
   };
 
   /// Enable/disable utilisation collection (small timing overhead per
@@ -121,9 +131,9 @@ class DoubleBufferPipeline {
   /// Run stages[g] on every group g under `roles` and time the call.
   void run_groups(const PipelineStage* stages, const RolePlan& roles);
   /// Thread `tid` of group `group`: its part of the Table II schedule (or
-  /// of the sequential one when `roles` has no data threads) on the
-  /// group's buffer and barrier. The only software-pipeline step loop in
-  /// the library.
+  /// of the Private one when `roles` has no data threads) on the group's
+  /// buffer and barrier. The only software-pipeline step loop in the
+  /// library.
   void run_thread(const PipelineStage& stage, const RolePlan& roles,
                   int group, int tid);
   void record(idx_t step, TraceEvent::Kind kind, idx_t iter, int h, int tid,

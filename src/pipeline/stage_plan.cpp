@@ -99,6 +99,10 @@ PlannedStage tiled(StageKind kind, const char* name, idx_t rows,
 
 }  // namespace
 
+const char* schedule_name(Schedule s) {
+  return s == Schedule::Private ? "private" : "split";
+}
+
 std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1) {
   BWFFT_CHECK(n >= 1, "transform size must be positive");
   if (requested_n1 > 0) {
@@ -136,10 +140,10 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
     plan.total *= d;
   }
 
-  // The paper's default is an even split; a lone thread does everything.
   const int p = resolved_threads(opts);
-  const int pc = opts.compute_threads >= 0 ? opts.compute_threads
-                                           : (p <= 1 ? p : p / 2);
+  const int pc = opts.compute_threads >= 0
+                     ? opts.compute_threads
+                     : default_compute_threads(p, dims.size());
   BWFFT_CHECK(p >= 1 && pc >= 0 && pc <= p,
               "compute_threads outside [0, threads]");
   plan.threads = p;
@@ -158,7 +162,11 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
     const idx_t n = dims[0];
     std::tie(plan.n1, plan.n2) = four_step_factors(n, opts.factor_n1);
     if (plan.n1 <= 1) {
-      // No usable split: one flat single-threaded pass over the array.
+      // No usable split: one flat single-threaded pass over the array,
+      // which has no column group for a pinned packet to size.
+      BWFFT_CHECK(opts.packet_elems <= 0,
+                  "packet_elems needs a four-step split; this size runs "
+                  "one flat pass");
       plan.n1 = 1;
       plan.n2 = n;
       plan.threads = plan.compute_threads = 1;

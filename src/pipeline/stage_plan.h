@@ -67,6 +67,15 @@ struct PlannedStage {
   bool nontemporal = true;
 };
 
+/// How the team runs a tiled stage (pipeline/pipeline.h). Split is the
+/// paper's roles: p_c compute threads overlap the p_d data threads'
+/// loads and stores under the Table II step barrier. Private has no data
+/// threads: every thread loads, transforms and stores its own slice of
+/// each block, and the team meets once per stage.
+enum class Schedule { Split, Private };
+
+const char* schedule_name(Schedule s);
+
 struct StagePlan {
   std::vector<idx_t> dims;
   idx_t total = 1;
@@ -77,7 +86,21 @@ struct StagePlan {
   idx_t mu = 1;             ///< rotation packet (2D/3D), see make_stage_plan
   idx_t n1 = 1, n2 = 1;     ///< 1D four-step split (n1 == 1: the flat pass)
   std::vector<PlannedStage> stages;
+
+  /// Derived from the split: p_d = 0 runs Private (a lone thread too).
+  Schedule schedule() const {
+    return data_threads == 0 ? Schedule::Private : Schedule::Split;
+  }
 };
+
+/// The default p_c for a team of p threads on a transform of `rank`
+/// dimensions. 2D/3D plans run Private (p_c = p): this host class has no
+/// SMT siblings for data threads, and DRAM bandwidth grows with the cores
+/// that issue requests. 1D plans keep the paper's even split, because
+/// p_c = p would shrink the Rows group R to a cacheline (64 B NT runs).
+inline int default_compute_threads(int p, std::size_t rank) {
+  return p <= 1 || rank != 1 ? p : p / 2;
+}
 
 /// Resolve the 1D four-step split n = n1 * n2: a requested n1 is honoured
 /// (kBadPlan unless it divides n), 0 picks a skewed cache-sized split
@@ -95,8 +118,11 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 /// max(p_c, p_d) rows: the rotation then stores long NT runs wherever the
 /// lanes transform stays core-private. 1D plans are the two
 /// four-step passes, or one Flat stage on a single thread when n does not
-/// split. The engine kind is not consulted: stage-parallel executes the
-/// same stages untiled. Throws kBadPlan on options no engine can run.
+/// split (a pinned packet_elems has no column group to pin there and is
+/// kBadPlan). p_c is opts.compute_threads when set, else
+/// default_compute_threads. The engine kind is not consulted:
+/// stage-parallel executes the same stages untiled. Throws kBadPlan on
+/// options no engine can run.
 StagePlan make_stage_plan(const std::vector<idx_t>& dims,
                           const FftOptions& opts);
 

@@ -27,8 +27,8 @@ double packet_efficiency(idx_t mu) {
 constexpr double kStridedEfficiency =
     static_cast<double>(sizeof(cplx)) / kCachelineBytes;
 
-/// Fraction of STREAM the double-buffer pipeline sustains at a perfectly
-/// balanced split (the paper measures 74-92% of the achievable peak).
+/// Fraction of the slower role's rate the Split pipeline sustains (the
+/// paper measures 74-92% of the achievable peak).
 constexpr double kOverlapEfficiency = 0.85;
 
 /// Per pipeline iteration fixed cost (barrier hand-off, task dispatch).
@@ -103,10 +103,18 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
   if (req.compute_threads >= 0) {
     splits = {req.compute_threads};
   } else {
+    // The plan's default split, then the alternatives it does not
+    // resolve to: the paper's even Split, more compute than data threads
+    // (for compute-heavy stages the even split starves the FFT side,
+    // §IV-B), and p_c = p, the Private schedule.
     splits = {-1};
-    // More compute threads than data threads: for compute-heavy stages
-    // the even split starves the FFT side (§IV-B discussion).
-    if (p >= 4 && (3 * p) / 4 < p) splits.push_back((3 * p) / 4);
+    const int def = default_compute_threads(p, dims.size());
+    for (int c : {p / 2, (3 * p) / 4, p}) {
+      if (p >= 2 && c != def &&
+          std::find(splits.begin(), splits.end(), c) == splits.end()) {
+        splits.push_back(c);
+      }
+    }
   }
 
   // Block axis: the policy block (0) plus half of it — twice the
@@ -228,23 +236,27 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
   const double mu_eff = packet_efficiency(c.packet_elems);
 
   // The double-buffer engines execute a StagePlan: price the p, p_c,
-  // block and four-step split it resolves. Overlap runs at STREAM scaled
-  // by the balance of the split: 4 c (1 - c) is 1 at the even split and
-  // decays toward a starved-role pipeline at the extremes (p_c is clamped
-  // to [1, p-1], so both roles count as present).
+  // block, four-step split and schedule it resolves. DRAM bandwidth grows
+  // with the cores that issue requests, so under Split the p_d data
+  // threads move the stage's bytes at their p_d / p share of STREAM while
+  // the p_c compute threads overlap them; a pass costs the slower role,
+  // over the overlap efficiency. Private has no overlap but every core
+  // moves data: the full STREAM rate, then the flops on all p cores.
   StagePlan plan;
-  int p = 1, pc = 1;
-  double eff = 1.0;
   if (c.engine == EngineKind::DoubleBuffer) {
     FftOptions o;
     o.topo = topo;
     o.threads = threads;
     plan = make_stage_plan(dims, apply_candidate(c, o));
-    p = plan.threads;
-    pc = std::clamp(plan.compute_threads, 1, std::max(1, p - 1));
-    const double cf = static_cast<double>(pc) / p;
-    eff = kOverlapEfficiency * std::max(0.1, 4.0 * cf * (1.0 - cf));
   }
+  const bool split = plan.schedule() == Schedule::Split;
+  const double per_core = isa_gflops_per_core(c.isa) * 1e9;
+  const auto pass = [&](double io_seconds, double flops) {
+    if (!split) return io_seconds + flops / (plan.threads * per_core);
+    return std::max(io_seconds * plan.threads / plan.data_threads,
+                    flops / (std::max(1, plan.compute_threads) * per_core)) /
+           kOverlapEfficiency;
+  };
   const double block = static_cast<double>(plan.block_elems);
 
   if (rank == 1 && (c.engine == EngineKind::Pencil ||
@@ -286,8 +298,6 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
             (bytes + write) / (bw * packet_efficiency(plan.stages[0].group));
         const double io2 =
             bytes / bw + write / (bw * packet_efficiency(plan.stages[1].group));
-        const double rate =
-            static_cast<double>(pc) * isa_gflops_per_core(c.isa) * 1e9;
         // 5 n log2(f) per pass plus ~6 flops/elem of twiddle diagonal.
         const double fl1 =
             5.0 * n * std::log2(std::max(2.0, static_cast<double>(f1))) +
@@ -301,15 +311,7 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
         const double policy = static_cast<double>(
             c.block_elems > 0 ? c.block_elems : default_block_elems(topo));
         const double iters = 2.0 * std::max(1.0, n / policy);
-        if (p <= 1) {
-          // One thread runs load/compute/store sequentially: a pass
-          // costs io + compute, with neither overlap nor the
-          // starved-role balance penalty (cf = 1 would charge 10x).
-          return io1 + fl1 / rate + io2 + fl2 / rate +
-                 iters * kIterationOverheadSeconds;
-        }
-        return (std::max(io1, fl1 / rate) + std::max(io2, fl2 / rate)) /
-                   eff +
+        return pass(io1, fl1) + pass(io2, fl2) +
                iters * kIterationOverheadSeconds;
       }
       default: break;
@@ -345,23 +347,17 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
       return slab + z;
     }
     case EngineKind::DoubleBuffer: {
-      // Per stage the pipeline overlaps data movement with compute, so a
-      // stage costs max(io, compute) at STREAM scaled by the overlap
-      // efficiency of the compute/data split, plus a fixed pipeline cost
-      // per block iteration. The compute term is what makes the model
-      // dispatch-aware: 5 n log2(d) flops per stage against the per-core
-      // rate of the candidate's resolved ISA.
+      // Per stage one pass (priced by its schedule, above) plus a fixed
+      // pipeline cost per block iteration. The compute term is what makes
+      // the model dispatch-aware: 5 n log2(d) flops per stage against the
+      // per-core rate of the candidate's resolved ISA.
       const double iters = std::max(1.0, n / block);
-      const double compute_rate =
-          static_cast<double>(pc) * isa_gflops_per_core(c.isa) * 1e9;
       double total = 0.0;
       for (idx_t d : dims) {
         const double io = bytes / bw + write / (bw * mu_eff);
         const double flops =
             5.0 * n * std::log2(std::max(2.0, static_cast<double>(d)));
-        const double compute = flops / compute_rate;
-        total += std::max(io, compute) / eff +
-                 iters * kIterationOverheadSeconds;
+        total += pass(io, flops) + iters * kIterationOverheadSeconds;
       }
       return total;
     }

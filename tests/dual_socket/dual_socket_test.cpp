@@ -149,13 +149,17 @@ TEST(DualSocket, FourSockets) {
 TEST(DualSocket, EverySocketRunsTheTableIISchedule) {
   // Each socket's stages run the shared pipeline loop on the socket's own
   // roles, buffer and barrier: threads 2 gives one thread per socket (the
-  // sequential schedule), threads 6 three (Table II with data threads).
+  // Private schedule), threads 6 three (Table II with data threads: p_c
+  // is pinned to one per socket, since the 3D plan rule's default is
+  // Private).
   const idx_t k = 16, n = 16, m = 16, total = k * n * m;
   auto x = random_cvec(total, 5006);
   cvec want(x.size());
   reference_dft_3d(x.data(), want.data(), k, n, m, Direction::Forward);
   for (int threads : {2, 6}) {
-    DualSocketFft3d plan(k, n, m, Direction::Forward, ds_opts(threads), 2);
+    FftOptions o = ds_opts(threads);
+    o.compute_threads = 1;
+    DualSocketFft3d plan(k, n, m, Direction::Forward, o, 2);
     EXPECT_EQ(threads == 2 ? 0 : 2, plan.socket_roles().data);
     std::array<DualSocketFft3d::Trace, 3> traces;
     plan.set_trace(&traces);

@@ -240,6 +240,17 @@ TEST(Roles, NonSmtSharesPhysicalCore) {
   }
 }
 
+TEST(Roles, PrivateTeamPinsOneThreadPerCpu) {
+  // p_d = 0 (the Private schedule) has no compute/data pairs to share a
+  // core: on a non-SMT host thread i gets CPU i, not CPU i / 2.
+  auto topo = machines::amd_fx8350();  // no SMT
+  RolePlan plan = make_role_plan(4, 4, topo);
+  EXPECT_EQ(0, plan.data);
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(t, plan.cpu[static_cast<std::size_t>(t)]);
+  }
+}
+
 TEST(Roles, GroupRanksAreDense) {
   RolePlan plan = make_role_plan(6, 4, host_topology());
   std::vector<int> comp, data;

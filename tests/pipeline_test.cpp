@@ -6,7 +6,9 @@
 #include <cstring>
 #include <map>
 
+#include "analysis/static_verify.h"
 #include "common/rng.h"
+#include "obs/obs.h"
 #include "pipeline/pipeline.h"
 #include "test_util.h"
 
@@ -145,6 +147,68 @@ TEST(Pipeline, TraceMatchesTableII) {
       EXPECT_EQ(static_cast<int>(ev.iter % 2), ev.half);
     }
   }
+}
+
+// Validate the Private schedule (p_d = 0): every thread runs L(i), C(i),
+// S(i) of each block on its own slice, in program order, at step i on
+// half i mod 2 — and the symbolic checker accepts the recorded trace.
+TEST(Pipeline, TraceMatchesPrivate) {
+  ThreadTeam team(4);
+  RolePlan roles = make_role_plan(4, 4, host_topology());
+  ASSERT_EQ(0, roles.data);
+  DoubleBufferPipeline pipe(team, roles, 64);
+  const idx_t iters = 6;
+  CopyStageFixture fx(64 * iters, 64);
+  std::vector<DoubleBufferPipeline::TraceEvent> trace;
+  pipe.set_trace(&trace);
+  pipe.execute(fx.stage);
+  pipe.set_trace(nullptr);
+  fx.expect_correct();
+
+  std::map<int, std::vector<DoubleBufferPipeline::TraceEvent>> by_tid;
+  for (const auto& ev : trace) by_tid[ev.tid].push_back(ev);
+  ASSERT_EQ(4u, by_tid.size());
+  const Kind order[3] = {Kind::Load, Kind::Compute, Kind::Store};
+  for (const auto& [tid, evs] : by_tid) {
+    ASSERT_EQ(static_cast<std::size_t>(3 * iters), evs.size()) << tid;
+    for (std::size_t j = 0; j < evs.size(); ++j) {
+      const idx_t i = static_cast<idx_t>(j / 3);
+      EXPECT_EQ(order[j % 3], evs[j].kind) << "tid " << tid << " event " << j;
+      EXPECT_EQ(i, evs[j].iter);
+      EXPECT_EQ(i, evs[j].step);
+      EXPECT_EQ(static_cast<int>(i % 2), evs[j].half);
+    }
+  }
+  EXPECT_TRUE(analysis::verify_schedule_symbolic(trace, iters, roles).clean());
+}
+
+// A Private run still reports the load/compute/store split, and its only
+// barrier is the one at the end of the stage: one wait per thread.
+TEST(Pipeline, PrivateReportsBusyTimeAndOneBarrierPerThread) {
+  ThreadTeam team(4);
+  DoubleBufferPipeline pipe(team, make_role_plan(4, 4, host_topology()), 64);
+  pipe.set_collect_utilization(true);
+  CopyStageFixture fx(64 * 8, 64);
+  obs::reset_counters();
+  obs::start_trace();
+  pipe.execute(fx.stage);
+  obs::stop_trace();
+  fx.expect_correct();
+  const auto& u = pipe.last_utilization();
+  EXPECT_GT(u.load_seconds, 0.0);
+  EXPECT_GT(u.compute_seconds, 0.0);
+  EXPECT_GT(u.store_seconds, 0.0);
+#if defined(BWFFT_OBS)
+  EXPECT_GT(obs::counter_total(obs::Counter::LoadBusyNs), 0u);
+  EXPECT_GT(obs::counter_total(obs::Counter::ComputeBusyNs), 0u);
+  EXPECT_GT(obs::counter_total(obs::Counter::StoreBusyNs), 0u);
+  std::map<int, int> waits;
+  for (const obs::Slice& s : obs::drain_trace()) {
+    if (s.phase == 'B') ++waits[s.tid];
+  }
+  EXPECT_EQ(4u, waits.size());
+  for (const auto& [tid, n] : waits) EXPECT_EQ(1, n) << "obs tid " << tid;
+#endif
 }
 
 TEST(Pipeline, ManyIterationsStress) {

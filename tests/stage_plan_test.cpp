@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "fft/double_buffer.h"
 #include "kernels/isa.h"
@@ -148,10 +149,12 @@ TEST(StagePlan, AutoPacketWidensWhereLaneRowsStayCorePrivate) {
 }
 
 TEST(StagePlan, AutoPacketKeepsARowForEveryRank) {
-  // 256 x 64: the budget alone would allow mu = 64, i.e. one stage-1 row
-  // for four ranks. The rank cap stops at two rows: max(p_c, p_d) = 2.
+  // 256 x 64 under the even Split: the budget alone would allow mu = 64,
+  // i.e. one stage-1 row for four ranks. The rank cap stops at two rows:
+  // max(p_c, p_d) = 2.
   FftOptions o;
   o.threads = 4;
+  o.compute_threads = 2;
   const StagePlan plan = make_stage_plan({256, 64}, o);
   const idx_t ranks = std::max(plan.compute_threads, plan.data_threads);
   EXPECT_LT(plan.mu, kMaxPacketElems);
@@ -255,6 +258,49 @@ TEST(StagePlan, EngineStatsMatchThePlan) {
       }
     }
   }
+}
+
+TEST(StagePlan, DefaultScheduleFollowsTheRank) {
+  // 2D/3D plans run Private (p_c = p); 1D keeps the paper's even Split;
+  // an explicit compute_threads is honoured; a lone thread is Private.
+  FftOptions o;
+  o.threads = 4;
+  for (const std::vector<idx_t>& dims :
+       {std::vector<idx_t>{256, 256, 256}, std::vector<idx_t>{4096, 4096}}) {
+    const StagePlan plan = make_stage_plan(dims, o);
+    EXPECT_EQ(4, plan.compute_threads);
+    EXPECT_EQ(0, plan.data_threads);
+    EXPECT_EQ(Schedule::Private, plan.schedule());
+  }
+  const StagePlan large1d = make_stage_plan({idx_t{1} << 24}, o);
+  EXPECT_EQ(2, large1d.compute_threads);
+  EXPECT_EQ(Schedule::Split, large1d.schedule());
+
+  FftOptions pinned = o;
+  pinned.compute_threads = 2;
+  EXPECT_EQ(Schedule::Split, make_stage_plan({256, 256, 256}, pinned).schedule());
+  FftOptions one = o;
+  one.threads = 1;
+  EXPECT_EQ(Schedule::Private, make_stage_plan({64, 64}, one).schedule());
+  EXPECT_STREQ("private", schedule_name(Schedule::Private));
+  EXPECT_STREQ("split", schedule_name(Schedule::Split));
+}
+
+TEST(StagePlan, FlatRejectsAPinnedPacket) {
+  // 17 has no four-step split: the Flat pass has no column group, so a
+  // pinned packet is refused like a misfit one on a splittable size.
+  FftOptions o;
+  o.packet_elems = 3;
+  try {
+    make_stage_plan({17}, o);
+    ADD_FAILURE() << "a pinned packet on a flat plan was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(ErrorCode::kBadPlan, e.code());
+  }
+  o.packet_elems = 1;
+  EXPECT_THROW(make_stage_plan({17}, o), Error);
+  o.packet_elems = 0;
+  EXPECT_EQ(StageKind::Flat, make_stage_plan({17}, o).stages[0].kind);
 }
 
 }  // namespace

@@ -64,6 +64,17 @@ TEST(CrossCheck, DegradedSequentialScheduleAgrees) {
   }
 }
 
+TEST(CrossCheck, PrivateProgramOrderCorruptionAgrees) {
+  // Under Private, one thread storing block 0 before transforming it
+  // keeps every slot filled at its step and half; only the per-thread
+  // program order L(i) -> C(i) -> S(i) catches it — in both checkers.
+  const RolePlan roles = roles_for(4, 4);
+  Trace trace = analysis::make_table2_trace(3, roles);
+  ASSERT_EQ(DoubleBufferPipeline::TraceEvent::Kind::Compute, trace[1].kind);
+  std::swap(trace[1], trace[2]);
+  expect_both_dirty(trace, 3, roles);
+}
+
 TEST(CrossCheck, SingleThreadTeamAgrees) {
   const RolePlan roles = roles_for(1, 1);
   expect_both_clean(analysis::make_table2_trace(4, roles), 4, roles);

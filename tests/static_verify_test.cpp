@@ -211,6 +211,23 @@ TEST(StaticVerify, AllComputeSplitIsUnpipelined) {
   EXPECT_TRUE(analysis::verify_plan(model).ok());
 }
 
+TEST(StaticVerify, PrivateModelCarriesEveryRanksBufferSlice) {
+  // The 3D default at p = 8 is Private: no Table II overlap, but every
+  // rank owns one buffer slice that it loads and stores.
+  PlanModel model;
+  std::string why;
+  ASSERT_TRUE(analysis::build_plan_model(
+      {64, 64, 64}, opts_for(EngineKind::DoubleBuffer, 8), &model, &why))
+      << why;
+  EXPECT_EQ(0, model.data_threads);
+  for (const auto& st : model.stages) {
+    EXPECT_FALSE(st.pipelined);
+    EXPECT_EQ(st.buf_loads.size(), st.buf_stores.size());
+    EXPECT_GE(st.buf_loads.size(), 2u);
+  }
+  EXPECT_TRUE(analysis::verify_plan(model).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Seeded defects must be rejected.
 // ---------------------------------------------------------------------------
@@ -221,8 +238,10 @@ PlanModel valid_model() {
   FftOptions o = opts_for(EngineKind::DoubleBuffer, 8);
   // A one-cacheline packet keeps several packets per stage-0 row (the
   // auto packet at 64^3 is the whole row), so a store window can shrink
-  // without vanishing.
+  // without vanishing. The even Split keeps the Table II epoch windows
+  // (the 3D default is Private).
   o.packet_elems = kMu;
+  o.compute_threads = 4;
   EXPECT_TRUE(analysis::build_plan_model({64, 64, 64}, o, &model, &why))
       << why;
   return model;
@@ -277,6 +296,21 @@ TEST(StaticVerify, SeededEpochAliasRejected) {
   piped->buf_loads[1].iv = piped->buf_stores[0].iv;
   EXPECT_TRUE(has_issue(analysis::verify_plan(model),
                         StaticIssue::Kind::EpochAlias));
+}
+
+TEST(StaticVerify, SeededPrivateSliceStealRejected) {
+  // Rank 1 of a Private plan loads rank 0's buffer slice.
+  PlanModel model;
+  std::string why;
+  ASSERT_TRUE(analysis::build_plan_model(
+      {64, 64, 64}, opts_for(EngineKind::DoubleBuffer, 8), &model, &why))
+      << why;
+  auto& st = model.stages.front();
+  ASSERT_GE(st.buf_loads.size(), 2u);
+  st.buf_loads[1].iv = st.buf_loads[0].iv;
+  const StaticReport rep = analysis::verify_plan(model);
+  EXPECT_TRUE(has_issue(rep, StaticIssue::Kind::SliceOwnership)) << rep.str();
+  EXPECT_TRUE(has_issue(rep, StaticIssue::Kind::EpochAlias));
 }
 
 TEST(StaticVerify, SeededShortfallRejected) {

@@ -101,6 +101,23 @@ TEST(Candidates, WideAutoPacketKeepsTheNarrowPacketsAsAlternates) {
   EXPECT_EQ(0, std::count(packets.begin(), packets.end(), wide));
 }
 
+TEST(Candidates, SplitAxisOffersBothSchedules) {
+  // p = 4: the plan default (-1) plus the splits it does not resolve to.
+  // 2D/3D default to Private, so the even Split (2) is the alternative;
+  // 1D defaults to Split, so p_c = p (Private) is.
+  FftOptions req = auto_request();
+  req.threads = 4;
+  const auto splits = [&](const std::vector<idx_t>& dims) {
+    std::set<int> out;
+    for (const TuneCandidate& c : enumerate_candidates(dims, req)) {
+      if (c.engine == EngineKind::DoubleBuffer) out.insert(c.compute_threads);
+    }
+    return out;
+  };
+  EXPECT_EQ((std::set<int>{-1, 2, 3}), splits({64, 64, 64}));
+  EXPECT_EQ((std::set<int>{-1, 3, 4}), splits({1 << 20}));
+}
+
 TEST(Candidates, OnlyOneToThreeDimensionalShapes) {
   EXPECT_FALSE(enumerate_candidates({1 << 18}, auto_request()).empty());
   EXPECT_THROW(enumerate_candidates({4, 4, 4, 4}, auto_request()), Error);

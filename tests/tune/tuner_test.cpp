@@ -8,6 +8,7 @@
 
 #include "common/topology.h"
 #include "obs/obs.h"
+#include "pipeline/stage_plan.h"
 #include "tune/tuner.h"
 #include "tune/wisdom.h"
 
@@ -67,6 +68,34 @@ TEST_F(TunerTest, EstimateKeepsTheWideAutoPacket) {
                    auto_opts(TuneLevel::Estimate), &report);
   EXPECT_EQ(0, resolved.packet_elems) << candidate_label(report.chosen);
   EXPECT_EQ(0, report.chosen.packet_elems);
+}
+
+TEST_F(TunerTest, EstimatePicksPrivateAtTheBenchmarkShapes) {
+  // Split data threads move bytes at their p_d / p share of STREAM, so
+  // the model prices p_c = p (Private) ahead at the benchmark's 2D/3D
+  // shapes. The 2^24 four-step plan's default keeps the even Split; the
+  // model ranks Private first there too, which same-host measurement
+  // neither confirms nor refutes (EXPERIMENTS.md), so only the plan rule
+  // is pinned for 1D.
+  for (const std::vector<idx_t>& dims :
+       {std::vector<idx_t>{256, 256, 256}, std::vector<idx_t>{4096, 4096}}) {
+    TuneReport report;
+    const FftOptions o = resolve_auto(dims, Direction::Forward,
+                                      auto_opts(TuneLevel::Estimate), &report);
+    ASSERT_EQ(EngineKind::DoubleBuffer, o.engine)
+        << candidate_label(report.chosen);
+    EXPECT_EQ(4, make_stage_plan(dims, o).compute_threads)
+        << candidate_label(report.chosen);
+  }
+  const std::vector<idx_t> large1d{idx_t{1} << 24};
+  FftOptions def = apply_candidate(default_candidate(),
+                                   auto_opts(TuneLevel::Estimate));
+  EXPECT_EQ(2, make_stage_plan(large1d, def).compute_threads);
+  TuneReport report;
+  const FftOptions o = resolve_auto(large1d, Direction::Forward,
+                                    auto_opts(TuneLevel::Estimate), &report);
+  EXPECT_EQ(EngineKind::DoubleBuffer, o.engine)
+      << candidate_label(report.chosen);
 }
 
 TEST_F(TunerTest, MeasureNeverLosesToTheDefaultConfig) {

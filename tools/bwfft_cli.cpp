@@ -368,6 +368,10 @@ int main(int argc, char** argv) {
       const auto roof = obs::roofline_from_trace(slices, stage_bytes, bw);
       if (!roof.empty()) obs::print_roofline(roof, bw);
       if (const auto* eng = dynamic_cast<DoubleBufferEngine*>(plan.get())) {
+        const StagePlan& sp = eng->plan();
+        std::printf("  plan: p=%d p_c=%d p_d=%d schedule=%s\n", sp.threads,
+                    sp.compute_threads, sp.data_threads,
+                    schedule_name(sp.schedule()));
         const auto& st = eng->last_stats();
         for (std::size_t s = 0; s < st.size(); ++s) {
           std::printf("  stage %zu: %.3f ms, %lld iters x %lld rows/block\n",

@@ -6,8 +6,9 @@
 //      windows pairwise disjoint and jointly covering, NT-store/fence
 //      pairing, double-buffer epoch aliasing, stage-to-stage element
 //      conservation — all by interval algebra, nothing executes;
-//   2. verifies the Table II schedule symbolically for every distinct
-//      role split the grid produces, and cross-checks that the runtime
+//   2. verifies the schedule (Table II for Split, per-thread program
+//      order for Private) symbolically for every distinct role split the
+//      grid produces, and cross-checks that the runtime
 //      hazard checker (analysis::audit_schedule) agrees with the
 //      symbolic checker on the same trace;
 //   3. runs the SPL static verifier over spl::plan_term of every distinct
@@ -35,6 +36,7 @@
 #include "common/types.h"
 #include "fft/options.h"
 #include "parallel/roles.h"
+#include "parallel/team.h"
 #include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
 #include "spl/verify.h"
@@ -67,8 +69,8 @@ int usage() {
       "  Statically verifies every tuner candidate at the given 1D, 2D or\n"
       "  3D shapes (default: 64x64x64 32x64x128 48x48x48 256x256 65536).\n"
       "  MODE: store-overlap | store-gap | missing-fence | epoch-alias |\n"
-      "        schedule-half | schedule-dup  (seeded defect; exit 1 =\n"
-      "        caught, the expected outcome)\n");
+      "        schedule-half | schedule-dup | private-steal  (seeded\n"
+      "        defect; exit 1 = caught, the expected outcome)\n");
   return 2;
 }
 
@@ -185,13 +187,15 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
 // --inject: seed one defect; exit 1 only when the verifiers catch it.
 // ---------------------------------------------------------------------------
 
-/// A valid double-buffer model to corrupt: first default-config DB
-/// candidate of the first shape. Dies if the model cannot be built — the
-/// inject harness needs a working baseline.
-bool inject_base_model(const LintOptions& opt, analysis::PlanModel* model) {
+/// A valid double-buffer model to corrupt: the first shape at
+/// `compute_threads` (-1: the plan's default split). Dies if the model
+/// cannot be built — the inject harness needs a working baseline.
+bool inject_base_model(const LintOptions& opt, analysis::PlanModel* model,
+                       int compute_threads) {
   FftOptions req;
   req.threads = opt.threads;
   req.engine = EngineKind::DoubleBuffer;
+  req.compute_threads = compute_threads;
   std::string why;
   if (!analysis::build_plan_model(opt.dims_list.front(), req, model, &why)) {
     std::fprintf(stderr, "inject: cannot build baseline model: %s\n",
@@ -210,12 +214,59 @@ analysis::StageModel* corruptible_stage(analysis::PlanModel* model) {
   return nullptr;
 }
 
+/// Both the static model and the runtime partition probe must catch a
+/// Private-schedule rank that loads a slice it does not own.
+int inject_private_steal(const LintOptions& opt) {
+  analysis::PlanModel model;
+  if (!inject_base_model(opt, &model, -1)) return 2;
+  analysis::StageModel* st = nullptr;
+  for (auto& s : model.stages) {
+    if (st == nullptr && s.buf_loads.size() >= 2) st = &s;
+  }
+  if (model.data_threads != 0 || st == nullptr) {
+    std::fprintf(stderr, "inject: need a Private plan with >= 2 ranks\n");
+    return 2;
+  }
+  // Static: rank 1's buffer load window is rank 0's slice.
+  st->buf_loads[1].iv = st->buf_loads[0].iv;
+  const analysis::StaticReport rep = analysis::verify_plan(model);
+
+  // Runtime: the same defect in a stage callback, found by the sentinel
+  // probe's slice-ownership audit (no execution, no threads).
+  const int parts = model.threads;
+  const idx_t block = 64 * parts;
+  const auto slice = [&](int rank) {
+    return ThreadTeam::chunk(block, parts, rank == 1 ? 0 : rank);
+  };
+  const auto load = [&](idx_t, cplx* buf, int rank, int) {
+    auto [b, e] = slice(rank);
+    for (idx_t j = b; j < e; ++j) buf[j] = cplx(1.0, 0.0);
+  };
+  const auto compute = [&](idx_t, cplx* buf, int rank, int) {
+    auto [b, e] = ThreadTeam::chunk(block, parts, rank);
+    for (idx_t j = b; j < e; ++j) buf[j] *= 2.0;
+  };
+  analysis::HazardReport dyn;
+  analysis::audit_slices(analysis::probe_partition(load, 0, block, parts),
+                         analysis::probe_partition(compute, 0, block, parts),
+                         dyn);
+  std::printf("inject private-steal on %s: static %s, runtime %s\n",
+              model.label().c_str(), rep.ok() ? "MISSED" : "caught",
+              dyn.clean() ? "MISSED" : "caught");
+  if (!rep.ok()) std::printf("%s\n", rep.str().c_str());
+  if (!dyn.clean()) std::printf("%s\n", dyn.str().c_str());
+  return (!rep.ok() && !dyn.clean()) ? 1 : 0;
+}
+
 int run_inject(const LintOptions& opt) {
   const std::string& mode = opt.inject;
+  // The Table II defects are seeded into the paper's even Split.
+  const int split = opt.threads / 2;
+  if (mode == "private-steal") return inject_private_steal(opt);
   if (mode == "store-overlap" || mode == "store-gap" ||
       mode == "missing-fence" || mode == "epoch-alias") {
     analysis::PlanModel model;
-    if (!inject_base_model(opt, &model)) return 2;
+    if (!inject_base_model(opt, &model, split)) return 2;
     analysis::StageModel* st = corruptible_stage(&model);
     if (st == nullptr) {
       std::fprintf(stderr, "inject: no stage with >= 2 store windows\n");
@@ -256,10 +307,9 @@ int run_inject(const LintOptions& opt) {
   }
 
   if (mode == "schedule-half" || mode == "schedule-dup") {
-    // The baseline plan's split, which has data threads: the Table II
-    // schedule, not the degraded sequential one.
+    // The even split, which has data threads: the Table II schedule.
     analysis::PlanModel model;
-    if (!inject_base_model(opt, &model)) return 2;
+    if (!inject_base_model(opt, &model, split)) return 2;
     const RolePlan roles = make_role_plan(
         model.threads, model.compute_threads, host_topology());
     if (roles.data == 0) {
