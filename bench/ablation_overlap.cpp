@@ -80,7 +80,6 @@ int main() {
     o.threads = 2;
     o.compute_threads = 1;
     DoubleBufferEngine eng({k, n, m}, Direction::Forward, o);
-    eng.set_collect_utilization(true);
     std::copy(original.begin(), original.end(), in.begin());
     eng.execute(in.data(), out.data());
     std::printf("\nRole utilisation per stage (p_c=1, p_d=1):\n");

@@ -1,8 +1,8 @@
 // SPL explorer — the formalism of §II-C as a runnable demo.
 //
 // Prints the paper's factorisations (Cooley–Tukey, the rotated 2D/3D
-// decompositions the engines run, the Table III dual-socket write
-// matrices) and verifies each against the dense DFT numerically,
+// decompositions the engines run, the dual-socket plan with its Table III
+// write matrices) and verifies each against the dense DFT numerically,
 // mirroring how SPIRAL-derived implementations are validated.
 #include <cstdio>
 
@@ -20,12 +20,12 @@ void show(const char* title, const ExprPtr& got, const ExprPtr& want) {
               got->str().c_str(), err, err < 1e-10 ? "OK" : "MISMATCH");
 }
 
-/// The plan the engines would run for dims, with the packet pinned
-/// (0 = the plan's auto packet on this host).
-StagePlan plan_for(const std::vector<idx_t>& dims, idx_t mu) {
+/// The plan the engines would run for dims over `sockets` z-slabs, with
+/// the packet pinned (0 = the plan's auto packet on this host).
+StagePlan plan_for(const std::vector<idx_t>& dims, idx_t mu, int sockets = 1) {
   FftOptions opts;
   opts.packet_elems = mu;
-  return make_stage_plan(dims, opts);
+  return make_stage_plan(dims, opts, sockets);
 }
 
 }  // namespace
@@ -49,8 +49,8 @@ int main() {
   show("3D slab-pencil: DFT_{2x4x4}", dft3d_slab_pencil(2, 4, 4),
        kron(dft(2), kron(dft(4), dft(4))));
 
-  show("Dual-socket (Table III, sk=2): DFT_{4x4x4}",
-       dft3d_dual_socket(4, 4, 4, 2, 2),
+  show("Dual-socket plan (Table III, sk=2, mu=2): DFT_{4x4x4}",
+       plan_term(plan_for({4, 4, 4}, 2, 2)),
        kron(dft(4), kron(dft(4), dft(4))));
 
   std::printf("Rotation operator K_4^{2,3} (cube 2x3x4 -> 4x2x3):\n  %s\n",

@@ -73,20 +73,40 @@ bool same_window(const StridedInterval& a, const StridedInterval& b) {
          (a.count <= 1 || a.stride == b.stride);
 }
 
-/// Read and write windows of rows [row, row + nrows) of stage `s` (a row
-/// is the stage's tiling unit, see PlannedStage).
-void add_row_windows(const StagePlan& plan, const PlannedStage& s, idx_t row,
-                     idx_t nrows, int owner, StageModel* st) {
-  const StridedInterval rows_iv =
-      StridedInterval::contiguous(row * s.row_elems, nrows * s.row_elems);
+/// Read and write windows of socket `socket`'s rows [row, row + nrows) of
+/// stage `s` (a row is the stage's tiling unit, see PlannedStage) over
+/// the concatenated slabs.
+void add_row_windows(const StagePlan& plan, const PlannedStage& s, int socket,
+                     idx_t row, idx_t nrows, int owner, StageModel* st) {
+  const idx_t slab = plan.total / plan.sockets;
+  const StridedInterval rows_iv = StridedInterval::contiguous(
+      socket * slab + row * s.row_elems, nrows * s.row_elems);
   switch (s.kind) {
     case StageKind::Rotated: {
-      // rotate_store_rows: packet p of row r lands at out[(p*rows + r)*mu],
-      // so the rows' packets interleave every rows*mu elements.
+      // rotate_store_rows: packet p of grid row r lands at
+      // out[(p*rows + r)*mu] (of the socket's slab on a local stage), so
+      // consecutive grid rows' packets interleave every rows*mu elements.
       const StageGeometry& g = s.geom;
+      const bool local = slab_runs(s) == 1;
+      const idx_t base = local ? socket * slab : 0;
       st->loads.push_back({owner, rows_iv});
-      st->stores.push_back(
-          {owner, {row * g.mu, nrows * g.mu, g.rows() * g.mu, g.cp()}});
+      for (idx_t r = row; r < row + nrows;) {
+        const idx_t g0 = socket_row(s, socket, r);
+        idx_t len = 1;
+        while (r + len < row + nrows &&
+               socket_row(s, socket, r + len) == g0 + len) {
+          ++len;
+        }
+        const StridedInterval iv{base + g0 * g.mu, len * g.mu,
+                                 g.rows() * g.mu, g.cp()};
+        st->stores.push_back({owner, iv});
+        for (idx_t p = 0; !local && p < iv.count; ++p) {
+          if ((iv.begin + p * iv.stride) / slab != socket) {
+            st->off_slab_elems += iv.width;
+          }
+        }
+        r += len;
+      }
       break;
     }
     case StageKind::Columns:
@@ -120,21 +140,23 @@ StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
   st.in_elems = plan.total;
   st.out_elems = plan.total;
   st.iterations = s.iterations;
-  st.parts = parts;
+  st.parts = parts * plan.sockets;
   st.in_place = s.kind == StageKind::Columns;
   st.nt_store = s.nontemporal;
   st.fence_before_publish = true;  // pipeline fences every store step
   st.pipelined = pipelined;
   st.buf_elems = s.rows_per_block * s.row_elems;
   for (idx_t i = 0; i < s.iterations; ++i) {
-    for (int d = 0; d < parts; ++d) {
+    for (int t = 0; t < st.parts; ++t) {  // every group's ranks, by socket
+      const int sock = t / parts, d = t % parts;
       auto [r0, r1] = ThreadTeam::chunk(s.rows_per_block, parts, d);
       if (r1 <= r0) continue;
-      add_row_windows(plan, s, i * s.rows_per_block + r0, r1 - r0,
-                      static_cast<int>(i) * parts + d, &st);
-      if (buffered && i == 0) {
+      add_row_windows(plan, s, sock, i * s.rows_per_block + r0, r1 - r0,
+                      static_cast<int>(i) * st.parts + t, &st);
+      if (buffered && i == 0 && sock == 0) {
         // Per-rank buffer windows are iteration-independent (the chunk
-        // depends only on rank), so one iteration's worth describes all.
+        // depends only on rank), so one iteration's worth describes all;
+        // each socket group's own buffer has the same windows.
         const StridedInterval buf = StridedInterval::contiguous(
             r0 * s.row_elems, (r1 - r0) * s.row_elems);
         st.buf_loads.push_back({d, buf});
@@ -299,6 +321,7 @@ std::string PlanModel::label() const {
   }
   os << " p=" << threads << " pc=" << compute_threads
      << " pd=" << data_threads;
+  if (sockets > 1) os << " sk=" << sockets;
   return os.str();
 }
 
@@ -317,6 +340,15 @@ std::string StaticReport::str() const {
   os << "static verify: " << issues.size() << " issue(s) (" << plan << ")";
   for (const auto& i : issues) os << "\n  " << i.str();
   return os.str();
+}
+
+PlanModel build_plan_model(const StagePlan& plan) {
+  PlanModel out;
+  out.dims = plan.dims;
+  out.total = plan.total;
+  out.sockets = plan.sockets;
+  build_double_buffer(plan, &out);
+  return out;
 }
 
 bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
@@ -349,7 +381,7 @@ bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
         return false;
       }
       if (opts.engine == EngineKind::DoubleBuffer) {
-        build_double_buffer(plan, out);
+        *out = build_plan_model(plan);
       } else {
         build_stage_parallel(plan, out);
       }

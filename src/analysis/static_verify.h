@@ -44,6 +44,7 @@
 #include "common/types.h"
 #include "fft/options.h"
 #include "parallel/roles.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft::analysis {
 
@@ -65,6 +66,7 @@ struct StageModel {
 
   std::vector<OwnedWindow> loads;   ///< read-set over the input array
   std::vector<OwnedWindow> stores;  ///< write-set over the output array
+  idx_t off_slab_elems = 0;  ///< stored outside the storer's slab (link)
 
   /// Buffer-half windows (double-buffered stages only), one per loading
   /// rank, owner = rank: what Load writes and what Store reads of one
@@ -79,7 +81,8 @@ struct PlanModel {
   std::string engine;        ///< engine label, e.g. "double-buffer"
   std::vector<idx_t> dims;
   idx_t total = 0;
-  int threads = 0;           ///< team size p
+  int threads = 0;           ///< team size p (per socket)
+  int sockets = 1;           ///< pipeline groups, one slab each
   int compute_threads = 0;   ///< resolved p_c
   int data_threads = 0;      ///< resolved p_d
   std::vector<StageModel> stages;
@@ -127,6 +130,10 @@ struct StaticReport {
 /// failure.
 bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
                       PlanModel* out, std::string* why);
+
+/// The double-buffer model of `plan`; a socket plan's windows are over
+/// the concatenated slabs, through the plan's row maps (socket_row).
+PlanModel build_plan_model(const StagePlan& plan);
 
 /// Prove invariants 1–4 over a model. Pure; never executes anything.
 StaticReport verify_plan(const PlanModel& model);

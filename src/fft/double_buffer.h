@@ -39,8 +39,8 @@ namespace bwfft {
 /// The load and compute tasks of a tiled batch-FFT stage over the rows of
 /// `src`: block i's `block_rows` rows of `row_elems` elements are copied
 /// into the buffer half and transformed in place as `lanes`-wide pencils.
-/// The caller adds the store — a Rotated stage's blocked rotation, or a
-/// dual-socket stage's Table III W.
+/// The caller adds the store — the blocked rotation of a Rotated stage,
+/// which a dual-socket stage cuts at the slab boundaries (Table III W).
 PipelineStage make_row_stage(const cplx* src, const Fft1d& fft, idx_t lanes,
                              idx_t block_rows, idx_t row_elems,
                              idx_t iterations);
@@ -68,15 +68,10 @@ class DoubleBufferEngine final : public MdEngine {
     double seconds = 0.0;
     idx_t iterations = 0;
     idx_t block_rows = 0;
-    /// Per-role busy time (filled when set_collect_utilization(true)).
+    /// Per-role busy time (empty on the Flat path).
     DoubleBufferPipeline::RoleUtilization util;
   };
   const std::vector<StageStats>& last_stats() const { return stats_; }
-
-  /// Collect per-role busy times into last_stats() (small overhead).
-  void set_collect_utilization(bool on) {
-    if (pipeline_) pipeline_->set_collect_utilization(on);
-  }
 
  private:
   /// The load/compute/store tasks of one tiled stage.

@@ -1,11 +1,12 @@
 // Dual-socket double-buffered 3D FFT (§IV-B, Fig 8, Table III).
 //
 // Data is distributed across the sockets' NUMA domains by the z dimension
-// (each socket owns a contiguous k/sk x n x m slab). Every stage reads
-// only from the socket's local memory; stage 1 also writes locally (its
-// rotation stays inside the slab, Table III W^1), while stages 2 and 3
-// write across the interconnect (W^2 reassembles full-z pencils
-// distributed by y; W^3 restores the natural order distributed by z).
+// (each socket owns a contiguous k/sk x n x m slab) and runs the socket
+// StagePlan (make_stage_plan(dims, opts, sk)). Every stage reads only from
+// the socket's local memory; stage 1 also writes locally (W^1 rotates the
+// slab), while stages 2 and 3 write across the interconnect: on the
+// concatenated slabs W^2 and W^3 are the single-socket rotations of the
+// socket's rows, cut at the slab boundaries into one run per socket.
 // Within each socket the stage runs the same Table II software pipeline as
 // the single-socket engine: the team is one DoubleBufferPipeline split into
 // a group per socket, each with its own compute/data threads, cache buffer
@@ -19,12 +20,12 @@
 #include <vector>
 
 #include "fft/engine.h"
-#include "fft/stage.h"
 #include "fft1d/fft1d.h"
 #include "parallel/numa.h"
 #include "parallel/roles.h"
 #include "parallel/team.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft {
 
@@ -43,8 +44,10 @@ class DualSocketFft3d {
   /// intended hot path).
   void execute(cplx* in, cplx* out);
 
-  int sockets() const { return sk_; }
-  idx_t size() const { return k_ * n_ * m_; }
+  int sockets() const { return plan_.sockets; }
+  idx_t size() const { return plan_.total; }
+  /// The socket plan this transform runs.
+  const StagePlan& plan() const { return plan_; }
 
   /// Cross-socket bytes written by the last execute_* call.
   const LinkTraffic& traffic() const { return traffic_; }
@@ -52,7 +55,9 @@ class DualSocketFft3d {
   /// Each socket's role plan (every socket has the same one).
   const RolePlan& socket_roles() const { return pipeline_->roles(); }
   /// Pipeline iterations of stage `stage` (0..2) on every socket.
-  idx_t iterations(int stage) const;
+  idx_t iterations(int stage) const {
+    return plan_.stages[static_cast<std::size_t>(stage)].iterations;
+  }
 
   using Trace = std::vector<DoubleBufferPipeline::TraceEvent>;
   /// Record the schedule of later execute_* calls: stage s appends to
@@ -61,16 +66,12 @@ class DualSocketFft3d {
   void set_trace(std::array<Trace, 3>* sink) { trace_ = sink; }
 
  private:
-  void run_stage(int stage, NumaArray& src, NumaArray& dst);
+  void run_stage(std::size_t k, NumaArray& src, NumaArray& dst);
 
-  idx_t k_, n_, m_, mu_;
-  idx_t ksl_, nsl_;  // per-socket slab extents k/sk, n/sk
   Direction dir_;
   FftOptions opts_;
-  int sk_;
-  std::array<StageGeometry, 3> stages_;  // per-socket local geometry
-  std::array<idx_t, 3> block_rows_{};    // per-socket rows per block
-  std::vector<std::shared_ptr<Fft1d>> ffts_;
+  StagePlan plan_;
+  std::vector<std::shared_ptr<Fft1d>> ffts_;  // one per stage
   // Pooled or private (FftOptions::team_pool); the pipeline splits it
   // into one group per socket.
   std::shared_ptr<ThreadTeam> team_;

@@ -80,33 +80,25 @@ class NumaArray {
   std::vector<AlignedBuffer<cplx>> slabs_;
 };
 
-/// Cross-socket traffic accounting for the QPI/HT link model.
+/// Cross-socket write traffic (every stage reads its own slab) for the
+/// QPI/HT link model.
 class LinkTraffic {
  public:
   void record_write(std::size_t bytes) {
     write_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
-  void record_read(std::size_t bytes) {
-    read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void reset() {
-    write_bytes_.store(0);
-    read_bytes_.store(0);
-  }
+  void reset() { write_bytes_.store(0); }
   std::size_t write_bytes() const { return write_bytes_.load(); }
-  std::size_t read_bytes() const { return read_bytes_.load(); }
 
   /// Seconds the recorded traffic needs at the given link bandwidth —
   /// the penalty term of the paper's Fig 10 analysis.
   double modeled_seconds(double link_bw_gbs) const {
     if (link_bw_gbs <= 0.0) return 0.0;
-    return static_cast<double>(write_bytes() + read_bytes()) /
-           (link_bw_gbs * 1e9);
+    return static_cast<double>(write_bytes()) / (link_bw_gbs * 1e9);
   }
 
  private:
   std::atomic<std::size_t> write_bytes_{0};
-  std::atomic<std::size_t> read_bytes_{0};
 };
 
 }  // namespace bwfft

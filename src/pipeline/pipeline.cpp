@@ -102,7 +102,7 @@ void DoubleBufferPipeline::run_groups(const PipelineStage* stages,
   for (int g = 0; g < groups_; ++g) {
     BWFFT_CHECK(stages[g].iterations >= 1, "stage needs >= 1 iteration");
   }
-  if (collect_util_) util_ = RoleUtilization{};
+  util_ = RoleUtilization{};
   Timer wall;
   try {
     team_.run([&](int tid) {
@@ -128,7 +128,7 @@ void DoubleBufferPipeline::run_groups(const PipelineStage* stages,
     }
     throw;
   }
-  if (collect_util_) util_.wall_seconds = wall.seconds();
+  util_.wall_seconds = wall.seconds();
 }
 
 void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
@@ -208,7 +208,6 @@ void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
     }
   }
 
-  if (!collect_util_) return;
   std::lock_guard<std::mutex> lk(trace_mu_);
   util_.load_seconds += t_load;
   util_.compute_seconds += t_comp;

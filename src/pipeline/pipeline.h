@@ -102,8 +102,9 @@ class DoubleBufferPipeline {
   /// (nullptr disables). Not for timed runs.
   void set_trace(std::vector<TraceEvent>* sink) { trace_ = sink; }
 
-  /// Aggregate busy time per task kind over one execute() call, summed
-  /// across the threads that ran it. Under Split busy/(wall * group size)
+  /// Aggregate busy time per task kind over the last execute() call,
+  /// summed across the threads that ran it (every task is timed anyway,
+  /// so this is always collected). Under Split busy/(wall * group size)
   /// is the utilisation of that role — the soft-DMA balance the
   /// thread-split ablation inspects; under Private every thread runs all
   /// three tasks, so each sum spreads over the whole team.
@@ -114,9 +115,6 @@ class DoubleBufferPipeline {
     double compute_seconds = 0.0;  // compute threads (Split) or all
   };
 
-  /// Enable/disable utilisation collection (small timing overhead per
-  /// task); results from the last execute() via last_utilization().
-  void set_collect_utilization(bool on) { collect_util_ = on; }
   const RoleUtilization& last_utilization() const { return util_; }
 
  private:
@@ -149,7 +147,6 @@ class DoubleBufferPipeline {
   std::vector<std::unique_ptr<SpinBarrier>> group_barriers_;  // groups > 1
   std::vector<TraceEvent>* trace_ = nullptr;
   std::mutex trace_mu_;
-  bool collect_util_ = false;
   RoleUtilization util_;
 };
 

@@ -130,17 +130,24 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1) {
 }
 
 StagePlan make_stage_plan(const std::vector<idx_t>& dims,
-                          const FftOptions& opts) {
+                          const FftOptions& opts, int sockets) {
   BWFFT_CHECK(dims.size() >= 1 && dims.size() <= 3,
               "only 1D, 2D and 3D transforms are supported");
+  BWFFT_CHECK(sockets == 1 ||
+                  (sockets > 1 && dims.size() == 3 && dims[0] % sockets == 0 &&
+                   dims[1] % sockets == 0),
+              "sockets must be 1 or divide k and n of a 3D cube");
   StagePlan plan;
   plan.dims = dims;
+  plan.sockets = sockets;
   for (idx_t d : dims) {
     BWFFT_CHECK(d >= 1, "dimensions must be positive");
     plan.total *= d;
   }
 
-  const int p = resolved_threads(opts);
+  // A socket plan splits the team evenly, at least one thread a socket.
+  const int p = sockets == 1 ? resolved_threads(opts)
+                             : std::max(1, resolved_threads(opts) / sockets);
   const int pc = opts.compute_threads >= 0
                      ? opts.compute_threads
                      : default_compute_threads(p, dims.size());
@@ -199,10 +206,15 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
                                               "stage-2"};
     for (const StageGeometry& g : geoms) block = std::max(block, g.row_elems());
     for (std::size_t i = 0; i < geoms.size(); ++i) {
-      const StageGeometry& g = geoms[i];
-      plan.stages.push_back(tiled(StageKind::Rotated, kNames[i], g.rows(),
+      // W^1 rotates each socket's own slab; the exchange stages keep the
+      // cube's grid, and each socket takes 1/sk of its rows.
+      StageGeometry g = geoms[i];
+      if (i == 0) g.a /= sockets;
+      const idx_t rows = i == 0 ? g.rows() : g.rows() / sockets;
+      plan.stages.push_back(tiled(StageKind::Rotated, kNames[i], rows,
                                   g.row_elems(), block, nt));
       plan.stages.back().geom = g;
+      plan.stages.back().split_b = sockets > 1 && i == 1;
     }
   }
   plan.block_elems = block;

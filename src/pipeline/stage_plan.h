@@ -3,11 +3,12 @@
 // make_stage_plan() resolves the team size p, the compute/data split
 // p_c/p_d, the rotation packet mu (2D/3D) or the four-step split n1*n2
 // (1D), the per-half pipeline block b, and for every stage how it tiles
-// into pipeline blocks. It is the only place those rules live:
+// into pipeline blocks, on one socket or per z-slab of a socket plan
+// (§IV-B). It is the only place those rules live:
 //
 //   - DoubleBufferEngine (every StageKind) and StageParallelEngine build
 //     their roles, team, pipeline and stage lambdas from the plan, and
-//     DualSocketFft3d takes its per-socket p_c and block from it;
+//     DualSocketFft3d builds its groups and stores from the socket plan;
 //   - analysis::build_plan_model turns the plan into symbolic windows;
 //   - spl::plan_term restates it as the SPL formula of the transform,
 //     which bwfft_lint, `bwfft_verify spl` and the tests verify and
@@ -55,6 +56,10 @@ enum class StageKind {
 /// One stage tiled into pipeline blocks. A "row" is the stage's tiling
 /// unit: a row of the rotation grid, a group of `group` columns (an
 /// n1 x W tile) or a group of `group` rows (an R x n2 tile).
+/// In a socket plan `rows` is one socket's share. Stage 0 (W^1) rotates
+/// the socket's slab, so geom is the slab's grid; stages 1 and 2 (W^2,
+/// W^3) keep the cube's grid, whose b (z, split_b) or a (y) dimension the
+/// sockets split.
 struct PlannedStage {
   StageKind kind = StageKind::Rotated;
   const char* name = "";  ///< obs slice and verifier label
@@ -65,7 +70,23 @@ struct PlannedStage {
   idx_t rows_per_block = 1;
   idx_t iterations = 1;   ///< rows / rows_per_block
   bool nontemporal = true;
+  bool split_b = false;   ///< socket plans: the sockets split geom.b
 };
+
+/// Slabs a row's packets land in: 1 when stores stay in the storing
+/// socket's slab, sk on an exchange stage (runs of cp/sk packets).
+inline idx_t slab_runs(const PlannedStage& s) {
+  return s.geom.rows() / s.rows;
+}
+
+/// The row of geom's grid that is socket `socket`'s local row r.
+inline idx_t socket_row(const PlannedStage& s, int socket, idx_t r) {
+  const idx_t sk = slab_runs(s);
+  if (sk == 1) return r;
+  if (!s.split_b) return socket * s.rows + r;
+  const idx_t w = s.geom.b / sk;
+  return (r / w) * s.geom.b + socket * w + r % w;
+}
 
 /// How the team runs a tiled stage (pipeline/pipeline.h). Split is the
 /// paper's roles: p_c compute threads overlap the p_d data threads'
@@ -79,7 +100,8 @@ const char* schedule_name(Schedule s);
 struct StagePlan {
   std::vector<idx_t> dims;
   idx_t total = 1;
-  int threads = 1;          ///< p
+  int sockets = 1;          ///< sk: pipeline groups, one z-slab each
+  int threads = 1;          ///< p, per socket (the team is p * sk)
   int compute_threads = 1;  ///< p_c
   int data_threads = 0;     ///< p_d = p - p_c
   idx_t block_elems = 1;    ///< per-half block b, >= every stage's widest row
@@ -121,9 +143,11 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 /// split (a pinned packet_elems has no column group to pin there and is
 /// kBadPlan). p_c is opts.compute_threads when set, else
 /// default_compute_threads. The engine kind is not consulted:
-/// stage-parallel executes the same stages untiled. Throws kBadPlan on
-/// options no engine can run.
+/// stage-parallel executes the same stages untiled. sockets = sk > 1
+/// plans the dual-socket chain (Table III) of a 3D cube whose k and n sk
+/// divides, for p/sk threads per socket. Throws kBadPlan on options no
+/// engine can run.
 StagePlan make_stage_plan(const std::vector<idx_t>& dims,
-                          const FftOptions& opts);
+                          const FftOptions& opts, int sockets = 1);
 
 }  // namespace bwfft

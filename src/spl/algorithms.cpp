@@ -89,10 +89,19 @@ ExprPtr stage_term(const StagePlan& plan, std::size_t k, Direction dir) {
   switch (s.kind) {
     case StageKind::Rotated: {
       const StageGeometry& g = s.geom;
-      return compose({
-          rotation_k_blocked(g.a, g.b, g.row_elems(), g.mu),
-          with_lanes(kron(identity(g.rows()), dft(g.fft_len, dir)), g.lanes),
-      });
+      ExprPtr compute =
+          with_lanes(kron(identity(s.rows), dft(g.fft_len, dir)), g.lanes);
+      if (plan.sockets == 1) {
+        return compose(
+            {rotation_k_blocked(g.a, g.b, g.row_elems(), g.mu), compute});
+      }
+      // Socket plan: every socket transforms its own rows, then W^{k+1}.
+      const idx_t sk = plan.sockets;
+      const idx_t kd = plan.dims[0], n = plan.dims[1], m = plan.dims[2];
+      ExprPtr w = k == 0   ? dual_socket_w1(kd, n, m, plan.mu, sk)
+                  : k == 1 ? dual_socket_w2(kd, n, m, plan.mu, sk)
+                           : dual_socket_w3(kd, n, m, plan.mu, sk);
+      return compose({std::move(w), kron(identity(sk), std::move(compute))});
     }
     case StageKind::Columns:
       return compose({twiddle_diag(plan.n1, plan.n2, dir),
@@ -178,35 +187,6 @@ ExprPtr dual_socket_w3(idx_t k, idx_t n, idx_t m, idx_t mu, idx_t sk) {
       kron(stride_perm(sk * k, k), identity(n * m / sk)),
       kron(identity(sk), kron(rotation_k(nsl, m / mu, k), identity(mu))),
   });
-}
-
-ExprPtr dft3d_dual_socket(idx_t k, idx_t n, idx_t m, idx_t mu, idx_t sk,
-                          Direction dir) {
-  check_divides(mu, m, "dual socket needs mu | m");
-  check_divides(sk, k, "dual socket needs sk | k");
-  check_divides(sk, n, "dual socket needs sk | n");
-  const idx_t ksl = k / sk;
-  const idx_t nsl = n / sk;
-
-  // Stage 1: per-socket pencils along x on the local ksl x n x m slab.
-  ExprPtr stage1 = compose({
-      dual_socket_w1(k, n, m, mu, sk),
-      kron(identity(sk), kron(identity(ksl * n), dft(m, dir))),
-  });
-  // Stage 2: per-socket pencils along y; write across the interconnect.
-  ExprPtr stage2 = compose({
-      dual_socket_w2(k, n, m, mu, sk),
-      kron(identity(sk),
-           kron(kron(identity((m / mu) * ksl), dft(n, dir)), identity(mu))),
-  });
-  // Stage 3: per-socket full-length z pencils; write across to restore the
-  // natural order distributed by z.
-  ExprPtr stage3 = compose({
-      dual_socket_w3(k, n, m, mu, sk),
-      kron(identity(sk),
-           kron(kron(identity(nsl * (m / mu)), dft(k, dir)), identity(mu))),
-  });
-  return compose({stage3, stage2, stage1});
 }
 
 }  // namespace bwfft::spl

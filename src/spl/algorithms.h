@@ -8,8 +8,10 @@
 //
 // plan_term() is the formula of what the engines run: it reads a
 // StagePlan (pipeline/stage_plan.h) stage by stage, so the rotated 2D/3D
-// chain and the 1D four-step passes have one description, the plan, and
-// the term follows it (packet mu, split n1 x n2) instead of restating it.
+// chain, the dual-socket chain (a socket plan: Table III's W matrices
+// after each socket's compute) and the 1D four-step passes have one
+// description, the plan, and the term follows it (packet mu, split
+// n1 x n2, socket count sk) instead of restating it.
 //
 // Convention for the rotation operator (paper §III-A, Fig 5):
 //   K_c^{a,b} = (L_c^{ca} (x) I_b) (I_a (x) L_c^{cb})
@@ -67,7 +69,9 @@ ExprPtr rotation_k_blocked(idx_t a, idx_t b, idx_t c, idx_t mu);
 /// The term of one planned transform, last stage outermost. Per stage:
 ///   Rotated: (K_{cp}^{a,b} (x) I_mu)(I_{ab} (x) DFT_L (x) I_lanes), read
 ///            from the stage's geometry — the 2D/3D chain of §III-A,
-///            ending in natural order;
+///            ending in natural order; on a socket plan
+///            W^{k+1} (I_sk (x) I_rows (x) DFT_L (x) I_lanes), the
+///            dual-socket chain of §IV-B with `rows` per socket;
 ///   Columns: D_{n2}^{n1 n2} (DFT_{n1} (x) I_{n2});
 ///   Rows:    L_{n2}^{n} (I_{n1} (x) DFT_{n2}) — with Columns, the
 ///            four-step DFT_n of the 1D plans;
@@ -103,15 +107,9 @@ std::vector<ExprPtr> stage1_tiled(idx_t k, idx_t n, idx_t m, idx_t mu,
 /// Table III write matrices for sk sockets, whole-stage (untiled) form,
 /// i.e. without the trailing S_{knm,b,i} window: these are the full
 /// rotation+exchange operators; the windowed forms are obtained by
-/// composing with scatter().
+/// composing with scatter(). stage_term uses them for socket plans.
 ExprPtr dual_socket_w1(idx_t k, idx_t n, idx_t m, idx_t mu, idx_t sk);
 ExprPtr dual_socket_w2(idx_t k, idx_t n, idx_t m, idx_t mu, idx_t sk);
 ExprPtr dual_socket_w3(idx_t k, idx_t n, idx_t m, idx_t mu, idx_t sk);
-
-/// Full dual-socket 3D factorisation (§IV-B, Fig 8): data distributed by z
-/// across sk sockets; stage 1 reads and writes locally, stages 2 and 3
-/// write across the interconnect. Composes to DFT_{k x n x m}.
-ExprPtr dft3d_dual_socket(idx_t k, idx_t n, idx_t m, idx_t mu, idx_t sk,
-                          Direction dir = Direction::Forward);
 
 }  // namespace bwfft::spl

@@ -182,9 +182,4 @@ bool is_permutation(const Expr& e, idx_t limit) {
   return true;
 }
 
-void verify_or_throw(const Expr& e) {
-  const VerifyReport rep = verify(e);
-  BWFFT_CHECK(rep.ok(), "SPL term failed verification:\n" + rep.str());
-}
-
 }  // namespace bwfft::spl

@@ -69,7 +69,4 @@ VerifyReport verify_compose(const std::vector<ExprPtr>& factors);
 /// `limit` are rejected (the probe is O(n) space and apply time).
 bool is_permutation(const Expr& e, idx_t limit = idx_t(1) << 22);
 
-/// Throw bwfft::Error carrying the report if verification fails.
-void verify_or_throw(const Expr& e);
-
 }  // namespace bwfft::spl

@@ -187,7 +187,6 @@ TEST(Pipeline, TraceMatchesPrivate) {
 TEST(Pipeline, PrivateReportsBusyTimeAndOneBarrierPerThread) {
   ThreadTeam team(4);
   DoubleBufferPipeline pipe(team, make_role_plan(4, 4, host_topology()), 64);
-  pipe.set_collect_utilization(true);
   CopyStageFixture fx(64 * 8, 64);
   obs::reset_counters();
   obs::start_trace();
@@ -224,7 +223,6 @@ TEST(Pipeline, UtilizationCollection) {
   ThreadTeam team(2);
   RolePlan roles = make_role_plan(2, 1, host_topology());
   DoubleBufferPipeline pipe(team, roles, 64);
-  pipe.set_collect_utilization(true);
   CopyStageFixture fx(1024, 64);
   pipe.execute(fx.stage);
   fx.expect_correct();
@@ -237,7 +235,6 @@ TEST(Pipeline, UtilizationCollection) {
   // (1 thread per role here).
   EXPECT_LE(u.load_seconds + u.store_seconds, u.wall_seconds * 1.5);
   EXPECT_LE(u.compute_seconds, u.wall_seconds * 1.5);
-  pipe.set_collect_utilization(false);
 }
 
 TEST(Pipeline, GroupsRunTheirOwnStagesAndDrainOnThrow) {

@@ -29,7 +29,8 @@ TEST(SplVerify, PaperFactorisationsAreClean) {
   blocked.packet_elems = 2;
   EXPECT_TRUE(verify(*plan_term(make_stage_plan({8, 8}, blocked))).ok());
   EXPECT_TRUE(verify(*plan_term(make_stage_plan({4, 4, 8}, blocked))).ok());
-  EXPECT_TRUE(verify(*dft3d_dual_socket(4, 4, 8, 2, 2)).ok());
+  EXPECT_TRUE(
+      verify(*plan_term(make_stage_plan({4, 4, 8}, blocked, 2))).ok());
   const auto rep = verify(*rotation_k_blocked(3, 4, 8, 2));
   EXPECT_TRUE(rep.ok()) << rep.str();
   EXPECT_GT(rep.nodes, 1u);

@@ -13,7 +13,10 @@
 //      symbolic checker on the same trace;
 //   3. runs the SPL static verifier over spl::plan_term of every distinct
 //      StagePlan the grid builds (one per packet mu / four-step n1), so
-//      the formula proven is the one the engines execute.
+//      the formula proven is the one the engines execute;
+//   4. on every 3D shape whose k and n 2 divides, proves the default
+//      two-socket plan (make_stage_plan(dims, opts, 2)) the same way: its
+//      windows by leg 1 and its plan_term by leg 3.
 //
 // `--inject MODE` seeds one deliberate defect into an otherwise valid
 // model or trace and exits nonzero ONLY IF the static pass catches it
@@ -87,29 +90,43 @@ std::string dims_str(const std::vector<idx_t>& dims) {
 // ---------------------------------------------------------------------------
 
 void lint_plan_term(const StagePlan& plan, LintTally* tally) {
-  char what[96];
+  std::string what = dims_str(plan.dims);
   if (plan.dims.size() > 1) {
-    std::snprintf(what, sizeof what, "%s mu=%lld", dims_str(plan.dims).c_str(),
-                  static_cast<long long>(plan.mu));
+    what += " mu=" + std::to_string(plan.mu);
   } else {
-    std::snprintf(what, sizeof what, "%s n1=%lld n2=%lld",
-                  dims_str(plan.dims).c_str(),
-                  static_cast<long long>(plan.n1),
-                  static_cast<long long>(plan.n2));
+    what += " n1=" + std::to_string(plan.n1) + " n2=" + std::to_string(plan.n2);
   }
+  if (plan.sockets > 1) what += " sk=" + std::to_string(plan.sockets);
   const spl::VerifyReport rep = spl::verify(*spl::plan_term(plan));
   if (!rep.ok()) {
-    std::printf("FAIL  spl plan_term %s\n%s\n", what, rep.str().c_str());
+    std::printf("FAIL  spl plan_term %s\n%s\n", what.c_str(),
+                rep.str().c_str());
     tally->violations += static_cast<int>(rep.issues.size());
     return;
   }
   ++tally->spl_verified;
-  std::printf("  ok    spl plan_term %s (%zu nodes)\n", what, rep.nodes);
+  std::printf("  ok    spl plan_term %s (%zu nodes)\n", what.c_str(),
+              rep.nodes);
 }
 
 // ---------------------------------------------------------------------------
 // Leg 1+2: the tuner grid, engine models, and schedule cross-check.
 // ---------------------------------------------------------------------------
+
+void lint_model(const analysis::PlanModel& model, bool print_ok,
+                LintTally* tally) {
+  const analysis::StaticReport rep = analysis::verify_plan(model);
+  if (!rep.ok()) {
+    std::printf("FAIL  %s\n%s\n", model.label().c_str(), rep.str().c_str());
+    tally->violations += static_cast<int>(rep.issues.size());
+    return;
+  }
+  ++tally->configs_verified;
+  if (print_ok) {
+    std::printf("  ok    %s (%zu proofs)\n", model.label().c_str(),
+                rep.checks);
+  }
+}
 
 void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
                LintTally* tally) {
@@ -132,17 +149,7 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
       }
       continue;
     }
-    const analysis::StaticReport rep = analysis::verify_plan(model);
-    if (!rep.ok()) {
-      std::printf("FAIL  %s\n%s\n", model.label().c_str(), rep.str().c_str());
-      tally->violations += static_cast<int>(rep.issues.size());
-    } else {
-      ++tally->configs_verified;
-      if (opt.verbose) {
-        std::printf("  ok    %s (%zu proofs)\n", model.label().c_str(),
-                    rep.checks);
-      }
-    }
+    lint_model(model, opt.verbose, tally);
 
     // SPL leg: the term of every distinct plan (a model was built, so
     // this engine runs the StagePlan).
@@ -180,6 +187,13 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
         ++tally->schedules_verified;
       }
     }
+  }
+
+  // Leg 4: the default plan over two sockets, where 2 divides k and n.
+  if (dims.size() == 3 && dims[0] % 2 == 0 && dims[1] % 2 == 0) {
+    const StagePlan plan = make_stage_plan(dims, req, 2);
+    lint_model(analysis::build_plan_model(plan), true, tally);
+    lint_plan_term(plan, tally);
   }
 }
 

@@ -5,8 +5,9 @@
 //       the plan's auto packet), run the SPL static verifier over
 //       spl::plan_term stage by stage and whole, probe each stage's data
 //       movement (K or L) for permutation-ness, and verify the paper's
-//       other 2D/3D factorisations at the same shape. Exit 0 iff
-//       everything is clean.
+//       other 2D/3D factorisations and the socket plan's term (SK
+//       sockets; the default 2 is skipped where it does not divide) at
+//       the same shape. Exit 0 iff everything is clean.
 //
 //   bwfft_verify pipeline [--threads P] [--compute PC] [--block ELEMS]
 //                         [--iters N]
@@ -124,16 +125,19 @@ int run_spl(const std::vector<idx_t>& dims, idx_t mu, int sk) {
   } else if (dims.size() == 3) {
     const idx_t k = dims[0], n = dims[1], m = dims[2];
     failures += check_term("dft3d_pencil", *spl::dft3d_pencil(k, n, m));
-    if (sk > 1 && k % sk == 0 && n % sk == 0) {
+  }
+  // The socket plan: a requested split (sk > 0) must plan, the default
+  // one is tried on 3D shapes only and skipped where it does not divide.
+  if (sk > 0 || dims.size() == 3) {
+    const int split = sk > 0 ? sk : 2;
+    const std::string name = "plan_term sk=" + std::to_string(split);
+    try {
       failures += check_term(
-          "dft3d_dual_socket",
-          *spl::dft3d_dual_socket(k, n, m, plan.mu, sk));
-    } else if (sk > 1) {
-      std::printf("  %-22s skipped (socket split %lld does not divide "
-                  "k=%lld and n=%lld)\n",
-                  "dft3d_dual_socket", (long long)sk, (long long)k,
-                  (long long)n);
-      ++skipped;
+          name.c_str(), *spl::plan_term(make_stage_plan(dims, opts, split)));
+    } catch (const Error& e) {
+      std::printf("  %-22s %s: %s\n", name.c_str(),
+                  sk > 0 ? "FAIL" : "skipped", e.what());
+      ++(sk > 0 ? failures : skipped);
     }
   }
   std::printf("spl verify: %s (%d skipped, %d failures)\n",
@@ -199,7 +203,7 @@ int main(int argc, char** argv) {
 
   std::vector<idx_t> dims;
   idx_t mu = 0, block = 4096, iters = 16;  // mu 0: the plan's auto packet
-  int threads = 0, compute = -1, sk = 2;
+  int threads = 0, compute = -1, sk = 0;  // sk 0: the default split
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
