@@ -14,6 +14,7 @@
 // arenas of the same DRAM: the measured time reflects one memory system,
 // and the link penalty is reported from recorded cross-socket traffic at
 // the paper machines' link bandwidths.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -61,7 +62,10 @@ int main() {
     Fft3d db1(k, n, m, Direction::Forward, o);
     const double t_db1 = bench::time_plan(db1, in, out, original);
 
-    DualSocketFft3d db2(k, n, m, Direction::Forward, o, 2);
+    // The socket plan needs a whole number of threads per socket.
+    FftOptions o2 = o;
+    o2.threads = 2 * std::max(1, resolved_threads(o) / 2);
+    DualSocketFft3d db2(k, n, m, Direction::Forward, o2, 2);
     const double t_db2 = bench::time_plan(db2, in, out, original);
     const double cross_gb =
         static_cast<double>(db2.traffic().write_bytes()) / 1e9;

@@ -25,6 +25,7 @@ void show(const char* title, const ExprPtr& got, const ExprPtr& want) {
 StagePlan plan_for(const std::vector<idx_t>& dims, idx_t mu, int sockets = 1) {
   FftOptions opts;
   opts.packet_elems = mu;
+  if (sockets > 1) opts.threads = 2 * sockets;  // two threads a socket
   return make_stage_plan(dims, opts, sockets);
 }
 

@@ -124,14 +124,13 @@ BatchExecutor::BatchExecutor(ServeOptions opts)
 
   // Pre-spawn the persistent team the default engine will ask for: the
   // double-buffer role plan's pin list for this thread budget, at the
-  // plan rule's 2D/3D split. Plans with other pin shapes (1D plans,
-  // unpinned engines, degraded budgets) pool their own teams on first
-  // use; this one is the steady-state workhorse.
+  // plan rule's split. Plans with other pin shapes (unpinned engines,
+  // degraded budgets) pool their own teams on first use; this one is the
+  // steady-state workhorse.
   const RolePlan roles = make_role_plan(
       threads_,
-      opts_.plan.compute_threads >= 0
-          ? opts_.plan.compute_threads
-          : default_compute_threads(threads_, /*rank=*/3),
+      opts_.plan.compute_threads >= 0 ? opts_.plan.compute_threads
+                                      : default_compute_threads(threads_),
       opts_.plan.topo);
   team_cpus_ = opts_.pin_threads ? roles.cpu : std::vector<int>{};
   team_ = parallel::TeamPool::global().acquire(threads_, team_cpus_);

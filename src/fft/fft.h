@@ -117,8 +117,6 @@ class Fft3d {
   /// array (allocated lazily on first use and kept for reuse).
   void execute_inplace(cplx* data);
 
-  idx_t dim0() const { return k_; }
-  idx_t dim1() const { return n_; }
   idx_t dim2() const { return m_; }
   idx_t size() const { return k_ * n_ * m_; }
   const char* engine_name() const;

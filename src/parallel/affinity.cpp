@@ -28,16 +28,4 @@ bool pin_current_thread(int cpu) {
 #endif
 }
 
-bool unpin_current_thread() {
-#if defined(__linux__)
-  const long ncpus = sysconf(_SC_NPROCESSORS_ONLN);
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (long c = 0; c < ncpus; ++c) CPU_SET(static_cast<int>(c), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  return false;
-#endif
-}
-
 }  // namespace bwfft

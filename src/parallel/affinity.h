@@ -14,7 +14,4 @@ namespace bwfft {
 /// or the CPU does not exist.
 bool pin_current_thread(int cpu);
 
-/// Remove any pinning from the calling thread (affinity = all CPUs).
-bool unpin_current_thread();
-
 }  // namespace bwfft

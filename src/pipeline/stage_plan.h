@@ -37,10 +37,9 @@ namespace bwfft {
 constexpr idx_t kFourStepMaxCols = 32;
 constexpr idx_t kFourStepMaxRows = 128;
 
-/// Core-private tile budget (256 KiB): the default four-step n1 keeps one
-/// n1 x kFourStepMaxCols column tile within it, and the auto rotation
-/// packet widens only while the longest lane-stage row (L x mu) does, so
-/// the lanes transforms run on core-private cache, not the shared LLC.
+/// Core-private tile budget (256 KiB): the auto rotation packet widens
+/// only while the longest lane-stage row (L x mu) stays within it, so the
+/// lanes transforms run on core-private cache, not the shared LLC.
 constexpr idx_t kCoreTileElems = 16384;
 
 /// Widest auto rotation packet: a 1 KiB NT store run.
@@ -115,20 +114,16 @@ struct StagePlan {
   }
 };
 
-/// The default p_c for a team of p threads on a transform of `rank`
-/// dimensions. 2D/3D plans run Private (p_c = p): this host class has no
-/// SMT siblings for data threads, and DRAM bandwidth grows with the cores
-/// that issue requests. 1D plans keep the paper's even split, because
-/// p_c = p would shrink the Rows group R to a cacheline (64 B NT runs).
-inline int default_compute_threads(int p, std::size_t rank) {
-  return p <= 1 || rank != 1 ? p : p / 2;
-}
+/// The default p_c for a team of p threads: p, the Private schedule, for
+/// every rank. This host class has no SMT siblings for data threads, and
+/// DRAM bandwidth grows with the cores that issue requests. Split (p_c <
+/// p) runs only when compute_threads asks for it.
+inline int default_compute_threads(int p) { return p; }
 
 /// Resolve the 1D four-step split n = n1 * n2: a requested n1 is honoured
-/// (kBadPlan unless it divides n), 0 picks a skewed cache-sized split
-/// (n1 ~ 512 so the column tile stays core-private, larger only to cap
-/// the row length at 64K elements), and an n with no divisor in [2, n/2]
-/// yields {1, n}.
+/// (kBadPlan unless it divides n), 0 picks the near-square split (the
+/// largest divisor n1 <= sqrt(n), so n1 <= n2), and an n with no divisor
+/// in [2, sqrt(n)] yields {1, n}.
 std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 
 /// Plan dims (size 1, 2 or 3, slowest first) under opts. 2D/3D plans are
@@ -139,13 +134,16 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 /// row within kCoreTileElems and leaves every lane stage at least
 /// max(p_c, p_d) rows: the rotation then stores long NT runs wherever the
 /// lanes transform stays core-private. 1D plans are the two
-/// four-step passes, or one Flat stage on a single thread when n does not
-/// split (a pinned packet_elems has no column group to pin there and is
-/// kBadPlan). p_c is opts.compute_threads when set, else
+/// four-step passes, whose column width W (pinned by packet_elems when
+/// set) and row height R are the widest groups that still give every
+/// rank one per block, or one Flat stage on a single thread when n does
+/// not split (a pinned packet_elems has no column group to pin there and
+/// is kBadPlan). p_c is opts.compute_threads when set, else
 /// default_compute_threads. The engine kind is not consulted:
 /// stage-parallel executes the same stages untiled. sockets = sk > 1
 /// plans the dual-socket chain (Table III) of a 3D cube whose k and n sk
-/// divides, for p/sk threads per socket. Throws kBadPlan on options no
+/// divides, for p/sk threads per socket (kBadPlan unless the thread
+/// count is a positive multiple of sk). Throws kBadPlan on options no
 /// engine can run.
 StagePlan make_stage_plan(const std::vector<idx_t>& dims,
                           const FftOptions& opts, int sockets = 1);

@@ -196,13 +196,20 @@ TEST(DualSocket, RejectsIndivisibleShapes) {
 // each socket reads its own slab and its stores go through the plan's row
 // maps. Every shape's sk = 2 and sk = 4 plan (where 4 divides k and n)
 // proves clean, and the stores the model places outside the storing
-// socket's slab are exactly the bytes a real run counts on the link.
+// socket's slab are exactly the bytes a real run counts on the link. A
+// thread count sk does not divide is refused rather than cut; the model
+// then runs on the largest multiple of sk below it (at least sk).
 TEST_P(DualSocketCases, StaticModelIsCleanAndPredictsLinkTraffic) {
   const auto [k, n, m, threads] = GetParam();
   auto x = random_cvec(k * n * m, 5007);
   for (int sk : {2, 4}) {
     if (k % sk != 0 || n % sk != 0) continue;
-    DualSocketFft3d plan(k, n, m, Direction::Forward, ds_opts(threads), sk);
+    int team = threads;
+    if (team % sk != 0) {
+      EXPECT_THROW(make_stage_plan({k, n, m}, ds_opts(team), sk), Error);
+      team = sk * std::max(1, team / sk);
+    }
+    DualSocketFft3d plan(k, n, m, Direction::Forward, ds_opts(team), sk);
     const analysis::PlanModel model = analysis::build_plan_model(plan.plan());
     const analysis::StaticReport rep = analysis::verify_plan(model);
     EXPECT_TRUE(rep.ok()) << rep.str();

@@ -6,8 +6,12 @@
 // the plan the engine runs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
+#include <limits>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "../test_util.h"
 #include "common/error.h"
@@ -257,15 +261,77 @@ TEST(Fft1dLarge, PrimeSizesDegenerateToFlat) {
 }
 
 TEST(Fft1dLarge, ChooseFactorsPolicy) {
-  // The default split is skewed, not near-square: short core-private
-  // column FFTs, rows capped so a row stays cache-resident.
-  const auto [n1, n2] = four_step_factors(idx_t{1} << 22, 0);
-  EXPECT_EQ((idx_t{1} << 22), n1 * n2);
-  EXPECT_GE(n2, n1);  // rows at least as long as the column count
+  // The default split is near-square: the largest n1 <= sqrt(n).
+  EXPECT_EQ(std::make_pair(idx_t{2048}, idx_t{2048}),
+            four_step_factors(idx_t{1} << 22, 0));
+  EXPECT_EQ(std::make_pair(idx_t{4096}, idx_t{8192}),
+            four_step_factors(idx_t{1} << 25, 0));
+  EXPECT_EQ(std::make_pair(idx_t{1536}, idx_t{2048}),
+            four_step_factors(idx_t{3} << 20, 0));
+  EXPECT_EQ(std::make_pair(idx_t{1}, idx_t{65537}),
+            four_step_factors(65537, 0));  // prime: the flat pass
   // Requests are honoured exactly, misfits rejected.
   EXPECT_EQ(std::make_pair(idx_t{16}, idx_t{256}),
             four_step_factors(4096, 16));
   EXPECT_THROW(four_step_factors(64, 5), Error);
+}
+
+/// Bins `bins` of the DFT of x, summed directly in long double: an
+/// oracle independent of the codelets the engines and the Stockham pass
+/// share. Roots come from one table of N long-double sincos values,
+/// indexed by (j * k) mod N, so no angle is reduced in double.
+std::vector<std::complex<long double>> long_double_bins(
+    const cvec& x, const std::vector<idx_t>& bins) {
+  const idx_t n = static_cast<idx_t>(x.size());
+  std::vector<std::complex<long double>> roots(static_cast<std::size_t>(n));
+  const long double two_pi = 6.283185307179586476925286766559L;
+  for (idx_t r = 0; r < n; ++r) {
+    const long double a = -two_pi * static_cast<long double>(r) /
+                          static_cast<long double>(n);
+    roots[static_cast<std::size_t>(r)] = {std::cos(a), std::sin(a)};
+  }
+  std::vector<std::complex<long double>> out;
+  for (idx_t k : bins) {
+    std::complex<long double> acc = 0;
+    for (idx_t j = 0; j < n; ++j) {
+      const cplx v = x[static_cast<std::size_t>(j)];
+      acc += std::complex<long double>(v.real(), v.imag()) *
+             roots[static_cast<std::size_t>((j * k) % n)];
+    }
+    out.push_back(acc);
+  }
+  return out;
+}
+
+TEST(Fft1dLarge, FourStepMatchesLongDoubleSumAtSampledBins) {
+  // The 2^20 four-step on four threads, under the default Private
+  // schedule and an explicit even Split, against a long-double direct
+  // sum at 8 output bins: each bin's error stays within
+  // 16 * eps * log2(N) of ||x||_2.
+  const idx_t n = idx_t{1} << 20;
+  const cvec x = random_cvec(n, 9570);
+  const std::vector<idx_t> bins = {0,     1,          n / 2 - 1, n / 2,
+                                   n - 1, 185991,    777777,    n / 3};
+  const auto want = long_double_bins(x, bins);
+  long double norm2 = 0;
+  for (const cplx& v : x) norm2 += std::norm(std::complex<long double>(v));
+  const double gate = 16.0 * std::numeric_limits<double>::epsilon() * 20.0 *
+                      static_cast<double>(std::sqrt(norm2));
+  for (int pc : {-1, 2}) {
+    FftOptions o = large_opts(4);
+    o.compute_threads = pc;
+    DoubleBufferEngine plan({n}, Direction::Forward, o);
+    EXPECT_EQ(pc < 0 ? Schedule::Private : Schedule::Split,
+              plan.plan().schedule());
+    cvec in = x, got(x.size());
+    plan.execute(in.data(), got.data());
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      const cplx g = got[static_cast<std::size_t>(bins[i])];
+      const double err = static_cast<double>(
+          std::abs(std::complex<long double>(g.real(), g.imag()) - want[i]));
+      EXPECT_LE(err, gate) << "bin " << bins[i] << " p_c=" << pc;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

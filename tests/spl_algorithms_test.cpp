@@ -217,6 +217,7 @@ TEST(SplAlgorithms, DualSocketEqualsDense) {
   for (const Case& c : {Case{4, 4, 4, 2, 2}, Case{4, 2, 4, 2, 2},
                         Case{2, 2, 4, 2, 1}, Case{4, 4, 8, 4, 2}}) {
     FftOptions opts;
+    opts.threads = 4;  // a multiple of every sk
     opts.packet_elems = c.mu;
     auto got = plan_term(make_stage_plan({c.k, c.n, c.m}, opts, c.sk));
     EXPECT_LT(max_abs_diff(*got, *dense_dft({c.k, c.n, c.m})), 1e-10)

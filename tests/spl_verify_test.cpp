@@ -26,6 +26,7 @@ TEST(SplVerify, PaperFactorisationsAreClean) {
   four_step.factor_n1 = 4;
   EXPECT_TRUE(verify(*plan_term(make_stage_plan({16}, four_step))).ok());
   FftOptions blocked;
+  blocked.threads = 4;  // the socket plan below needs a multiple of 2
   blocked.packet_elems = 2;
   EXPECT_TRUE(verify(*plan_term(make_stage_plan({8, 8}, blocked))).ok());
   EXPECT_TRUE(verify(*plan_term(make_stage_plan({4, 4, 8}, blocked))).ok());

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "fft/double_buffer.h"
 #include "kernels/isa.h"
+#include "pipeline/pipeline.h"
 #include "pipeline/stage_plan.h"
 
 namespace bwfft {
@@ -91,6 +94,104 @@ TEST(StagePlan, RowGroupsCoverEveryRank) {
       }
     }
   }
+}
+
+TEST(StagePlan, FourStepGroupsCoverEveryRankOfBothStages) {
+  // W and R follow one rule: the widest group that still leaves every
+  // rank a group per block, at the policy block and at half of it (the
+  // tuner's block axis), for any team size.
+  const idx_t policy = default_block_elems(FftOptions{}.topo);
+  for (idx_t n : {idx_t{1} << 18, idx_t{1} << 20, idx_t{1} << 22,
+                  idx_t{1} << 24, idx_t{1} << 26, idx_t{3} << 20}) {
+    for (int p : {1, 2, 3, 4, 8}) {
+      for (idx_t block : {policy, policy / 2}) {
+        FftOptions o;
+        o.threads = p;
+        o.block_elems = block;
+        const StagePlan plan = make_stage_plan({n}, o);
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p
+                                          << " block=" << block);
+        ASSERT_EQ(2u, plan.stages.size());
+        EXPECT_EQ(Schedule::Private, plan.schedule());
+        EXPECT_LE(plan.n1, plan.n2);
+        const idx_t counts[2] = {plan.n2, plan.n1};
+        for (int k = 0; k < 2; ++k) {
+          const PlannedStage& s = plan.stages[k];
+          EXPECT_EQ(0, counts[k] % s.group) << s.name;
+          EXPECT_GE(s.rows_per_block, p) << s.name << " group=" << s.group;
+          EXPECT_GE(s.group, kMu) << s.name;
+        }
+      }
+    }
+  }
+}
+
+TEST(StagePlan, LargeOneDIsPrivateWithCorePrivateGroups) {
+  // 2^24 on four threads: the near-square 4096 x 4096 split, the Private
+  // schedule, and W = R = 32 (512 B runs): four 2 MiB groups fill the
+  // 8 MiB policy block, one per rank. At half the block both groups halve
+  // to 16 (256 B runs) instead of leaving two ranks idle.
+  FftOptions o;
+  o.threads = 4;
+  o.block_elems = 524288;
+  const StagePlan plan = make_stage_plan({idx_t{1} << 24}, o);
+  EXPECT_EQ(Schedule::Private, plan.schedule());
+  EXPECT_EQ(4096, plan.n1);
+  EXPECT_EQ(4096, plan.n2);
+  EXPECT_EQ(524288, plan.block_elems);
+  for (const PlannedStage& s : plan.stages) {
+    EXPECT_EQ(32, s.group) << s.name;
+    EXPECT_EQ(4, s.rows_per_block) << s.name;
+  }
+  o.block_elems = 262144;
+  const StagePlan half = make_stage_plan({idx_t{1} << 24}, o);
+  for (const PlannedStage& s : half.stages) {
+    EXPECT_EQ(16, s.group) << s.name;
+    EXPECT_EQ(4, s.rows_per_block) << s.name;
+  }
+}
+
+TEST(StagePlan, MultiDimensionalBenchmarkPlansAreUnchanged) {
+  // The benchmark's 256^3 and 4096^2 plans at four threads and the
+  // 8 MiB policy block, field by field.
+  FftOptions o;
+  o.threads = 4;
+  o.block_elems = 524288;
+  const StagePlan cube = make_stage_plan({256, 256, 256}, o);
+  EXPECT_EQ(4, cube.compute_threads);
+  EXPECT_EQ(0, cube.data_threads);
+  EXPECT_EQ(524288, cube.block_elems);
+  EXPECT_EQ(64, cube.mu);
+  ASSERT_EQ(3u, cube.stages.size());
+  const idx_t cube_rows[3] = {65536, 1024, 1024};
+  const idx_t cube_row_elems[3] = {256, 16384, 16384};
+  const idx_t cube_lanes[3] = {1, 64, 64};
+  for (int i = 0; i < 3; ++i) {
+    const PlannedStage& s = cube.stages[i];
+    EXPECT_EQ(cube_rows[i], s.rows) << s.name;
+    EXPECT_EQ(cube_row_elems[i], s.row_elems) << s.name;
+    EXPECT_EQ(32, s.iterations) << s.name;
+    EXPECT_EQ(256, s.geom.fft_len) << s.name;
+    EXPECT_EQ(cube_lanes[i], s.geom.lanes) << s.name;
+  }
+  EXPECT_EQ(256, cube.stages[0].geom.a);
+  EXPECT_EQ(4, cube.stages[1].geom.a);
+  EXPECT_EQ(4, cube.stages[2].geom.b);
+
+  const idx_t mu = resolve_packet_size(0, 4096);  // the SIMD packet
+  const StagePlan square = make_stage_plan({4096, 4096}, o);
+  EXPECT_EQ(4, square.compute_threads);
+  EXPECT_EQ(0, square.data_threads);
+  EXPECT_EQ(524288, square.block_elems);
+  EXPECT_EQ(mu, square.mu);
+  ASSERT_EQ(2u, square.stages.size());
+  EXPECT_EQ(4096, square.stages[0].rows);
+  EXPECT_EQ(4096, square.stages[0].row_elems);
+  EXPECT_EQ(128, square.stages[0].rows_per_block);
+  EXPECT_EQ(4096 / mu, square.stages[1].rows);
+  EXPECT_EQ(4096 * mu, square.stages[1].row_elems);
+  EXPECT_EQ(128 / mu, square.stages[1].rows_per_block);
+  EXPECT_EQ(mu, square.stages[1].geom.lanes);
 }
 
 TEST(StagePlan, PacketElemsPinsOnlyTheColumnWidth) {
@@ -261,24 +362,25 @@ TEST(StagePlan, EngineStatsMatchThePlan) {
 }
 
 TEST(StagePlan, DefaultScheduleFollowsTheRank) {
-  // 2D/3D plans run Private (p_c = p); 1D keeps the paper's even Split;
-  // an explicit compute_threads is honoured; a lone thread is Private.
+  // Every rank runs Private (p_c = p) by default, the 1D four-step
+  // included; an explicit compute_threads is honoured; a lone thread is
+  // Private.
   FftOptions o;
   o.threads = 4;
   for (const std::vector<idx_t>& dims :
-       {std::vector<idx_t>{256, 256, 256}, std::vector<idx_t>{4096, 4096}}) {
+       {std::vector<idx_t>{256, 256, 256}, std::vector<idx_t>{4096, 4096},
+        std::vector<idx_t>{idx_t{1} << 24}}) {
     const StagePlan plan = make_stage_plan(dims, o);
     EXPECT_EQ(4, plan.compute_threads);
     EXPECT_EQ(0, plan.data_threads);
     EXPECT_EQ(Schedule::Private, plan.schedule());
   }
-  const StagePlan large1d = make_stage_plan({idx_t{1} << 24}, o);
-  EXPECT_EQ(2, large1d.compute_threads);
-  EXPECT_EQ(Schedule::Split, large1d.schedule());
 
   FftOptions pinned = o;
   pinned.compute_threads = 2;
   EXPECT_EQ(Schedule::Split, make_stage_plan({256, 256, 256}, pinned).schedule());
+  EXPECT_EQ(Schedule::Split,
+            make_stage_plan({idx_t{1} << 24}, pinned).schedule());
   FftOptions one = o;
   one.threads = 1;
   EXPECT_EQ(Schedule::Private, make_stage_plan({64, 64}, one).schedule());
@@ -412,6 +514,29 @@ TEST(StagePlan, SocketPlanRejectsIndivisibleShapes) {
     }
   }
   EXPECT_THROW(make_stage_plan({4, 4, 4}, o, 0), Error);
+}
+
+TEST(StagePlan, SocketPlanRejectsAThreadCountTheSocketsDoNotDivide) {
+  // Each socket runs threads / sk of the team; a count sk does not divide
+  // is refused, naming both numbers, instead of quietly dropping threads.
+  FftOptions o;
+  for (auto [threads, sk] : {std::pair{6, 4}, std::pair{2, 4},
+                             std::pair{3, 2}}) {
+    o.threads = threads;
+    try {
+      make_stage_plan({8, 8, 8}, o, sk);
+      ADD_FAILURE() << threads << " threads over " << sk << " sockets";
+    } catch (const Error& e) {
+      EXPECT_EQ(ErrorCode::kBadPlan, e.code());
+      const std::string what = e.what();
+      EXPECT_NE(std::string::npos,
+                what.find(std::to_string(threads) + " threads over " +
+                          std::to_string(sk) + " sockets"))
+          << what;
+    }
+  }
+  o.threads = 8;
+  EXPECT_EQ(2, make_stage_plan({8, 8, 8}, o, 4).threads);
 }
 
 }  // namespace

@@ -102,9 +102,9 @@ TEST(Candidates, WideAutoPacketKeepsTheNarrowPacketsAsAlternates) {
 }
 
 TEST(Candidates, SplitAxisOffersBothSchedules) {
-  // p = 4: the plan default (-1) plus the splits it does not resolve to.
-  // 2D/3D default to Private, so the even Split (2) is the alternative;
-  // 1D defaults to Split, so p_c = p (Private) is.
+  // p = 4: the plan default (-1, the Private schedule at every rank)
+  // plus the Split alternatives it does not resolve to: the even split
+  // (2) and more compute than data threads (3).
   FftOptions req = auto_request();
   req.threads = 4;
   const auto splits = [&](const std::vector<idx_t>& dims) {
@@ -115,7 +115,7 @@ TEST(Candidates, SplitAxisOffersBothSchedules) {
     return out;
   };
   EXPECT_EQ((std::set<int>{-1, 2, 3}), splits({64, 64, 64}));
-  EXPECT_EQ((std::set<int>{-1, 3, 4}), splits({1 << 20}));
+  EXPECT_EQ((std::set<int>{-1, 2, 3}), splits({1 << 20}));
 }
 
 TEST(Candidates, OnlyOneToThreeDimensionalShapes) {
@@ -139,6 +139,22 @@ TEST(Candidates, OneDimensionalGridCarriesFactorAxis) {
     }
   }
   EXPECT_GE(factors.size(), 2u);
+}
+
+TEST(Candidates, FactorAxisIsTheNearSquareSplitAndItsSkews) {
+  // The 1D factor axis is the plan's near-square n1 and its x2 / /2
+  // skews, every one a divisor of n that leaves a real split.
+  for (idx_t n : {idx_t{1} << 20, idx_t{1} << 24, idx_t{3} << 20}) {
+    const idx_t f0 = four_step_factors(n, 0).first;
+    std::set<idx_t> factors;
+    for (const TuneCandidate& c : enumerate_candidates({n}, auto_request())) {
+      if (c.engine != EngineKind::DoubleBuffer) continue;
+      EXPECT_EQ(0, n % c.factor_n1) << candidate_label(c);
+      EXPECT_GE(n / c.factor_n1, 2) << candidate_label(c);
+      factors.insert(c.factor_n1);
+    }
+    EXPECT_EQ((std::set<idx_t>{f0 / 2, f0, 2 * f0}), factors) << "n=" << n;
+  }
 }
 
 TEST(Candidates, ApplyCandidateCopiesKnobs) {

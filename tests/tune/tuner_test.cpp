@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/topology.h"
+#include "kernels/isa.h"
 #include "obs/obs.h"
 #include "pipeline/stage_plan.h"
 #include "tune/tuner.h"
@@ -72,30 +73,35 @@ TEST_F(TunerTest, EstimateKeepsTheWideAutoPacket) {
 
 TEST_F(TunerTest, EstimatePicksPrivateAtTheBenchmarkShapes) {
   // Split data threads move bytes at their p_d / p share of STREAM, so
-  // the model prices p_c = p (Private) ahead at the benchmark's 2D/3D
-  // shapes. The 2^24 four-step plan's default keeps the even Split; the
-  // model ranks Private first there too, which same-host measurement
-  // neither confirms nor refutes (EXPERIMENTS.md), so only the plan rule
-  // is pinned for 1D.
+  // the model prices p_c = p (Private) ahead at the benchmark shapes, and
+  // Private is every plan's default: Auto(Estimate) resolves the 256^3,
+  // 4096^2 and 2^24 four-step transforms to the plan the default options
+  // build (the 2^24 one at its near-square n1 and the default block).
+  const FftOptions def = apply_candidate(default_candidate(),
+                                         auto_opts(TuneLevel::Estimate));
   for (const std::vector<idx_t>& dims :
-       {std::vector<idx_t>{256, 256, 256}, std::vector<idx_t>{4096, 4096}}) {
+       {std::vector<idx_t>{256, 256, 256}, std::vector<idx_t>{4096, 4096},
+        std::vector<idx_t>{idx_t{1} << 24}}) {
     TuneReport report;
     const FftOptions o = resolve_auto(dims, Direction::Forward,
                                       auto_opts(TuneLevel::Estimate), &report);
     ASSERT_EQ(EngineKind::DoubleBuffer, o.engine)
         << candidate_label(report.chosen);
-    EXPECT_EQ(4, make_stage_plan(dims, o).compute_threads)
-        << candidate_label(report.chosen);
+    const StagePlan got = make_stage_plan(dims, o);
+    const StagePlan want = make_stage_plan(dims, def);
+    EXPECT_EQ(4, got.compute_threads) << candidate_label(report.chosen);
+    EXPECT_EQ(want.compute_threads, got.compute_threads);
+    EXPECT_EQ(want.block_elems, got.block_elems);
+    EXPECT_EQ(want.mu, got.mu);
+    EXPECT_EQ(want.n1, got.n1);
+    ASSERT_EQ(want.stages.size(), got.stages.size());
+    for (std::size_t i = 0; i < want.stages.size(); ++i) {
+      EXPECT_EQ(want.stages[i].group, got.stages[i].group);
+      EXPECT_EQ(want.stages[i].rows_per_block, got.stages[i].rows_per_block);
+    }
+    EXPECT_EQ(kernels::Isa::Auto, o.isa) << candidate_label(report.chosen);
+    EXPECT_TRUE(o.nontemporal) << candidate_label(report.chosen);
   }
-  const std::vector<idx_t> large1d{idx_t{1} << 24};
-  FftOptions def = apply_candidate(default_candidate(),
-                                   auto_opts(TuneLevel::Estimate));
-  EXPECT_EQ(2, make_stage_plan(large1d, def).compute_threads);
-  TuneReport report;
-  const FftOptions o = resolve_auto(large1d, Direction::Forward,
-                                    auto_opts(TuneLevel::Estimate), &report);
-  EXPECT_EQ(EngineKind::DoubleBuffer, o.engine)
-      << candidate_label(report.chosen);
 }
 
 TEST_F(TunerTest, MeasureNeverLosesToTheDefaultConfig) {
