@@ -22,7 +22,7 @@ struct Options {
   std::vector<idx_t> dims{128, 128, 128};
   std::string engine = "dbuf";
   int threads = 0;    ///< 0 = topology default
-  int compute = -1;   ///< -1 = even split
+  int compute = -1;   ///< -1 = the plan default (p_c = p)
   idx_t block = 0;    ///< 0 = LLC/2 policy
   idx_t mu = 0;       ///< 0 = auto packet size
   int reps = 3;

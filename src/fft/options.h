@@ -68,8 +68,9 @@ struct FftOptions {
   /// Team size p; 0 = topo.total_threads().
   int threads = 0;
 
-  /// Compute threads p_c (rest are data threads); -1 = even split (the
-  /// paper's default).
+  /// Compute threads p_c (rest are data threads); -1 = the plan default,
+  /// p_c = p (the Private schedule, default_compute_threads). Any value
+  /// below p runs the paper's Split schedule.
   int compute_threads = -1;
 
   /// Per-half pipeline block b in complex elements; 0 = the LLC/2 policy.

@@ -25,7 +25,7 @@ namespace bwfft::tune {
 /// the model / measurement results for it.
 struct TuneCandidate {
   EngineKind engine = EngineKind::DoubleBuffer;
-  int compute_threads = -1;  ///< -1 = even split
+  int compute_threads = -1;  ///< -1 = the plan default (p_c = p)
   idx_t block_elems = 0;     ///< 0 = LLC/2 policy
   idx_t packet_elems = 0;    ///< 0 = auto (the StagePlan's packet)
   idx_t factor_n1 = 0;       ///< 1D four-step split; 0 = default split

@@ -17,6 +17,7 @@
 //
 // Both subcommands print a human-readable report and exit non-zero when a
 // violation is found, so the tool slots into CI next to `ctest`.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -131,9 +132,12 @@ int run_spl(const std::vector<idx_t>& dims, idx_t mu, int sk) {
   if (sk > 0 || dims.size() == 3) {
     const int split = sk > 0 ? sk : 2;
     const std::string name = "plan_term sk=" + std::to_string(split);
+    // The host's team, cut to a whole number of threads per socket.
+    FftOptions socket_opts = opts;
+    socket_opts.threads = split * std::max(1, resolved_threads(opts) / split);
     try {
-      failures += check_term(
-          name.c_str(), *spl::plan_term(make_stage_plan(dims, opts, split)));
+      failures += check_term(name.c_str(), *spl::plan_term(make_stage_plan(
+                                               dims, socket_opts, split)));
     } catch (const Error& e) {
       std::printf("  %-22s %s: %s\n", name.c_str(),
                   sk > 0 ? "FAIL" : "skipped", e.what());
