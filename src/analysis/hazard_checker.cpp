@@ -70,6 +70,86 @@ std::string HazardReport::str() const {
   return os.str();
 }
 
+namespace {
+
+/// audit_schedule under Private: per claim, one load, one compute and one
+/// store, all by the thread that claimed it, in that order; per thread,
+/// the tile holds one claim at a time (its store precedes its next load).
+void audit_claims(const Trace& trace, idx_t iterations, const RolePlan& roles,
+                  HazardReport& rep) {
+  auto add = [&rep](VKind k, const DoubleBufferPipeline::TraceEvent& ev,
+                    std::string detail) {
+    rep.violations.push_back(
+        {k, ev.step, ev.iter, ev.half, ev.tid, std::move(detail)});
+  };
+  // Per (claim, kind): how often it ran, the first runner, its position.
+  const auto nslots = static_cast<std::size_t>(iterations) * 3;
+  std::vector<int> count(nslots, 0), runner(nslots, -1);
+  std::vector<long> at(nslots, -1);
+  std::vector<idx_t> on_tile(static_cast<std::size_t>(roles.total), -1);
+  for (std::size_t idx = 0; idx < trace.size(); ++idx) {
+    const auto& ev = trace[idx];
+    if (ev.tid < 0 || ev.tid >= roles.total) {
+      add(VKind::RoleMismatch, ev, "thread id outside the team");
+      continue;
+    }
+    if (ev.iter < 0 || ev.iter >= iterations || ev.step != ev.iter) {
+      add(VKind::WrongStep, ev,
+          "private schedule records claim i at step i, i < iterations");
+      continue;
+    }
+    if (ev.half != ev.tid) {
+      add(VKind::WrongHalf, ev,
+          std::string(task_name(ev.kind)) + " must use its thread's tile");
+    }
+    const auto slot = static_cast<std::size_t>(ev.iter) * 3 +
+                      static_cast<std::size_t>(ev.kind);
+    if (count[slot]++ == 0) {
+      runner[slot] = ev.tid;
+      at[slot] = static_cast<long>(idx);
+    }
+    idx_t& held = on_tile[static_cast<std::size_t>(ev.tid)];
+    if (ev.kind == Kind::Load) {
+      if (held >= 0) {
+        add(VKind::ProgramOrder, ev,
+            "load ran before store(" + std::to_string(held) +
+                ") retired the tile");
+      }
+      held = ev.iter;
+    } else if (ev.kind == Kind::Store && held == ev.iter) {
+      held = -1;
+    }
+  }
+  for (idx_t i = 0; i < iterations; ++i) {
+    const auto base = static_cast<std::size_t>(i) * 3;
+    for (Kind k : {Kind::Load, Kind::Compute, Kind::Store}) {
+      const int n = count[base + static_cast<std::size_t>(k)];
+      if (n == 0) {
+        rep.violations.push_back({VKind::MissingTask, i, i, -1, -1,
+                                  std::string("claim's ") + task_name(k) +
+                                      " did not run"});
+      } else if (n > 1) {
+        rep.violations.push_back({VKind::DuplicateTask, i, i, -1, -1,
+                                  std::string("claim's ") + task_name(k) +
+                                      " ran " + std::to_string(n) + " times"});
+      }
+    }
+    const int l = runner[base], c = runner[base + 1], st = runner[base + 2];
+    if ((c >= 0 && c != l) || (st >= 0 && st != l)) {
+      rep.violations.push_back(
+          {VKind::SliceMismatch, i, i, -1, l,
+           "claim's tasks ran on more than one thread"});
+    }
+    const long pl = at[base], pc = at[base + 1], ps = at[base + 2];
+    if ((pl >= 0 && pc >= 0 && pc < pl) || (pc >= 0 && ps >= 0 && ps < pc)) {
+      rep.violations.push_back({VKind::ProgramOrder, i, i, -1, l,
+                                "expected load -> compute -> store"});
+    }
+  }
+}
+
+}  // namespace
+
 HazardReport audit_schedule(const Trace& trace, idx_t iterations,
                             const RolePlan& roles) {
   HazardReport rep;
@@ -78,13 +158,16 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
   BWFFT_CHECK(iterations >= 1, "schedule audit needs >= 1 iteration");
   BWFFT_CHECK(roles.total >= 1, "schedule audit needs a role plan");
 
+  if (roles.data == 0) {
+    audit_claims(trace, iterations, roles, rep);
+    return rep;
+  }
   auto add = [&rep](VKind k, idx_t step, idx_t iter, int half, int tid,
                     std::string detail) {
     rep.violations.push_back({k, step, iter, half, tid, std::move(detail)});
   };
 
-  const bool table2 = roles.data > 0;  // overlap schedule vs sequential
-  const idx_t nsteps = table2 ? iterations + 2 : iterations;
+  const idx_t nsteps = iterations + 2;
 
   // counts[tid][step * 3 + kind]; first/last trace index of each data
   // thread's store/load per step for the S4 ordering check.
@@ -108,48 +191,40 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
     }
     const bool is_compute = roles.is_compute(ev.tid);
     bool in_window = false;
-    if (table2) {
-      switch (ev.kind) {
-        case Kind::Load:
-          if (is_compute) {
-            add(VKind::RoleMismatch, ev.step, ev.iter, ev.half, ev.tid,
-                "load executed by a compute thread");
-          }
-          in_window = ev.step >= 0 && ev.step < iterations;
-          if (!in_window || ev.step != ev.iter) {
-            add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
-                "load(i) must run at step i, steps [0, iters)");
-          }
-          break;
-        case Kind::Store:
-          if (is_compute) {
-            add(VKind::RoleMismatch, ev.step, ev.iter, ev.half, ev.tid,
-                "store executed by a compute thread");
-          }
-          in_window = ev.step >= 2 && ev.step < iterations + 2;
-          if (!in_window || ev.step != ev.iter + 2) {
-            add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
-                "store(i) must run at step i+2, steps [2, iters+2)");
-          }
-          break;
-        case Kind::Compute:
-          if (!is_compute) {
-            add(VKind::RoleMismatch, ev.step, ev.iter, ev.half, ev.tid,
-                "compute executed by a data thread");
-          }
-          in_window = ev.step >= 1 && ev.step <= iterations;
-          if (!in_window || ev.step != ev.iter + 1) {
-            add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
-                "compute(i) must run at step i+1, steps [1, iters]");
-          }
-          break;
-      }
-    } else {
-      in_window = ev.step >= 0 && ev.step < iterations;
-      if (!in_window || ev.step != ev.iter) {
-        add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
-            "private schedule runs every task of iteration i at step i");
-      }
+    switch (ev.kind) {
+      case Kind::Load:
+        if (is_compute) {
+          add(VKind::RoleMismatch, ev.step, ev.iter, ev.half, ev.tid,
+              "load executed by a compute thread");
+        }
+        in_window = ev.step >= 0 && ev.step < iterations;
+        if (!in_window || ev.step != ev.iter) {
+          add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
+              "load(i) must run at step i, steps [0, iters)");
+        }
+        break;
+      case Kind::Store:
+        if (is_compute) {
+          add(VKind::RoleMismatch, ev.step, ev.iter, ev.half, ev.tid,
+              "store executed by a compute thread");
+        }
+        in_window = ev.step >= 2 && ev.step < iterations + 2;
+        if (!in_window || ev.step != ev.iter + 2) {
+          add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
+              "store(i) must run at step i+2, steps [2, iters+2)");
+        }
+        break;
+      case Kind::Compute:
+        if (!is_compute) {
+          add(VKind::RoleMismatch, ev.step, ev.iter, ev.half, ev.tid,
+              "compute executed by a data thread");
+        }
+        in_window = ev.step >= 1 && ev.step <= iterations;
+        if (!in_window || ev.step != ev.iter + 1) {
+          add(VKind::WrongStep, ev.step, ev.iter, ev.half, ev.tid,
+              "compute(i) must run at step i+1, steps [1, iters]");
+        }
+        break;
     }
     // All tasks of iteration i touch half i mod 2 — for compute that is
     // automatically the half opposite to the one loaded/stored that step.
@@ -161,7 +236,7 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
       const auto tid = static_cast<std::size_t>(ev.tid);
       const auto su = static_cast<std::size_t>(ev.step);
       ++counts[tid][su * 3 + static_cast<std::size_t>(ev.kind)];
-      if (!is_compute || !table2) {
+      if (!is_compute) {
         if (ev.kind == Kind::Store && order[tid][su].store < 0) {
           order[tid][su].store = static_cast<long>(idx);
         }
@@ -176,22 +251,20 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
   // a half with any load/store is the exact overlap bug the double buffer
   // exists to prevent, so it gets its own violation kind on top of any
   // wrong-step/wrong-half diagnostics above.
-  if (table2) {
-    std::vector<int> data_half_mask(static_cast<std::size_t>(nsteps), 0);
-    for (const auto& ev : trace) {
-      if (ev.kind != Kind::Compute && ev.step >= 0 && ev.step < nsteps &&
-          (ev.half == 0 || ev.half == 1)) {
-        data_half_mask[static_cast<std::size_t>(ev.step)] |= 1 << ev.half;
-      }
+  std::vector<int> data_half_mask(static_cast<std::size_t>(nsteps), 0);
+  for (const auto& ev : trace) {
+    if (ev.kind != Kind::Compute && ev.step >= 0 && ev.step < nsteps &&
+        (ev.half == 0 || ev.half == 1)) {
+      data_half_mask[static_cast<std::size_t>(ev.step)] |= 1 << ev.half;
     }
-    for (const auto& ev : trace) {
-      if (ev.kind == Kind::Compute && ev.step >= 0 && ev.step < nsteps &&
-          (ev.half == 0 || ev.half == 1) &&
-          (data_half_mask[static_cast<std::size_t>(ev.step)] &
-           (1 << ev.half)) != 0) {
-        add(VKind::ComputeOverlap, ev.step, ev.iter, ev.half, ev.tid,
-            "compute ran on a half being loaded/stored at the same step");
-      }
+  }
+  for (const auto& ev : trace) {
+    if (ev.kind == Kind::Compute && ev.step >= 0 && ev.step < nsteps &&
+        (ev.half == 0 || ev.half == 1) &&
+        (data_half_mask[static_cast<std::size_t>(ev.step)] &
+         (1 << ev.half)) != 0) {
+      add(VKind::ComputeOverlap, ev.step, ev.iter, ev.half, ev.tid,
+          "compute ran on a half being loaded/stored at the same step");
     }
   }
 
@@ -209,53 +282,7 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
               " times in one step");
     }
   };
-  // Private program order: per thread, the first trace index of each
-  // (kind, iteration); L(i) -> C(i) -> S(i) -> L(i+2) must be increasing.
-  std::vector<std::vector<long>> first;  // [tid][iter * 3 + kind]
-  if (!table2) {
-    first.assign(static_cast<std::size_t>(roles.total),
-                 std::vector<long>(static_cast<std::size_t>(iterations) * 3,
-                                   -1));
-    for (std::size_t idx = 0; idx < trace.size(); ++idx) {
-      const auto& ev = trace[idx];
-      if (ev.tid < 0 || ev.tid >= roles.total || ev.iter < 0 ||
-          ev.iter >= iterations) {
-        continue;
-      }
-      long& slot = first[static_cast<std::size_t>(ev.tid)]
-                        [static_cast<std::size_t>(ev.iter) * 3 +
-                         static_cast<std::size_t>(ev.kind)];
-      if (slot < 0) slot = static_cast<long>(idx);
-    }
-  }
-  auto check_order = [&](int tid, idx_t i, Kind a, idx_t j, Kind b) {
-    const auto& f = first[static_cast<std::size_t>(tid)];
-    const long pa = f[static_cast<std::size_t>(i) * 3 +
-                      static_cast<std::size_t>(a)];
-    const long pb = f[static_cast<std::size_t>(j) * 3 +
-                      static_cast<std::size_t>(b)];
-    if (pa >= 0 && pb >= 0 && pb < pa) {
-      add(VKind::ProgramOrder, j, j, static_cast<int>(j % 2), tid,
-          std::string(task_name(b)) + "(" + std::to_string(j) +
-              ") ran before " + task_name(a) + "(" + std::to_string(i) +
-              ") on half " + std::to_string(j % 2));
-    }
-  };
-
   for (int tid = 0; tid < roles.total; ++tid) {
-    if (!table2) {
-      for (idx_t s = 0; s < iterations; ++s) {
-        scan_slot(tid, s, Kind::Load);
-        scan_slot(tid, s, Kind::Compute);
-        scan_slot(tid, s, Kind::Store);
-        check_order(tid, s, Kind::Load, s, Kind::Compute);
-        check_order(tid, s, Kind::Compute, s, Kind::Store);
-        if (s + 2 < iterations) {
-          check_order(tid, s, Kind::Store, s + 2, Kind::Load);
-        }
-      }
-      continue;
-    }
     if (roles.is_compute(tid)) {
       for (idx_t s = 1; s <= iterations; ++s) scan_slot(tid, s, Kind::Compute);
     } else {
@@ -388,20 +415,21 @@ HazardReport HazardChecker::check(const PipelineStage& stage) {
 
   HazardReport rep = audit_schedule(trace, stage.iterations, pipe_.roles());
   if (opts_.probe_partitions) {
+    // A Private claim is one partition: rank 0 of 1 on the tile.
     const RolePlan& roles = pipe_.roles();
-    const int data_parts = roles.data > 0 ? roles.data : roles.compute;
+    const bool split = roles.data > 0;
     PartitionMap load, compute;
     if (stage.load) {
       load = probe_partition(stage.load, opts_.probe_iter,
-                             pipe_.block_elems(), data_parts);
+                             pipe_.block_elems(), split ? roles.data : 1);
       audit_partition(load, opts_.require_cover, "load", rep);
     }
     if (stage.compute) {
       compute = probe_partition(stage.compute, opts_.probe_iter,
-                                pipe_.block_elems(), roles.compute);
+                                pipe_.block_elems(), split ? roles.compute : 1);
       audit_partition(compute, opts_.require_cover, "compute", rep);
     }
-    if (roles.data == 0 && stage.load && stage.compute) {
+    if (!split && stage.load && stage.compute) {
       audit_slices(load, compute, rep);
     }
   }

@@ -20,18 +20,19 @@
 //         in [1, iters]; nothing else.
 //
 //   With no data threads the Private schedule is expected instead: every
-//   thread runs load, compute and store of iteration i at step i on half
-//   i mod 2, exactly once each, in the per-thread program order
-//   L(i) -> C(i) -> S(i) -> L(i+2) on each half. Threads are not ordered
-//   against each other.
+//   claim i in [0, iters) runs exactly once, its load, compute and store
+//   at step i on one thread's own tile (half = tid), in the order
+//   L(i) -> C(i) -> S(i), and a thread's tile holds one claim at a time
+//   (S(i) precedes that thread's next load). Threads are not ordered
+//   against each other, and any thread may run any claim.
 //
 //   Partitioning (from a shadow access map): the (rank, parts) partitions
 //     of a task are pairwise disjoint and, together, cover the whole block.
 //     Each rank's write-set is discovered by probing the task callback
 //     sequentially against a sentinel-poisoned buffer, so no cooperation
-//     from the stage implementation is needed. Under Private each rank's
-//     load write-set must also equal its compute write-set: a thread only
-//     ever transforms the slice it loaded itself.
+//     from the stage implementation is needed. A Private claim is one
+//     partition (parts = 1) whose load write-set must equal its compute
+//     write-set: a thread only ever transforms the claim it loaded.
 //
 // Violations carry (step, iteration, half, thread) context and render into
 // a human-readable report; HazardChecker::run_checked turns a dirty report
@@ -61,8 +62,9 @@ struct HazardViolation {
     DuplicateTask,     ///< schedule slot executed more than once
     PartitionOverlap,  ///< two ranks wrote the same block element
     PartitionGap,      ///< no rank wrote a block element
-    ProgramOrder,      ///< Private: a thread ran L/C/S of a half out of order
-    SliceMismatch,     ///< Private: a rank loads a slice it does not compute
+    ProgramOrder,      ///< Private: a thread ran L/C/S of claims out of order
+    SliceMismatch,     ///< Private: a claim loaded and computed by
+                       ///< different ranks or threads
   };
 
   Kind kind;
@@ -117,14 +119,14 @@ void audit_partition(const PartitionMap& map, bool require_cover,
                      const std::string& task_name, HazardReport& out);
 
 /// Append a SliceMismatch violation for every run of block elements whose
-/// load writer differs from its compute writer (the Private schedule's
-/// slice-ownership rule; both maps must be probed with the same parts).
+/// load writer differs from its compute writer (the slice-ownership rule;
+/// both maps must be probed with the same parts).
 void audit_slices(const PartitionMap& load, const PartitionMap& compute,
                   HazardReport& out);
 
 /// Convenience wrapper: executes stages on a pipeline with tracing on and
 /// audits both the schedule and the load/compute partitions afterwards
-/// (under Private also their slice ownership).
+/// (under Private, a claim's, and also their slice ownership).
 class HazardChecker {
  public:
   struct Options {

@@ -134,7 +134,7 @@ void add_row_windows(const StagePlan& plan, const PlannedStage& s, int socket,
 }
 
 StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
-                       int parts, bool pipelined, bool buffered) {
+                       int parts, bool pipelined) {
   StageModel st;
   st.name = s.name;
   st.in_elems = plan.total;
@@ -153,47 +153,34 @@ StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
       if (r1 <= r0) continue;
       add_row_windows(plan, s, sock, i * s.rows_per_block + r0, r1 - r0,
                       static_cast<int>(i) * st.parts + t, &st);
-      if (buffered && i == 0 && sock == 0) {
-        // Per-rank buffer windows are iteration-independent (the chunk
-        // depends only on rank), so one iteration's worth describes all;
-        // each socket group's own buffer has the same windows.
-        const StridedInterval buf = StridedInterval::contiguous(
-            r0 * s.row_elems, (r1 - r0) * s.row_elems);
-        st.buf_loads.push_back({d, buf});
-        st.buf_stores.push_back({d, buf});
-      }
+      if (sock != 0 || (pipelined && i > 0)) continue;
+      // Buffer windows; each socket group's own buffer has the same ones.
+      // Split: per-rank windows of the shared half, which depend only on
+      // the rank, so one block's worth describes all. Private: a claim
+      // (parts = 1) is one window on the tile of the thread that runs it,
+      // placed at claim i's offset so distinct claims never share one.
+      const idx_t base = pipelined ? 0 : i * st.buf_elems;
+      const StridedInterval buf = StridedInterval::contiguous(
+          base + r0 * s.row_elems, (r1 - r0) * s.row_elems);
+      const int owner = pipelined ? d : static_cast<int>(i);
+      st.buf_loads.push_back({owner, buf});
+      st.buf_stores.push_back({owner, buf});
     }
   }
   return st;
 }
 
 void build_double_buffer(const StagePlan& plan, PlanModel* out) {
-  // The Table II schedule gives load/store to the data group; the Private
-  // schedule partitions every task over the whole team (make_stage_plan
-  // guarantees p >= 1, so one of them is nonempty).
+  // The Table II schedule partitions each block over the data group; the
+  // Private schedule runs each claim whole on one thread (parts = 1).
   const bool pipelined = plan.schedule() == Schedule::Split;
-  const int parts = pipelined ? plan.data_threads : plan.compute_threads;
+  const int parts = pipelined ? plan.data_threads : 1;
   out->engine = engine_label(EngineKind::DoubleBuffer);
   out->threads = plan.threads;
   out->compute_threads = plan.compute_threads;
   out->data_threads = plan.data_threads;
   for (const PlannedStage& s : plan.stages) {
-    out->stages.push_back(stage_model(plan, s, parts, pipelined, true));
-  }
-}
-
-void build_stage_parallel(const StagePlan& plan, PlanModel* out) {
-  out->engine = engine_label(EngineKind::StageParallel);
-  out->threads = plan.threads;
-  out->compute_threads = plan.threads;
-  out->data_threads = 0;
-  for (PlannedStage s : plan.stages) {
-    // One untiled pass per stage: every thread transforms and rotates its
-    // whole row chunk with temporal stores.
-    s.rows_per_block = s.rows;
-    s.iterations = 1;
-    s.nontemporal = false;
-    out->stages.push_back(stage_model(plan, s, plan.threads, false, false));
+    out->stages.push_back(stage_model(plan, s, parts, pipelined));
   }
 }
 
@@ -380,11 +367,10 @@ bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
         *why = e.what();
         return false;
       }
-      if (opts.engine == EngineKind::DoubleBuffer) {
-        *out = build_plan_model(plan);
-      } else {
-        build_stage_parallel(plan, out);
-      }
+      // Stage-parallel is the same Private claim plan with temporal
+      // stores (make_stage_plan); only the label differs.
+      *out = build_plan_model(plan);
+      out->engine = engine_label(opts.engine);
       return true;
     }
     case EngineKind::Pencil:
@@ -475,26 +461,28 @@ StaticReport verify_plan(const PlanModel& model) {
 
     // (3) Buffer epoch aliasing: in the Table II schedule Store(i-2) and
     // Load(i) run concurrently on DIFFERENT data threads with no
-    // ordering until the step barrier, and under Private the ranks are not
-    // ordered at all within a stage, so a Load window may only alias the
-    // SAME rank's Store window (program order serialises those two).
+    // ordering until the step barrier, and under Private the claims are
+    // not ordered at all within a stage, so a Load window may only alias
+    // the SAME owner's Store window (program order serialises those two).
     ++rep.checks;
     for (const OwnedWindow& ld : st.buf_loads) {
       for (const OwnedWindow& sw : st.buf_stores) {
         if (ld.owner == sw.owner) continue;
         if (windows_overlap(ld.iv, sw.iv)) {
           std::ostringstream os;
-          os << "Load window of rank " << ld.owner << " " << ld.iv.str()
-             << " aliases the pending Store window of rank " << sw.owner
-             << " " << sw.iv.str() << " in the shared buffer";
+          const char* who = st.pipelined ? "rank " : "claim ";
+          os << "Load window of " << who << ld.owner << " " << ld.iv.str()
+             << " aliases the pending Store window of " << who << sw.owner
+             << " " << sw.iv.str() << " in the buffer";
           add_issue(rep, StaticIssue::Kind::EpochAlias, st.name, os.str());
         }
       }
     }
 
-    // (3b) Slice ownership: each rank stores exactly the buffer window it
-    // loaded. Under Private that slice is also the one the rank
-    // transforms, so no thread reads another's handoff.
+    // (3b) Slice ownership: each owner stores exactly the buffer window
+    // it loaded. Under Private the owner is a claim, whose one window the
+    // thread that claimed it loads, transforms and stores on its tile, so
+    // no thread reads another's handoff.
     ++rep.checks;
     for (const OwnedWindow& ld : st.buf_loads) {
       bool owned = false;
@@ -503,7 +491,8 @@ StaticReport verify_plan(const PlanModel& model) {
       }
       if (!owned) {
         std::ostringstream os;
-        os << "rank " << ld.owner << " loads buffer window " << ld.iv.str()
+        os << (st.pipelined ? "rank " : "claim ") << ld.owner
+           << " loads buffer window " << ld.iv.str()
            << " but does not store it back";
         add_issue(rep, StaticIssue::Kind::SliceOwnership, st.name, os.str());
       }
@@ -516,14 +505,15 @@ Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
   using Kind = DoubleBufferPipeline::TraceEvent::Kind;
   Trace t;
   if (roles.data == 0) {
-    // Private schedule: no barrier orders the threads within a stage, so
-    // the trace is thread-major, each thread's tasks in program order.
+    // Private schedule: the claims are dealt round-robin (any assignment
+    // that runs each claim once is valid) and no barrier orders the
+    // threads within a stage, so the trace is thread-major, each thread's
+    // claims in program order on its own tile.
     for (int tid = 0; tid < roles.total; ++tid) {
-      for (idx_t i = 0; i < iterations; ++i) {
-        const int h = static_cast<int>(i % 2);
-        t.push_back({i, Kind::Load, i, h, tid});
-        t.push_back({i, Kind::Compute, i, h, tid});
-        t.push_back({i, Kind::Store, i, h, tid});
+      for (idx_t i = tid; i < iterations; i += roles.total) {
+        t.push_back({i, Kind::Load, i, tid, tid});
+        t.push_back({i, Kind::Compute, i, tid, tid});
+        t.push_back({i, Kind::Store, i, tid, tid});
       }
     }
     return t;
@@ -547,13 +537,94 @@ Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
   return t;
 }
 
-HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
-                                      const RolePlan& roles) {
+namespace {
+
+/// verify_schedule_symbolic under Private. The recurrence: each claim i
+/// is one L(i) C(i) S(i) triplet at step i, run back to back by one
+/// thread on its own tile (half = tid), and every claim in [0, iters)
+/// is run exactly once, by any thread.
+HazardReport verify_claims_symbolic(const Trace& trace, idx_t iterations,
+                                    const RolePlan& roles) {
   using Kind = DoubleBufferPipeline::TraceEvent::Kind;
   HazardReport rep;
   rep.iterations = iterations;
   rep.events = trace.size();
-  const bool table2 = roles.data > 0;
+  auto violation = [&](HazardViolation::Kind k,
+                       const DoubleBufferPipeline::TraceEvent& ev,
+                       std::string detail) {
+    rep.violations.push_back(
+        {k, ev.step, ev.iter, ev.half, ev.tid, std::move(detail)});
+  };
+  // The thread that loaded each claim, and per thread the claim in
+  // flight with the next task it owes (0 = L, 1 = C, 2 = S).
+  std::vector<int> loader(static_cast<std::size_t>(iterations), -1);
+  std::vector<idx_t> open(static_cast<std::size_t>(roles.total), -1);
+  std::vector<int> phase(static_cast<std::size_t>(roles.total), 0);
+
+  for (const auto& ev : trace) {
+    if (ev.tid < 0 || ev.tid >= roles.total) {
+      violation(HazardViolation::Kind::RoleMismatch, ev,
+                "event from a thread outside the team");
+      continue;
+    }
+    if (ev.iter < 0 || ev.iter >= iterations || ev.step != ev.iter) {
+      violation(HazardViolation::Kind::WrongStep, ev,
+                "claim i must be recorded at step i, i in [0, iterations)");
+      continue;
+    }
+    if (ev.half != ev.tid) {
+      violation(HazardViolation::Kind::WrongHalf, ev,
+                "a claim runs on its thread's own tile");
+      continue;
+    }
+    const auto t = static_cast<std::size_t>(ev.tid);
+    const int want = ev.kind == Kind::Load ? 0 : ev.kind == Kind::Compute
+                                                     ? 1
+                                                     : 2;
+    int& who = loader[static_cast<std::size_t>(ev.iter)];
+    if (want == 0 && who >= 0) {
+      violation(HazardViolation::Kind::DuplicateTask, ev,
+                "claim loaded a second time");
+    } else if (want == 0) {
+      who = ev.tid;
+    } else if (who != ev.tid) {
+      violation(HazardViolation::Kind::SliceMismatch, ev,
+                "claim transformed or stored by a thread that did not "
+                "load it");
+    }
+    if (phase[t] != want || (want > 0 && open[t] != ev.iter)) {
+      violation(HazardViolation::Kind::ProgramOrder, ev,
+                "expected L(i) -> C(i) -> S(i) back to back on the tile");
+    }
+    open[t] = ev.iter;
+    phase[t] = (want + 1) % 3;
+  }
+  for (idx_t i = 0; i < iterations; ++i) {
+    if (loader[static_cast<std::size_t>(i)] < 0) {
+      rep.violations.push_back({HazardViolation::Kind::MissingTask, -1, i, -1,
+                                -1, "claim never executed"});
+    }
+  }
+  for (int tid = 0; tid < roles.total; ++tid) {
+    if (phase[static_cast<std::size_t>(tid)] != 0) {
+      rep.violations.push_back(
+          {HazardViolation::Kind::MissingTask, -1,
+           open[static_cast<std::size_t>(tid)], tid, tid,
+           "claim left unfinished on its tile"});
+    }
+  }
+  return rep;
+}
+
+}  // namespace
+
+HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
+                                      const RolePlan& roles) {
+  if (roles.data == 0) return verify_claims_symbolic(trace, iterations, roles);
+  using Kind = DoubleBufferPipeline::TraceEvent::Kind;
+  HazardReport rep;
+  rep.iterations = iterations;
+  rep.events = trace.size();
 
   auto violation = [&](HazardViolation::Kind k,
                        const DoubleBufferPipeline::TraceEvent& ev,
@@ -577,12 +648,6 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
                              static_cast<std::size_t>(iterations),
                          0);
 
-  // Private schedule: a thread's tasks must arrive in the recurrence's
-  // program order L(i) -> C(i) -> S(i) -> L(i+2) per half. pos[slot] is
-  // the event's rank in its thread's own sequence.
-  std::vector<long> pos(seen.size(), -1);
-  std::vector<long> thread_events(static_cast<std::size_t>(roles.total), 0);
-
   // Per-(tid, step) flag for the S4 ordering rule in the Table II
   // schedule: Load(step) recorded before Store(step-2) on the same
   // thread means the half was refilled before it was retired.
@@ -603,7 +668,7 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
       continue;
     }
     const bool is_compute_ev = ev.kind == Kind::Compute;
-    if (table2 && roles.is_compute(ev.tid) != is_compute_ev) {
+    if (roles.is_compute(ev.tid) != is_compute_ev) {
       violation(HazardViolation::Kind::RoleMismatch, ev,
                 is_compute_ev ? "compute task on a data thread"
                               : "data task on a compute thread");
@@ -611,21 +676,10 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
     }
 
     // The unique slot this event may occupy.
-    idx_t want_step = 0;
-    int want_half = 0;
-    if (!table2) {
-      want_step = ev.iter;
-      want_half = static_cast<int>(ev.iter % 2);
-    } else if (ev.kind == Kind::Load) {
-      want_step = ev.iter;
-      want_half = static_cast<int>(ev.iter % 2);
-    } else if (ev.kind == Kind::Store) {
-      want_step = ev.iter + 2;
-      want_half = static_cast<int>(ev.iter % 2);
-    } else {
-      want_step = ev.iter + 1;
-      want_half = static_cast<int>(ev.iter % 2);
-    }
+    const idx_t want_step = ev.kind == Kind::Load    ? ev.iter
+                            : ev.kind == Kind::Store ? ev.iter + 2
+                                                     : ev.iter + 1;
+    const int want_half = static_cast<int>(ev.iter % 2);
 
     const std::size_t idx = slot_index(ev.kind, ev.tid, ev.iter);
     if (seen[idx]) {
@@ -634,7 +688,6 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
       continue;
     }
     seen[idx] = 1;
-    pos[idx] = thread_events[static_cast<std::size_t>(ev.tid)]++;
 
     if (ev.step != want_step) {
       violation(HazardViolation::Kind::WrongStep, ev,
@@ -647,7 +700,7 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
       continue;
     }
 
-    if (table2 && !roles.is_compute(ev.tid)) {
+    if (!roles.is_compute(ev.tid)) {
       const std::size_t ts = static_cast<std::size_t>(ev.tid) *
                                  static_cast<std::size_t>(iterations + 2) +
                              static_cast<std::size_t>(ev.step);
@@ -660,34 +713,10 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
     }
   }
 
-  if (!table2) {
-    for (int tid = 0; tid < roles.total; ++tid) {
-      for (idx_t i = 0; i < iterations; ++i) {
-        const long l = pos[slot_index(Kind::Load, tid, i)];
-        const long c = pos[slot_index(Kind::Compute, tid, i)];
-        const long st = pos[slot_index(Kind::Store, tid, i)];
-        const long next =
-            i + 2 < iterations ? pos[slot_index(Kind::Load, tid, i + 2)] : -1;
-        const bool ordered = !(l >= 0 && c >= 0 && c < l) &&
-                             !(c >= 0 && st >= 0 && st < c) &&
-                             !(st >= 0 && next >= 0 && next < st);
-        if (!ordered) {
-          rep.violations.push_back(
-              {HazardViolation::Kind::ProgramOrder, i, i,
-               static_cast<int>(i % 2), tid,
-               "expected L(i) -> C(i) -> S(i) -> L(i+2) on half " +
-                   std::to_string(i % 2)});
-        }
-      }
-    }
-  }
-
   // Every slot the schedule demands must have been filled.
   for (int tid = 0; tid < roles.total; ++tid) {
     const bool compute_thread = roles.is_compute(tid);
     for (idx_t i = 0; i < iterations; ++i) {
-      const bool want_data = !table2 || !compute_thread;
-      const bool want_compute = !table2 || compute_thread;
       auto require = [&](Kind k, const char* what) {
         if (!seen[slot_index(k, tid, i)]) {
           rep.violations.push_back({HazardViolation::Kind::MissingTask, -1, i,
@@ -695,11 +724,12 @@ HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
                                     std::string(what) + " never executed"});
         }
       };
-      if (want_data) {
+      if (compute_thread) {
+        require(Kind::Compute, "Compute");
+      } else {
         require(Kind::Load, "Load");
         require(Kind::Store, "Store");
       }
-      if (want_compute) require(Kind::Compute, "Compute");
     }
   }
   return rep;

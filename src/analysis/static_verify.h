@@ -21,16 +21,19 @@
 //      reads: the Load(i) buffer window of one rank never overlaps the
 //      pending Store window of ANOTHER rank (the same rank serialises the
 //      two by program order — Table II's S4), and each rank stores back
-//      exactly the window it loaded — under the Private schedule the
-//      slice it also transforms;
+//      exactly the window it loaded. Under the Private schedule the owner
+//      is a claim (parts = claims): one window, loaded, transformed and
+//      stored by the thread that claimed it;
 //   4. element counts are conserved stage to stage.
 //
 // The schedule itself is verified symbolically as well: the Table II
 // recurrences (load(i)@step i, compute(i-1)@step i, store(i-2)@step i,
 // halves alternating) generate the one trace a correct Split execution
-// can record, the Private recurrences (every task of block i at step i,
-// per-thread program order, no cross-thread order) the Private one, and
-// verify_schedule_symbolic() diffs any trace against that expectation. make_table2_trace() emits the expected trace, which is how
+// can record, the Private recurrences (each claim i once, L(i) C(i) S(i)
+// at step i back to back on one thread's tile, no cross-thread order)
+// the traces a Private one can record, and verify_schedule_symbolic()
+// diffs any trace against that expectation. make_table2_trace() emits an
+// expected trace, which is how
 // the symbolic and runtime checkers are cross-checked on identical input
 // (tests/static_runtime_crosscheck_test.cpp) and how tools/bwfft_lint
 // sweeps the tuner's whole candidate grid in milliseconds.
@@ -55,8 +58,8 @@ struct StageModel {
   std::string name;
   idx_t in_elems = 0;   ///< elements read from the stage input array
   idx_t out_elems = 0;  ///< elements written to the stage output array
-  idx_t iterations = 1; ///< pipeline blocks (1 for single-pass stages)
-  int parts = 1;        ///< ranks partitioning each iteration
+  idx_t iterations = 1; ///< pipeline blocks or claims (1: single pass)
+  int parts = 1;        ///< ranks partitioning each iteration (a claim: 1)
   bool in_place = false;    ///< input and output are the same array
   bool nt_store = false;    ///< stores are non-temporal
   bool fence_before_publish = false;  ///< stream_fence precedes the
@@ -68,12 +71,13 @@ struct StageModel {
   std::vector<OwnedWindow> stores;  ///< write-set over the output array
   idx_t off_slab_elems = 0;  ///< stored outside the storer's slab (link)
 
-  /// Buffer-half windows (double-buffered stages only), one per loading
-  /// rank, owner = rank: what Load writes and what Store reads of one
-  /// block. Empty for stages that do not stream through a shared buffer.
+  /// Buffer windows: what Load writes and what Store reads. Split: one
+  /// per data rank of one block's shared half, owner = rank. Private: one
+  /// per claim, owner = claim, at the claim's offset (each claim has the
+  /// tile of the thread that runs it).
   std::vector<OwnedWindow> buf_loads;
   std::vector<OwnedWindow> buf_stores;
-  idx_t buf_elems = 0;  ///< elements of one buffer half used per block
+  idx_t buf_elems = 0;  ///< elements of one half (or tile) per block
 };
 
 /// Symbolic model of a whole planned transform.
@@ -121,8 +125,9 @@ struct StaticReport {
 
 /// Derive the symbolic model the given engine would execute for (dims,
 /// opts). opts.engine must be concrete (not Auto/Reference). Double-buffer
-/// (1D four-step, 2D, 3D) and stage-parallel models are the windows of the
-/// engines' StagePlan (pipeline/stage_plan.h). Returns false with a reason
+/// (1D four-step, 2D, 3D) and stage-parallel (2D, 3D) models are the
+/// windows of the engine's StagePlan (pipeline/stage_plan.h). Returns
+/// false with a reason
 /// in *why when there is no model or the engine cannot run this shape at
 /// all (e.g. Pencil on non-power-of-two dims, SlabPencil in 2D, a packet
 /// size that does not divide the fast dimension, any 1D engine but
@@ -138,16 +143,18 @@ PlanModel build_plan_model(const StagePlan& plan);
 /// Prove invariants 1–4 over a model. Pure; never executes anything.
 StaticReport verify_plan(const PlanModel& model);
 
-/// The trace a correct execution of the Table II schedule (or, with
-/// roles.data == 0, the Private schedule) must record for `iterations`
-/// blocks. Event order matches per-thread program order.
+/// The trace a correct execution of the Table II schedule must record
+/// for `iterations` blocks, or with roles.data == 0 one a correct Private
+/// execution may record (claims dealt round-robin). Event order matches
+/// per-thread program order.
 Trace make_table2_trace(idx_t iterations, const RolePlan& roles);
 
 /// Verify a trace against the schedule recurrences, independently of
 /// audit_schedule(): every event must sit in its unique expected
 /// (step, half, tid) slot, every slot must be filled exactly once, and
 /// each data thread must retire Store(i-2) before Load(i) within a step
-/// (under Private: each thread runs L(i) -> C(i) -> S(i) -> L(i+2)).
+/// (under Private: each claim runs once, L(i) -> C(i) -> S(i) back to
+/// back on one thread's tile).
 /// Returns the same HazardReport shape as the runtime checker so the two
 /// can be diffed directly.
 HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,

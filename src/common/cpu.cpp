@@ -47,8 +47,9 @@ std::size_t parse_cache_size(const std::string& s) {
   return value;
 }
 
-std::size_t detect_llc() {
-  // Walk cpu0's cache indices and keep the largest unified/data cache.
+/// Size of cpu0's largest unified/data cache at `level` (0 = any level),
+/// read from sysfs; 0 when nothing matches.
+std::size_t detect_cache(int level) {
   std::size_t best = 0;
   for (int index = 0; index < 8; ++index) {
     std::ostringstream base;
@@ -61,10 +62,25 @@ std::size_t detect_llc() {
     std::string type;
     type_file >> type;
     if (type == "Instruction") continue;
+    if (level > 0) {
+      std::ifstream level_file(base.str() + "/level");
+      int l = 0;
+      level_file >> l;
+      if (l != level) continue;
+    }
     best = std::max(best, parse_cache_size(size_str));
   }
-  if (best == 0) best = 8u << 20;  // paper's single-socket LLC as fallback
   return best;
+}
+
+std::size_t detect_llc() {
+  const std::size_t llc = detect_cache(0);
+  return llc > 0 ? llc : 8u << 20;  // paper's single-socket LLC as fallback
+}
+
+std::size_t detect_l2() {
+  const std::size_t l2 = detect_cache(2);
+  return l2 > 0 ? l2 : 256u << 10;  // the paper's Intel cores' L2
 }
 
 }  // namespace
@@ -76,6 +92,11 @@ const CpuFeatures& cpu_features() {
 
 std::size_t llc_bytes() {
   static const std::size_t sz = detect_llc();
+  return sz;
+}
+
+std::size_t l2_bytes() {
+  static const std::size_t sz = detect_l2();
   return sz;
 }
 

@@ -27,6 +27,11 @@ const CpuFeatures& cpu_features();
 /// detection fails.
 std::size_t llc_bytes();
 
+/// Best-effort size of one core's L2 cache in bytes, read from sysfs next
+/// to llc_bytes(); falls back to 256 KiB (the L2 of the paper's Intel
+/// cores) when detection fails.
+std::size_t l2_bytes();
+
 /// Number of online logical CPUs.
 int online_cpus();
 

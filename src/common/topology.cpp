@@ -16,6 +16,7 @@ MachineTopology kabylake_7700k() {
   t.cores_per_socket = 4;
   t.smt_per_core = 2;
   t.llc_bytes = 8u << 20;
+  t.l2_bytes = 256u << 10;
   t.stream_bw_gbs = 40.0;
   return t;
 }
@@ -27,6 +28,7 @@ MachineTopology haswell_4770k() {
   t.cores_per_socket = 4;
   t.smt_per_core = 2;
   t.llc_bytes = 8u << 20;
+  t.l2_bytes = 256u << 10;
   t.stream_bw_gbs = 20.0;
   return t;
 }
@@ -38,6 +40,7 @@ MachineTopology amd_fx8350() {
   t.cores_per_socket = 8;
   t.smt_per_core = 1;
   t.llc_bytes = 8u << 20;
+  t.l2_bytes = 1u << 20;
   t.stream_bw_gbs = 12.0;
   return t;
 }
@@ -49,6 +52,7 @@ MachineTopology haswell_2667v3() {
   t.cores_per_socket = 4;
   t.smt_per_core = 2;
   t.llc_bytes = 20u << 20;
+  t.l2_bytes = 256u << 10;
   t.stream_bw_gbs = 85.0;
   t.link_bw_gbs = 19.2;  // QPI 9.6 GT/s, two links
   return t;
@@ -61,6 +65,7 @@ MachineTopology amd_6276() {
   t.cores_per_socket = 8;
   t.smt_per_core = 1;
   t.llc_bytes = 16u << 20;
+  t.l2_bytes = 1u << 20;
   t.stream_bw_gbs = 20.0;
   t.link_bw_gbs = 12.8;  // HyperTransport 3.1; close to local memory bw
   return t;
@@ -91,6 +96,7 @@ MachineTopology host_topology() {
     // "cache-resident" shared buffer larger than many working sets. Real
     // LLCs in the paper's machine class are 8-20 MiB.
     t.llc_bytes = std::min<std::size_t>(llc_bytes(), 32u << 20);
+    t.l2_bytes = l2_bytes();
     t.stream_bw_gbs = 10.0;  // placeholder until calibrated
     return t;
   }();

@@ -23,6 +23,7 @@ struct MachineTopology {
   int cores_per_socket = 1;
   int smt_per_core = 1;        ///< hardware threads per core (Intel HT = 2)
   std::size_t llc_bytes = 8u << 20;  ///< shared last-level cache per socket
+  std::size_t l2_bytes = 256u << 10;  ///< core-private L2 per core
   double stream_bw_gbs = 10.0;       ///< STREAM bandwidth, whole machine GB/s
   double link_bw_gbs = 0.0;          ///< cross-socket link bandwidth (QPI/HT)
 
@@ -33,6 +34,13 @@ struct MachineTopology {
   idx_t shared_buffer_elems() const {
     return static_cast<idx_t>(llc_bytes / 2 / sizeof(cplx));
   }
+
+  /// Core-private tile budget of the Private schedule: half of one core's
+  /// L2 (in complex elements), so a claim and the Stockham scratch of its
+  /// transform stay in the L2 together.
+  idx_t core_private_elems() const {
+    return static_cast<idx_t>(l2_bytes / 2 / sizeof(cplx));
+  }
 };
 
 /// Profiles of the machines evaluated in the paper (§V, experimental setup).
@@ -42,9 +50,11 @@ MachineTopology haswell_4770k();     ///< 1 socket, 4c/8t, 8 MB L3, 20 GB/s
 MachineTopology amd_fx8350();        ///< 1 socket, 8c/8t, 8 MB L3, 12 GB/s
 MachineTopology haswell_2667v3();    ///< 2 sockets, 8c/16t, 20 MB L3, 85 GB/s
 MachineTopology amd_6276();          ///< 2 sockets, 16c/16t, 16 MB L3, 20 GB/s
+// L2 per core: 256 KB on the Intel parts; the AMD modules share 2 MB
+// between two cores, modelled as 1 MB per core.
 }  // namespace machines
 
-/// Topology of the machine this process runs on. LLC and CPU count are
+/// Topology of the machine this process runs on. LLC, L2 and CPU count are
 /// detected once (function-local static — FftOptions default-constructs
 /// one of these per plan, so detection must not re-read sysfs every
 /// time); bandwidth starts at a conservative placeholder until

@@ -80,7 +80,7 @@ DoubleBufferEngine::DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
       plan_.threads, opts_.pin_threads ? roles_.cpu : std::vector<int>{},
       opts_.team_pool);
   pipeline_ =
-      std::make_unique<DoubleBufferPipeline>(*team_, roles_, plan_.block_elems);
+      std::make_unique<DoubleBufferPipeline>(*team_, roles_, plan_.slot_elems());
 }
 
 PipelineStage DoubleBufferEngine::make_stage(std::size_t k, const cplx* src,

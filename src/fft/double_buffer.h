@@ -7,9 +7,12 @@
 // block back with non-temporal stores (W_{b,i}), while the compute threads
 // run the batch 1D FFT kernel in place on the other half. Data makes
 // exactly one round-trip through DRAM per stage; all strided traffic is
-// hidden behind compute. That is the Split schedule; 2D/3D plans default
-// to the Private one, where every thread loads, transforms and stores its
-// own slice of each block (pipeline/pipeline.h).
+// hidden behind compute. That is the Split schedule; every plan defaults
+// to the Private one, where each thread takes claims (whole runs of rows
+// sized to half its L2) from a shared counter and loads, transforms and
+// stores each on its own tile (pipeline/pipeline.h). The stage-parallel
+// baseline (EngineKind::StageParallel, 2D/3D) is this engine on the
+// Private claims with temporal stores.
 //
 // Stage kinds (pipeline/stage_plan.h): Rotated stages scatter each block
 // through the blocked rotation (2D/3D). A 1D plan is the four-step rewrite
@@ -50,7 +53,10 @@ class DoubleBufferEngine final : public MdEngine {
   DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
                      const FftOptions& opts);
   void execute(cplx* in, cplx* out) override;
-  const char* name() const override { return "double-buffer"; }
+  const char* name() const override {
+    return opts_.engine == EngineKind::StageParallel ? "stage-parallel"
+                                                     : "double-buffer";
+  }
 
   /// Run every stage under the Private schedule whatever the plan's split
   /// (no Table II overlap) — the pipelining-ablation benchmark uses this.
@@ -66,8 +72,8 @@ class DoubleBufferEngine final : public MdEngine {
   /// directly visible here.
   struct StageStats {
     double seconds = 0.0;
-    idx_t iterations = 0;
-    idx_t block_rows = 0;
+    idx_t iterations = 0;  ///< blocks (Split) or claims (Private)
+    idx_t block_rows = 0;  ///< rows per block or claim
     /// Per-role busy time (empty on the Flat path).
     DoubleBufferPipeline::RoleUtilization util;
   };

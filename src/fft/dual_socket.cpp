@@ -20,7 +20,7 @@ DualSocketFft3d::DualSocketFft3d(idx_t k, idx_t n, idx_t m, Direction dir,
   pipeline_ = std::make_unique<DoubleBufferPipeline>(
       *team_,
       make_role_plan(plan_.threads, plan_.compute_threads, opts_.topo),
-      plan_.block_elems, plan_.sockets);
+      plan_.slot_elems(), plan_.sockets);
 }
 
 void DualSocketFft3d::run_stage(std::size_t k, NumaArray& src,

@@ -12,7 +12,6 @@
 #include "fft/pencil.h"
 #include "fft/reference.h"
 #include "fft/slab_pencil.h"
-#include "fft/stage_parallel.h"
 #include "layout/stream_copy.h"
 #include "obs/obs.h"
 #include "tune/tuner.h"
@@ -172,7 +171,8 @@ std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
       return std::make_unique<PencilEngine>(dims, dir, opts);
     case EngineKind::StageParallel:
       if (one_d) return std::make_unique<Flat1dEngine>(dims[0], dir, opts);
-      return std::make_unique<StageParallelEngine>(dims, dir, opts);
+      // The Private claim plan with temporal stores (make_stage_plan).
+      return std::make_unique<DoubleBufferEngine>(dims, dir, opts);
     case EngineKind::SlabPencil:
       return std::make_unique<SlabPencilEngine>(dims, dir, opts);
     case EngineKind::DoubleBuffer:

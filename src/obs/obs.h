@@ -44,9 +44,9 @@ enum class Counter : int {
   BytesStored,      ///< bytes scattered to destination arrays (stores)
   NtStores,         ///< non-temporal stores, in 32-byte equivalents
   BarrierWaitNs,    ///< nanoseconds spent waiting at team barriers
-  LoadBusyNs,       ///< data-thread busy time in load tasks
-  ComputeBusyNs,    ///< compute-thread busy time in FFT kernels
-  StoreBusyNs,      ///< data-thread busy time in rotated stores
+  LoadBusyNs,       ///< busy time in pipeline load tasks
+  ComputeBusyNs,    ///< busy time in pipeline compute (FFT) tasks
+  StoreBusyNs,      ///< busy time in pipeline store tasks
   PlanCacheHit,     ///< tune::PlanCache lookups served from cache
   PlanCacheMiss,    ///< tune::PlanCache lookups that built a new plan
   TuneMeasure,      ///< candidate configs timed by the autotuner

@@ -1,6 +1,8 @@
 #include "pipeline/pipeline.h"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/error.h"
@@ -24,14 +26,12 @@ DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
   BWFFT_CHECK(block_elems > 0, "pipeline block must be non-empty");
   BWFFT_CHECK(groups >= 1 && roles_.total * groups == team.size(),
               "role plan size times groups must match team size");
-  // The shared double buffer is the hottest multi-MB allocation in the
-  // system (every block passes through it twice); prefer huge pages for it,
-  // degrading to plain aligned memory when they are unavailable (fault
-  // site "alloc.huge").
-  for (int g = 0; g < groups_; ++g) {
-    buffers_.emplace_back(static_cast<std::size_t>(2 * block_elems),
-                          AllocPlacement::HugePage);
-  }
+  // Split shares two block halves per group; Private gives every thread
+  // its own claim tile and never allocates the halves.
+  buffers_.resize(static_cast<std::size_t>(groups_));
+  ensure_slots(roles_.data > 0 ? 2 : roles_.total);
+  counters_ = std::make_unique<ClaimCounter[]>(
+      static_cast<std::size_t>(groups_));
   // One group meets at the team barrier; split teams get one per group,
   // with the team barrier's stall watchdog (armed when stall faults are
   // scheduled), so a lost group thread surfaces as kStall.
@@ -42,12 +42,27 @@ DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
   }
 }
 
+void DoubleBufferPipeline::ensure_slots(int slots) {
+  if (slots <= slots_) return;
+  // The buffer is the hottest multi-MB allocation in the system (every
+  // block passes through it twice); prefer huge pages for it, degrading
+  // to plain aligned memory when they are unavailable (fault site
+  // "alloc.huge"). The pages are not touched here: the first load
+  // faults them in on the thread that uses them.
+  for (auto& buf : buffers_) {
+    buf = AlignedBuffer<cplx>(static_cast<std::size_t>(slots * block_elems_),
+                              AllocPlacement::HugePage);
+  }
+  slots_ = slots;
+}
+
 namespace {
 
 /// Straggler injector with epoch selection: "pipeline.stall/<step>=<ms>"
-/// delays one thread at the chosen pipeline step (the @skip field picks
-/// which of the threads reaching that step stalls). The team's stall
-/// watchdog then diagnoses the loss as kStall instead of hanging.
+/// delays one thread at the chosen pipeline step, or under Private at the
+/// start of that claim (the @skip field picks which of the threads
+/// reaching that step stalls). The team's stall watchdog then diagnoses
+/// the loss as kStall instead of hanging.
 void straggle([[maybe_unused]] idx_t step) {
 #if defined(BWFFT_FAULT)
   if (fault::active()) {
@@ -91,8 +106,9 @@ void DoubleBufferPipeline::execute(const std::vector<PipelineStage>& stages) {
 
 void DoubleBufferPipeline::execute_unpipelined(const PipelineStage& stage) {
   BWFFT_CHECK(groups_ == 1, "a grouped pipeline runs one stage per group");
-  // Every thread takes a share of every task: the Private schedule on an
-  // all-compute role plan.
+  // Every thread takes whole blocks as claims: the Private schedule on an
+  // all-compute role plan, on one tile per thread.
+  ensure_slots(roles_.total);
   run_groups(&stage,
              make_role_plan(roles_.total, roles_.total, MachineTopology{}));
 }
@@ -103,6 +119,10 @@ void DoubleBufferPipeline::run_groups(const PipelineStage* stages,
     BWFFT_CHECK(stages[g].iterations >= 1, "stage needs >= 1 iteration");
   }
   util_ = RoleUtilization{};
+  if (roles.data == 0) util_.min_claims = std::numeric_limits<idx_t>::max();
+  for (int g = 0; g < groups_; ++g) {
+    counters_[static_cast<std::size_t>(g)].next = 0;
+  }
   Timer wall;
   try {
     team_.run([&](int tid) {
@@ -138,16 +158,19 @@ void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
   SpinBarrier& bar = barrier(group);
   const idx_t iters = stage.iterations;
   const bool is_compute = roles.is_compute(tid);
-  const int rank = roles.group_rank(tid);
-  const int parts = is_compute ? roles.compute : roles.data;
+  const bool is_private = roles.data == 0;
+  // A Private claim is always run whole: rank 0 of 1 part.
+  const int rank = is_private ? 0 : roles.group_rank(tid);
+  const int parts = is_private ? 1 : is_compute ? roles.compute : roles.data;
   double t_load = 0, t_comp = 0, t_store = 0;
+  idx_t claims = 0;
 
-  // One task: timed into its role's busy time, an obs slice, a trace event.
+  // One task: timed into its busy time, an obs slice, a trace event.
   auto load = [&](idx_t step, idx_t i, int h) {
     Timer t;
     {
       BWFFT_OBS_TASK(obs_task, "load", 'L', i, LoadBusyNs);
-      stage.load(i, half(group, h), rank, parts);
+      stage.load(i, slot(group, h), rank, parts);
     }
     t_load += t.seconds();
     record(step, Kind::Load, i, h, tid, group);
@@ -156,7 +179,7 @@ void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
     Timer t;
     {
       BWFFT_OBS_TASK(obs_task, "compute", 'C', i, ComputeBusyNs);
-      stage.compute(i, half(group, h), rank, parts);
+      stage.compute(i, slot(group, h), rank, parts);
     }
     t_comp += t.seconds();
     record(step, Kind::Compute, i, h, tid, group);
@@ -165,28 +188,28 @@ void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
     Timer t;
     {
       BWFFT_OBS_TASK(obs_task, "store", 'S', i, StoreBusyNs);
-      stage.store(i, half(group, h), rank, parts);
+      stage.store(i, slot(group, h), rank, parts);
     }
     t_store += t.seconds();
     record(step, Kind::Store, i, h, tid, group);
   };
 
-  if (roles.data == 0) {
-    // Private schedule: with parts = p every task of a block gets the
-    // same ThreadTeam::chunk, so the slice a thread loads is the slice it
-    // transforms and stores, and no thread reads another's handoff. Each
-    // thread runs its slices of the blocks back to back with no step
-    // barrier; S(i) retires half i mod 2 before L(i+2) refills it by
-    // program order.
-    for (idx_t i = 0; i < iters; ++i) {
-      const int h = static_cast<int>(i % 2);
+  if (is_private) {
+    // Private schedule: claim i from the group's counter until none is
+    // left, and run L(i), C(i), S(i) back to back on this thread's tile.
+    // No other thread touches the tile, and the next claim's load follows
+    // this claim's store in program order. The claims are keyed by index
+    // in the trace, the obs slices and the stall fault.
+    std::atomic<idx_t>& next = counters_[static_cast<std::size_t>(group)].next;
+    for (idx_t i = next.fetch_add(1); i < iters; i = next.fetch_add(1)) {
       straggle(i);
-      load(i, i, h);
-      compute(i, i, h);
-      store(i, i, h);
+      load(i, i, tid);
+      compute(i, i, tid);
+      store(i, i, tid);
+      ++claims;
     }
     // Drain the write-combining buffers once, then meet once: the stage's
-    // only barrier publishes every slice to the next stage.
+    // only barrier publishes every claim to the next stage.
     stream_fence();
     wait_at_barrier(bar, iters);
   } else {
@@ -212,6 +235,10 @@ void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
   util_.load_seconds += t_load;
   util_.compute_seconds += t_comp;
   util_.store_seconds += t_store;
+  if (is_private) {
+    util_.min_claims = std::min(util_.min_claims, claims);
+    util_.max_claims = std::max(util_.max_claims, claims);
+  }
 }
 
 idx_t default_block_elems(const MachineTopology& topo) {

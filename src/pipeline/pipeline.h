@@ -22,20 +22,25 @@
 // threads, so no thread overwrites a region another is still storing.
 // This is the Split schedule (p_d > 0).
 //
-// With no data threads (p_d = 0) every thread runs all three tasks with
-// parts = p, and every stage partitions a block the same way for all
-// three, so a thread's load, compute and store slices coincide. That is
-// the Private schedule: each thread runs L(i), C(i), S(i) on its own
-// slice of half i mod 2 with no step barrier, fences its NT stores once
-// and meets the team once at the end of the stage. On a host without SMT
-// every core then issues its own DRAM traffic, which the Split roles
-// leave to p_d cores.
+// With no data threads (p_d = 0) the stage runs the Private schedule
+// instead, and a pipeline block is a claim: a whole run of stage rows
+// within a core-private budget (StagePlan sizes it to half a core's L2).
+// Each thread takes claims from the stage's atomic work counter (one per
+// group) and runs L(i), C(i), S(i) of each claim whole (rank 0 of 1
+// part) on its own tile, so a thread only ever touches the tile of the
+// claim it is working on, and a fast thread takes more claims than a slow
+// one. It fences its NT stores once and meets the team once at the end
+// of the stage. On a host without SMT every core then issues its own DRAM
+// traffic, which the Split roles leave to p_d cores.
 //
-// The shared buffer lives in the last-level cache: its total size follows
-// the paper's policy b = LLC/2 (both halves together), leaving the rest of
-// the LLC for twiddles and temporaries (§IV-A).
+// Under Split the shared buffer lives in the last-level cache: its total
+// size follows the paper's policy b = LLC/2 (both halves together),
+// leaving the rest of the LLC for twiddles and temporaries (§IV-A). Under
+// Private the p tiles are core-private and the shared halves are never
+// allocated.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -48,9 +53,10 @@
 
 namespace bwfft {
 
-/// Callbacks of one tiled stage. Each receives the block index, the buffer
-/// half to use, and its partition (rank of `parts`); implementations must
-/// touch only their partition so tasks can run concurrently.
+/// Callbacks of one tiled stage. Each receives the block (or claim) index,
+/// the buffer slot to use, and its partition (rank of `parts`; a claim is
+/// always rank 0 of 1); implementations must touch only their partition
+/// so tasks can run concurrently.
 struct PipelineStage {
   idx_t iterations = 0;
   std::function<void(idx_t iter, cplx* buf, int rank, int parts)> load;
@@ -60,8 +66,10 @@ struct PipelineStage {
 
 class DoubleBufferPipeline {
  public:
-  /// Schedule-trace event (tests validate the Table II schedule with it).
-  /// `tid` is the thread's id within its group.
+  /// Schedule-trace event (tests validate the schedules with it). `tid`
+  /// is the thread's id within its group. `half` is the buffer slot the
+  /// task used: the shared half under Split, the thread's own tile (its
+  /// tid) under Private, where `iter` and `step` are the claim index.
   struct TraceEvent {
     idx_t step;
     enum class Kind { Load, Compute, Store } kind;
@@ -71,15 +79,16 @@ class DoubleBufferPipeline {
     int group = 0;
   };
 
-  /// `block_elems` is the size of ONE buffer half (= one block b); the
-  /// pipeline allocates 2*block_elems for the two halves.
+  /// `block_elems` is the size of ONE buffer slot: a block b (Split; the
+  /// pipeline allocates 2*block_elems for the two halves) or a claim tile
+  /// (Private; it allocates one tile per thread).
   DoubleBufferPipeline(ThreadTeam& team, RolePlan roles, idx_t block_elems);
 
   /// Split `team` into `groups` consecutive sub-teams of roles.total
-  /// threads. Each group has its own double buffer (a separate allocation)
-  /// and barrier and runs its own stage, concurrently with the others —
-  /// DualSocketFft3d runs one group per socket. With one group the team
-  /// barrier is used.
+  /// threads. Each group has its own buffer (a separate allocation), work
+  /// counter and barrier and runs its own stage, concurrently with the
+  /// others — DualSocketFft3d runs one group per socket. With one group
+  /// the team barrier is used.
   DoubleBufferPipeline(ThreadTeam& team, RolePlan roles, idx_t block_elems,
                        int groups);
 
@@ -94,8 +103,9 @@ class DoubleBufferPipeline {
   void execute(const std::vector<PipelineStage>& stages);
 
   /// Run the stage under the Private schedule whatever the role plan:
-  /// every thread loads, transforms and stores its own slice of each
-  /// block. Used by the overlap-ablation benchmark.
+  /// each block is a claim that one thread loads, transforms and stores
+  /// on its own tile (a Split pipeline allocates the tiles on first use).
+  /// Used by the overlap-ablation benchmark.
   void execute_unpipelined(const PipelineStage& stage);
 
   /// Record the schedule of subsequent execute() calls into `sink`
@@ -105,20 +115,24 @@ class DoubleBufferPipeline {
   /// Aggregate busy time per task kind over the last execute() call,
   /// summed across the threads that ran it (every task is timed anyway,
   /// so this is always collected). Under Split busy/(wall * group size)
-  /// is the utilisation of that role — the soft-DMA balance the
-  /// thread-split ablation inspects; under Private every thread runs all
-  /// three tasks, so each sum spreads over the whole team.
+  /// is the utilisation of the threads that run that task — the soft-DMA
+  /// balance the thread-split ablation inspects; under Private every
+  /// thread runs all three tasks, so each sum spreads over the whole team.
   struct RoleUtilization {
     double wall_seconds = 0.0;
-    double load_seconds = 0.0;     // data threads (Split) or all (Private)
-    double store_seconds = 0.0;    // data threads (Split) or all (Private)
-    double compute_seconds = 0.0;  // compute threads (Split) or all
+    double load_seconds = 0.0;     // time in load tasks
+    double store_seconds = 0.0;    // time in store tasks
+    double compute_seconds = 0.0;  // time in compute tasks
+    /// Private: the fewest and most claims one thread took (0 under
+    /// Split). Their gap is the imbalance the stage barrier absorbs.
+    idx_t min_claims = 0;
+    idx_t max_claims = 0;
   };
 
   const RoleUtilization& last_utilization() const { return util_; }
 
  private:
-  cplx* half(int group, int h) {
+  cplx* slot(int group, int h) {
     return buffers_[static_cast<std::size_t>(group)].data() +
            h * block_elems_;
   }
@@ -126,6 +140,8 @@ class DoubleBufferPipeline {
     return groups_ == 1 ? team_.barrier()
                         : *group_barriers_[static_cast<std::size_t>(group)];
   }
+  /// Make every group's buffer hold `slots` slots (allocated lazily).
+  void ensure_slots(int slots);
   /// Run stages[g] on every group g under `roles` and time the call.
   void run_groups(const PipelineStage* stages, const RolePlan& roles);
   /// Thread `tid` of group `group`: its part of the Table II schedule (or
@@ -139,11 +155,18 @@ class DoubleBufferPipeline {
   /// Barrier wait with obs accounting (barrier-wait ns, 'B' slices).
   void wait_at_barrier(SpinBarrier& barrier, idx_t step);
 
+  /// A group's Private work counter, alone on its cache line.
+  struct alignas(64) ClaimCounter {
+    std::atomic<idx_t> next{0};
+  };
+
   ThreadTeam& team_;
   RolePlan roles_;
   idx_t block_elems_;
   int groups_;
-  std::vector<AlignedBuffer<cplx>> buffers_;  // per group: two halves
+  int slots_ = 0;  // buffer slots per group: 2 halves or p tiles
+  std::vector<AlignedBuffer<cplx>> buffers_;  // per group
+  std::unique_ptr<ClaimCounter[]> counters_;  // per group (Private)
   std::vector<std::unique_ptr<SpinBarrier>> group_barriers_;  // groups > 1
   std::vector<TraceEvent>* trace_ = nullptr;
   std::mutex trace_mu_;

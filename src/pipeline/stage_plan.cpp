@@ -137,8 +137,12 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
               "in threads: " + std::to_string(team) + " threads over " +
                   std::to_string(sockets) + " sockets");
   const int p = team / sockets;
-  const int pc = opts.compute_threads >= 0 ? opts.compute_threads
-                                           : default_compute_threads(p);
+  // The stage-parallel baseline is the Private claim plan with temporal
+  // stores: every thread on every task, no NT stores.
+  const bool stage_parallel = opts.engine == EngineKind::StageParallel;
+  const int pc = stage_parallel              ? p
+                 : opts.compute_threads >= 0 ? opts.compute_threads
+                                             : default_compute_threads(p);
   BWFFT_CHECK(p >= 1 && pc >= 0 && pc <= p,
               "compute_threads outside [0, threads]");
   plan.threads = p;
@@ -148,7 +152,7 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
   // The §IV-A buffer policy, raised below to hold every stage's widest row.
   idx_t block = opts.block_elems > 0 ? opts.block_elems
                                      : default_block_elems(opts.topo);
-  const bool nt = opts.nontemporal;
+  const bool nt = opts.nontemporal && !stage_parallel;
   // The 1D column and row groups and the rotation packet are sized so
   // that every rank of either role gets a row.
   const idx_t ranks = std::max({pc, p - pc, 1});
@@ -212,6 +216,19 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
     }
   }
   plan.block_elems = block;
+  if (plan.schedule() == Schedule::Private) {
+    // Private: a pipeline block is a claim, the largest whole run of
+    // stage rows within the core-private budget (never less than a row),
+    // which one thread loads, transforms and stores on its own tile. A
+    // stage too small to fill p claims of that size is cut into p, so
+    // every thread has one.
+    const idx_t budget = std::min(block, opts.topo.core_private_elems());
+    for (PlannedStage& s : plan.stages) {
+      const idx_t fit = std::min(budget / s.row_elems, s.rows / p);
+      s.rows_per_block = rows_per_block(s.rows, std::max<idx_t>(fit, 1));
+      s.iterations = s.rows / s.rows_per_block;
+    }
+  }
   return plan;
 }
 

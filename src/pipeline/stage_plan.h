@@ -6,9 +6,10 @@
 // into pipeline blocks, on one socket or per z-slab of a socket plan
 // (§IV-B). It is the only place those rules live:
 //
-//   - DoubleBufferEngine (every StageKind) and StageParallelEngine build
-//     their roles, team, pipeline and stage lambdas from the plan, and
-//     DualSocketFft3d builds its groups and stores from the socket plan;
+//   - DoubleBufferEngine (every StageKind, and the stage-parallel
+//     baseline) builds its roles, team, pipeline and stage lambdas from
+//     the plan, and DualSocketFft3d builds its groups and stores from the
+//     socket plan;
 //   - analysis::build_plan_model turns the plan into symbolic windows;
 //   - spl::plan_term restates it as the SPL formula of the transform,
 //     which bwfft_lint, `bwfft_verify spl` and the tests verify and
@@ -20,6 +21,7 @@
 // vector, no threads, no twiddles.
 #pragma once
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -66,8 +68,8 @@ struct PlannedStage {
   idx_t group = 1;        ///< four-step group width W or height R
   idx_t rows = 1;
   idx_t row_elems = 1;
-  idx_t rows_per_block = 1;
-  idx_t iterations = 1;   ///< rows / rows_per_block
+  idx_t rows_per_block = 1;  ///< a block (Split) or a claim (Private)
+  idx_t iterations = 1;   ///< rows / rows_per_block: blocks or claims
   bool nontemporal = true;
   bool split_b = false;   ///< socket plans: the sockets split geom.b
 };
@@ -90,8 +92,10 @@ inline idx_t socket_row(const PlannedStage& s, int socket, idx_t r) {
 /// How the team runs a tiled stage (pipeline/pipeline.h). Split is the
 /// paper's roles: p_c compute threads overlap the p_d data threads'
 /// loads and stores under the Table II step barrier. Private has no data
-/// threads: every thread loads, transforms and stores its own slice of
-/// each block, and the team meets once per stage.
+/// threads: each thread takes claims (whole runs of rows within the
+/// core-private budget, MachineTopology::core_private_elems) from the
+/// stage's work counter, loads, transforms and stores each on its own
+/// tile, and the team meets once per stage.
 enum class Schedule { Split, Private };
 
 const char* schedule_name(Schedule s);
@@ -111,6 +115,17 @@ struct StagePlan {
   /// Derived from the split: p_d = 0 runs Private (a lone thread too).
   Schedule schedule() const {
     return data_threads == 0 ? Schedule::Private : Schedule::Split;
+  }
+
+  /// Elements of one pipeline buffer slot: the block b (one shared half)
+  /// under Split, the largest claim (one thread's tile) under Private.
+  idx_t slot_elems() const {
+    if (schedule() == Schedule::Split) return block_elems;
+    idx_t claim = 1;
+    for (const PlannedStage& s : stages) {
+      claim = std::max(claim, s.rows_per_block * s.row_elems);
+    }
+    return claim;
   }
 };
 
@@ -139,8 +154,13 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 /// rank one per block, or one Flat stage on a single thread when n does
 /// not split (a pinned packet_elems has no column group to pin there and
 /// is kBadPlan). p_c is opts.compute_threads when set, else
-/// default_compute_threads. The engine kind is not consulted:
-/// stage-parallel executes the same stages untiled. sockets = sk > 1
+/// default_compute_threads. Under Private (p_c = p) every stage is
+/// tiled into claims instead of blocks: the most whole rows within
+/// min(b, topo.core_private_elems()) elements and within rows / p (so
+/// every thread has a claim), but at least one row.
+/// EngineKind::StageParallel plans the same stages as Private claims with
+/// temporal stores whatever compute_threads and nontemporal ask for; no
+/// other engine kind is consulted. sockets = sk > 1
 /// plans the dual-socket chain (Table III) of a 3D cube whose k and n sk
 /// divides, for p/sk threads per socket (kBadPlan unless the thread
 /// count is a positive multiple of sk). Throws kBadPlan on options no

@@ -186,8 +186,9 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
   std::vector<TuneCandidate> out;
   for (EngineKind e : engines) {
     const bool db = e == EngineKind::DoubleBuffer;
-    // Stage-parallel shares the rotation knobs in 2D/3D; in 1D it is the
-    // flat Stockham pass, which (like the naive DIT) tunes only the ISA.
+    // Stage-parallel shares the rotation packet in 2D/3D (its stores are
+    // always temporal); in 1D it is the flat Stockham pass, which (like
+    // the naive DIT) tunes only the ISA.
     const bool rotates = db || (!one_d && e == EngineKind::StageParallel);
     const bool tunes_isa = rotates || (one_d && e != EngineKind::Reference);
     for (int c : splits) {
@@ -200,7 +201,7 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
           for (idx_t f : factors) {
             if (!db && f != factors.front()) continue;
             for (bool nt : nt_values) {
-              if (!rotates && nt != nt_values[0]) continue;
+              if (!db && nt != nt_values[0]) continue;
               for (kernels::Isa isa : isas) {
                 if (!tunes_isa && isa != isas.front()) continue;
                 TuneCandidate cand;
@@ -209,7 +210,8 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
                 cand.block_elems = db ? b : 0;
                 cand.packet_elems = rotates ? mu : 0;
                 cand.factor_n1 = db ? f : 0;
-                cand.nontemporal = rotates ? nt : true;
+                // Stage-parallel rotations store temporally.
+                cand.nontemporal = db ? nt : !rotates;
                 cand.isa = tunes_isa ? isa : kernels::Isa::Auto;
                 out.push_back(cand);
               }
@@ -235,15 +237,20 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
   const double write = bytes * (c.nontemporal ? 1.0 : 2.0);
   const double mu_eff = packet_efficiency(c.packet_elems);
 
-  // The double-buffer engines execute a StagePlan: price the p, p_c,
-  // block, four-step split and schedule it resolves. DRAM bandwidth grows
-  // with the cores that issue requests, so under Split the p_d data
-  // threads move the stage's bytes at their p_d / p share of STREAM while
-  // the p_c compute threads overlap them; a pass costs the slower role,
-  // over the overlap efficiency. Private has no overlap but every core
-  // moves data: the full STREAM rate, then the flops on all p cores.
+  // The double-buffer engine (and the 2D/3D stage-parallel baseline, its
+  // Private claims with temporal stores) executes a StagePlan: price the
+  // p, p_c, block, four-step split and schedule it resolves. DRAM
+  // bandwidth grows with the cores that issue requests, so under Split
+  // the p_d data threads move the stage's bytes at their p_d / p share of
+  // STREAM while the p_c compute threads overlap them; a pass costs the
+  // slower role, over the overlap efficiency. Private has no overlap but
+  // every core moves data: the full STREAM rate, then the flops on all p
+  // cores.
+  const bool planned =
+      c.engine == EngineKind::DoubleBuffer ||
+      (c.engine == EngineKind::StageParallel && rank > 1);
   StagePlan plan;
-  if (c.engine == EngineKind::DoubleBuffer) {
+  if (planned) {
     FftOptions o;
     o.topo = topo;
     o.threads = threads;
@@ -326,13 +333,6 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
       const double strided = (bytes + bytes) / (bw * kStridedEfficiency);
       return stage0 + (rank - 1) * strided;
     }
-    case EngineKind::StageParallel: {
-      // Per stage: a unit-stride batch-FFT pass, then a full-array
-      // rotation whose scatter moves mu-element packets.
-      const double fft_pass = (bytes + write) / bw;
-      const double rotate_pass = bytes / bw + write / (bw * mu_eff);
-      return rank * (fft_pass + rotate_pass);
-    }
     case EngineKind::SlabPencil: {
       // Per-slab 2D transform (two passes over the cube) then strided z
       // pencils. When a slab overflows the LLC the 2D stage pays its own
@@ -346,6 +346,7 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
       const double z = (bytes + bytes) / (bw * kStridedEfficiency);
       return slab + z;
     }
+    case EngineKind::StageParallel:
     case EngineKind::DoubleBuffer: {
       // Per stage one pass (priced by its schedule, above) plus a fixed
       // pipeline cost per block iteration. The compute term is what makes

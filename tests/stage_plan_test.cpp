@@ -73,7 +73,7 @@ TEST(StagePlan, RowGroupsCoverEveryRank) {
   // The Rows stage's R is capped so that every block holds at least
   // max(p_c, p_d) row groups: ThreadTeam::chunk then hands each compute
   // and each data rank a group instead of leaving ranks idle at the
-  // barrier.
+  // barrier. Under Private (pc = -1) the stage holds at least p claims.
   for (int lg = 18; lg <= 26; ++lg) {
     for (int p : {2, 4, 8}) {
       for (int pc : {-1, 1, p - 1}) {
@@ -88,7 +88,11 @@ TEST(StagePlan, RowGroupsCoverEveryRank) {
         ASSERT_EQ(StageKind::Rows, rows.kind);
         const idx_t ranks =
             std::max(plan.compute_threads, plan.data_threads);
-        EXPECT_GE(rows.rows_per_block, ranks) << "R=" << rows.group;
+        if (plan.schedule() == Schedule::Private) {
+          EXPECT_GE(rows.iterations, ranks) << "R=" << rows.group;
+        } else {
+          EXPECT_GE(rows.rows_per_block, ranks) << "R=" << rows.group;
+        }
         EXPECT_EQ(0, plan.n1 % rows.group) << "R=" << rows.group;
         EXPECT_LE(rows.group, kFourStepMaxRows);
       }
@@ -99,7 +103,8 @@ TEST(StagePlan, RowGroupsCoverEveryRank) {
 TEST(StagePlan, FourStepGroupsCoverEveryRankOfBothStages) {
   // W and R follow one rule: the widest group that still leaves every
   // rank a group per block, at the policy block and at half of it (the
-  // tuner's block axis), for any team size.
+  // tuner's block axis), for any team size. The Private claims then give
+  // every thread at least one group.
   const idx_t policy = default_block_elems(FftOptions{}.topo);
   for (idx_t n : {idx_t{1} << 18, idx_t{1} << 20, idx_t{1} << 22,
                   idx_t{1} << 24, idx_t{1} << 26, idx_t{3} << 20}) {
@@ -118,7 +123,7 @@ TEST(StagePlan, FourStepGroupsCoverEveryRankOfBothStages) {
         for (int k = 0; k < 2; ++k) {
           const PlannedStage& s = plan.stages[k];
           EXPECT_EQ(0, counts[k] % s.group) << s.name;
-          EXPECT_GE(s.rows_per_block, p) << s.name << " group=" << s.group;
+          EXPECT_GE(s.iterations, p) << s.name << " group=" << s.group;
           EXPECT_GE(s.group, kMu) << s.name;
         }
       }
@@ -129,34 +134,41 @@ TEST(StagePlan, FourStepGroupsCoverEveryRankOfBothStages) {
 TEST(StagePlan, LargeOneDIsPrivateWithCorePrivateGroups) {
   // 2^24 on four threads: the near-square 4096 x 4096 split, the Private
   // schedule, and W = R = 32 (512 B runs): four 2 MiB groups fill the
-  // 8 MiB policy block, one per rank. At half the block both groups halve
-  // to 16 (256 B runs) instead of leaving two ranks idle.
+  // 8 MiB policy block, one per rank. A 2 MiB group exceeds half of a
+  // 2 MiB L2, so each claim is one group. At half the block both groups
+  // halve to 16 (256 B runs) instead of leaving two ranks idle, and a
+  // 1 MiB group is again one claim.
   FftOptions o;
   o.threads = 4;
   o.block_elems = 524288;
+  o.topo.l2_bytes = 2u << 20;
   const StagePlan plan = make_stage_plan({idx_t{1} << 24}, o);
   EXPECT_EQ(Schedule::Private, plan.schedule());
   EXPECT_EQ(4096, plan.n1);
   EXPECT_EQ(4096, plan.n2);
   EXPECT_EQ(524288, plan.block_elems);
+  EXPECT_EQ(131072, plan.slot_elems());
   for (const PlannedStage& s : plan.stages) {
     EXPECT_EQ(32, s.group) << s.name;
-    EXPECT_EQ(4, s.rows_per_block) << s.name;
+    EXPECT_EQ(1, s.rows_per_block) << s.name;
+    EXPECT_EQ(128, s.iterations) << s.name;
   }
   o.block_elems = 262144;
   const StagePlan half = make_stage_plan({idx_t{1} << 24}, o);
   for (const PlannedStage& s : half.stages) {
     EXPECT_EQ(16, s.group) << s.name;
-    EXPECT_EQ(4, s.rows_per_block) << s.name;
+    EXPECT_EQ(1, s.rows_per_block) << s.name;
   }
 }
 
 TEST(StagePlan, MultiDimensionalBenchmarkPlansAreUnchanged) {
-  // The benchmark's 256^3 and 4096^2 plans at four threads and the
-  // 8 MiB policy block, field by field.
+  // The benchmark's 256^3 and 4096^2 plans at four threads, the 8 MiB
+  // policy block and a 2 MiB L2, field by field: every stage is tiled
+  // into 1 MiB claims (half the L2).
   FftOptions o;
   o.threads = 4;
   o.block_elems = 524288;
+  o.topo.l2_bytes = 2u << 20;
   const StagePlan cube = make_stage_plan({256, 256, 256}, o);
   EXPECT_EQ(4, cube.compute_threads);
   EXPECT_EQ(0, cube.data_threads);
@@ -170,7 +182,8 @@ TEST(StagePlan, MultiDimensionalBenchmarkPlansAreUnchanged) {
     const PlannedStage& s = cube.stages[i];
     EXPECT_EQ(cube_rows[i], s.rows) << s.name;
     EXPECT_EQ(cube_row_elems[i], s.row_elems) << s.name;
-    EXPECT_EQ(32, s.iterations) << s.name;
+    EXPECT_EQ(256, s.iterations) << s.name;
+    EXPECT_EQ(65536, s.rows_per_block * s.row_elems) << s.name;
     EXPECT_EQ(256, s.geom.fft_len) << s.name;
     EXPECT_EQ(cube_lanes[i], s.geom.lanes) << s.name;
   }
@@ -187,10 +200,11 @@ TEST(StagePlan, MultiDimensionalBenchmarkPlansAreUnchanged) {
   ASSERT_EQ(2u, square.stages.size());
   EXPECT_EQ(4096, square.stages[0].rows);
   EXPECT_EQ(4096, square.stages[0].row_elems);
-  EXPECT_EQ(128, square.stages[0].rows_per_block);
+  EXPECT_EQ(16, square.stages[0].rows_per_block);
   EXPECT_EQ(4096 / mu, square.stages[1].rows);
   EXPECT_EQ(4096 * mu, square.stages[1].row_elems);
-  EXPECT_EQ(128 / mu, square.stages[1].rows_per_block);
+  EXPECT_EQ(16 / mu, square.stages[1].rows_per_block);
+  EXPECT_EQ(65536, square.slot_elems());
   EXPECT_EQ(mu, square.stages[1].geom.lanes);
 }
 

@@ -213,7 +213,7 @@ TEST(StaticVerify, AllComputeSplitIsUnpipelined) {
 
 TEST(StaticVerify, PrivateModelCarriesEveryRanksBufferSlice) {
   // The 3D default at p = 8 is Private: no Table II overlap, but every
-  // rank owns one buffer slice that it loads and stores.
+  // claim owns one buffer window that it loads and stores.
   PlanModel model;
   std::string why;
   ASSERT_TRUE(analysis::build_plan_model(
@@ -299,7 +299,7 @@ TEST(StaticVerify, SeededEpochAliasRejected) {
 }
 
 TEST(StaticVerify, SeededPrivateSliceStealRejected) {
-  // Rank 1 of a Private plan loads rank 0's buffer slice.
+  // Claim 1 of a Private plan loads claim 0's buffer window.
   PlanModel model;
   std::string why;
   ASSERT_TRUE(analysis::build_plan_model(

@@ -374,10 +374,22 @@ int main(int argc, char** argv) {
                     schedule_name(sp.schedule()));
         const auto& st = eng->last_stats();
         for (std::size_t s = 0; s < st.size(); ++s) {
-          std::printf("  stage %zu: %.3f ms, %lld iters x %lld rows/block\n",
-                      s, st[s].seconds * 1e3,
+          std::printf("  stage %zu: %.3f ms, %lld iters x %lld rows/block", s,
+                      st[s].seconds * 1e3,
                       static_cast<long long>(st[s].iterations),
                       static_cast<long long>(st[s].block_rows));
+          const auto& u = st[s].util;
+          if (sp.schedule() == Schedule::Private && u.max_claims > 0) {
+            // The claim size, and the imbalance barrier_wait_ns absorbs.
+            const idx_t bytes = st[s].block_rows * sp.stages[s].row_elems *
+                                static_cast<idx_t>(sizeof(cplx));
+            std::printf(", claim %lld rows x %lld KiB, %lld..%lld claims/thread",
+                        static_cast<long long>(st[s].block_rows),
+                        static_cast<long long>(bytes >> 10),
+                        static_cast<long long>(u.min_claims),
+                        static_cast<long long>(u.max_claims));
+          }
+          std::printf("\n");
         }
       }
     }

@@ -41,6 +41,7 @@
 #include "fft/options.h"
 #include "parallel/roles.h"
 #include "parallel/team.h"
+#include "pipeline/pipeline.h"
 #include "pipeline/stage_plan.h"
 #include "spl/algorithms.h"
 #include "spl/verify.h"
@@ -73,8 +74,8 @@ int usage() {
       "  Statically verifies every tuner candidate at the given 1D, 2D or\n"
       "  3D shapes (default: 64x64x64 32x64x128 48x48x48 256x256 65536).\n"
       "  MODE: store-overlap | store-gap | missing-fence | epoch-alias |\n"
-      "        schedule-half | schedule-dup | private-steal  (seeded\n"
-      "        defect; exit 1 = caught, the expected outcome)\n");
+      "        schedule-half | schedule-dup | private-steal | double-claim\n"
+      "        (seeded defect; exit 1 = caught, the expected outcome)\n");
   return 2;
 }
 
@@ -232,7 +233,7 @@ analysis::StageModel* corruptible_stage(analysis::PlanModel* model) {
 }
 
 /// Both the static model and the runtime partition probe must catch a
-/// Private-schedule rank that loads a slice it does not own.
+/// Private-schedule claim that loads a window it does not own.
 int inject_private_steal(const LintOptions& opt) {
   analysis::PlanModel model;
   if (!inject_base_model(opt, &model, -1)) return 2;
@@ -241,10 +242,10 @@ int inject_private_steal(const LintOptions& opt) {
     if (st == nullptr && s.buf_loads.size() >= 2) st = &s;
   }
   if (model.data_threads != 0 || st == nullptr) {
-    std::fprintf(stderr, "inject: need a Private plan with >= 2 ranks\n");
+    std::fprintf(stderr, "inject: need a Private plan with >= 2 claims\n");
     return 2;
   }
-  // Static: rank 1's buffer load window is rank 0's slice.
+  // Static: claim 1's buffer load window is claim 0's.
   st->buf_loads[1].iv = st->buf_loads[0].iv;
   const analysis::StaticReport rep = analysis::verify_plan(model);
 
@@ -275,11 +276,55 @@ int inject_private_steal(const LintOptions& opt) {
   return (!rep.ok() && !dyn.clean()) ? 1 : 0;
 }
 
+/// Both halves of a Private claim defect must be caught: one claim run a
+/// second time on another thread (by the symbolic and the runtime
+/// schedule checkers) and two claims sharing one tile window (by the
+/// static pass).
+int inject_double_claim(const LintOptions& opt) {
+  analysis::PlanModel model;
+  if (!inject_base_model(opt, &model, -1)) return 2;
+  analysis::StageModel* st = nullptr;
+  for (auto& s : model.stages) {
+    if (st == nullptr && s.buf_loads.size() >= 2) st = &s;
+  }
+  if (model.data_threads != 0 || st == nullptr) {
+    std::fprintf(stderr, "inject: need a Private plan with >= 2 claims\n");
+    return 2;
+  }
+  // Static: claim 1 loads and stores claim 0's window.
+  st->buf_loads[1].iv = st->buf_loads[0].iv;
+  st->buf_stores[1].iv = st->buf_stores[0].iv;
+  const analysis::StaticReport rep = analysis::verify_plan(model);
+
+  // Schedule: claim 1 runs again, whole, on the next thread's tile.
+  const RolePlan roles =
+      make_role_plan(model.threads, model.threads, host_topology());
+  const idx_t iters = 4;
+  analysis::Trace trace = analysis::make_table2_trace(iters, roles);
+  const int again = (1 + 1) % roles.total;
+  using Kind = DoubleBufferPipeline::TraceEvent::Kind;
+  for (Kind kind : {Kind::Load, Kind::Compute, Kind::Store}) {
+    trace.push_back({1, kind, 1, again, again});
+  }
+  const analysis::HazardReport sym =
+      analysis::verify_schedule_symbolic(trace, iters, roles);
+  const analysis::HazardReport dyn =
+      analysis::audit_schedule(trace, iters, roles);
+  std::printf("inject double-claim on %s: static %s, symbolic %s, runtime %s\n",
+              model.label().c_str(), rep.ok() ? "MISSED" : "caught",
+              sym.clean() ? "MISSED" : "caught",
+              dyn.clean() ? "MISSED" : "caught");
+  if (!rep.ok()) std::printf("%s\n", rep.str().c_str());
+  if (!sym.clean()) std::printf("%s\n", sym.str().c_str());
+  return (!rep.ok() && !sym.clean() && !dyn.clean()) ? 1 : 0;
+}
+
 int run_inject(const LintOptions& opt) {
   const std::string& mode = opt.inject;
   // The Table II defects are seeded into the paper's even Split.
   const int split = opt.threads / 2;
   if (mode == "private-steal") return inject_private_steal(opt);
+  if (mode == "double-claim") return inject_double_claim(opt);
   if (mode == "store-overlap" || mode == "store-gap" ||
       mode == "missing-fence" || mode == "epoch-alias") {
     analysis::PlanModel model;
