@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "benchutil/metrics.h"
 #include "benchutil/table.h"
-#include "kernels/vecops.h"
+#include "kernels/isa.h"
 
 using namespace bwfft;
 
@@ -63,9 +63,9 @@ int main() {
                    fmt_double(t0 / t, 2) + "x"});
   }
   {
-    set_force_scalar(true);
+    kernels::set_force_scalar(true);
     const double t = run_config(k, n, m, base, original, in, out);
-    set_force_scalar(false);
+    kernels::set_force_scalar(false);
     table.add_row({"scalar butterflies",
                    fmt_double(fft_gflops(static_cast<double>(total), t)),
                    fmt_double(t0 / t, 2) + "x"});

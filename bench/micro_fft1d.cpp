@@ -1,13 +1,12 @@
 // google-benchmark microbenchmarks for the 1D kernel layer: the batch and
-// lane kernels the double-buffered stages are built from, and the strided
-// in-place path the naive baseline uses.
+// lane kernels the double-buffered stages are built from (powers of two
+// and smooth sizes run the same Stockham sweep), Bluestein, and the
+// strided in-place path the naive baseline uses.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "fft1d/fft1d.h"
-#include "fft1d/mixed_radix.h"
 #include "kernels/batch.h"
-#include "kernels/vecops.h"
 
 namespace {
 
@@ -102,12 +101,12 @@ void BM_LanesScalarForced(benchmark::State& state) {
   const idx_t count = std::max<idx_t>((1 << 16) / (n * lanes), 1);
   Fft1d plan(n, Direction::Forward);
   cvec data = random_cvec(n * lanes * count);
-  set_force_scalar(true);
+  kernels::set_force_scalar(true);
   for (auto _ : state) {
     plan.apply_lanes(data.data(), lanes, count);
     benchmark::DoNotOptimize(data.data());
   }
-  set_force_scalar(false);
+  kernels::set_force_scalar(false);
   state.SetItemsProcessed(state.iterations() * n * lanes * count);
 }
 BENCHMARK(BM_LanesScalarForced)->Arg(256);
@@ -129,20 +128,40 @@ BENCHMARK(BM_StridedInplace)
     ->Args({256, 256})
     ->Args({1024, 1024});
 
-void BM_MixedRadix(benchmark::State& state) {
+// Smooth sizes on the Stockham sweep: 120 = {8, 5, 3}, 1000 = {8, 5, 5, 5},
+// 3600 = {16, 5, 5, 3, 3}.
+void BM_SmoothBatch(benchmark::State& state) {
   const idx_t n = state.range(0);
-  MixedRadixFft plan(n, Direction::Forward);
-  cvec data = random_cvec(n);
+  const idx_t count = std::max<idx_t>((1 << 16) / n, 1);
+  Fft1d plan(n, Direction::Forward);
+  cvec data = random_cvec(n * count);
   for (auto _ : state) {
-    plan.apply(data.data());
+    plan.apply_batch(data.data(), count);
     benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * n * count);
 }
-BENCHMARK(BM_MixedRadix)->Arg(120)->Arg(1000)->Arg(3600);
+BENCHMARK(BM_SmoothBatch)->Arg(120)->Arg(1000)->Arg(3600);
+
+// The Columns stage of 2^16 * 3's near-square split (384 x 512): one
+// n1 = 384 = {16, 8, 3} tile at W = 32 lanes.
+void BM_SmoothLanes(benchmark::State& state) {
+  const idx_t n = state.range(0);
+  const idx_t lanes = state.range(1);
+  Fft1d plan(n, Direction::Forward);
+  cvec data = random_cvec(n * lanes);
+  for (auto _ : state) {
+    plan.apply_lanes(data.data(), lanes, 1);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * lanes);
+}
+BENCHMARK(BM_SmoothLanes)->Args({384, 32});
 
 void BM_Bluestein(benchmark::State& state) {
-  const idx_t n = state.range(0);  // non-power-of-two
+  const idx_t n = state.range(0);  // prime: no Stockham schedule
   Fft1d plan(n, Direction::Forward);
   cvec data = random_cvec(n);
   for (auto _ : state) {
@@ -151,6 +170,6 @@ void BM_Bluestein(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Bluestein)->Arg(100)->Arg(1000);
+BENCHMARK(BM_Bluestein)->Arg(101)->Arg(1009);
 
 }  // namespace

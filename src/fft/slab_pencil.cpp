@@ -15,6 +15,9 @@ SlabPencilEngine::SlabPencilEngine(std::vector<idx_t> dims, Direction dir,
     : dims_(std::move(dims)), dir_(dir), opts_(opts) {
   BWFFT_CHECK(dims_.size() == 3, "slab-pencil engine is 3D only");
   const idx_t k = dims_[0], n = dims_[1], m = dims_[2];
+  // The z pencils run apply_lanes_strided, which needs a Stockham size.
+  BWFFT_CHECK(has_stockham_schedule(k),
+              "slab-pencil engine needs a z size with a Stockham schedule");
   total_ = k * n * m;
   const idx_t mu = packet_size_for(m);
   slab_stages_ = make_2d_stages(n, m, mu);

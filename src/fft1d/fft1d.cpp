@@ -26,29 +26,47 @@ constexpr idx_t kGatherMaxElems = 32768;
 
 }  // namespace
 
+std::vector<idx_t> stockham_radices(idx_t n) {
+  if (n <= 1) return {};
+  if (n <= codelets::kMaxCodelet) return {n};
+  static constexpr idx_t kRadices[] = {16, 8, 7, 6, 5, 4, 3, 2};
+  std::vector<idx_t> chain;
+  while (n > 1) {
+    const idx_t* r = std::find_if(std::begin(kRadices), std::end(kRadices),
+                                  [n](idx_t c) { return n % c == 0; });
+    if (r == std::end(kRadices)) return {};
+    chain.push_back(*r);
+    n /= *r;
+  }
+  return chain;
+}
+
+bool has_stockham_schedule(idx_t n) {
+  return n == 1 || !stockham_radices(n).empty();
+}
+
 Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
     : n_(n), dir_(dir), isa_(isa) {
   BWFFT_CHECK(n >= 1, "FFT size must be >= 1");
-  if (is_pow2(n_)) {
-    // Greedy high-radix Stockham schedule: radix-16 levels while the
-    // remaining length divides 16, then one radix-8/4/2 level for the
-    // leftover. Each level is executed by the batched radix-r codelet
-    // with the per-packet twiddle rows precomputed here.
-    for (idx_t len = n_; len > 1;) {
-      const idx_t r = len % 16 == 0 ? 16 : len;  // leftover is 2, 4, or 8
-      const idx_t q = len / r;
-      StockhamLevel lvl;
-      lvl.radix = r;
-      lvl.tw.resize(static_cast<std::size_t>((r - 1) * q));
-      for (idx_t p = 0; p < q; ++p) {
-        for (idx_t k = 1; k < r; ++k) {
-          lvl.tw[static_cast<std::size_t>((r - 1) * p + (k - 1))] =
-              root_of_unity(len, k * p, dir_);
-        }
+  // Each Stockham level is executed by the batched radix-r codelet with
+  // the per-packet twiddle rows precomputed here.
+  const std::vector<idx_t> radices = stockham_radices(n_);
+  idx_t len = n_;
+  for (const idx_t r : radices) {
+    const idx_t q = len / r;
+    StockhamLevel lvl;
+    lvl.radix = r;
+    lvl.tw.resize(static_cast<std::size_t>((r - 1) * q));
+    for (idx_t p = 0; p < q; ++p) {
+      for (idx_t k = 1; k < r; ++k) {
+        lvl.tw[static_cast<std::size_t>((r - 1) * p + (k - 1))] =
+            root_of_unity(len, k * p, dir_);
       }
-      slevels_.push_back(std::move(lvl));
-      len = q;
     }
+    slevels_.push_back(std::move(lvl));
+    len = q;
+  }
+  if (is_pow2(n_)) {
     const int levels = log2_floor(n_);
     dit_tw_ = root_table(n_, std::max<idx_t>(n_ / 2, 1), dir_);
     bitrev_.resize(static_cast<std::size_t>(n_));
@@ -60,11 +78,7 @@ Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
       }
       bitrev_[static_cast<std::size_t>(i)] = r;
     }
-  } else if (n_ <= codelets::kMaxCodelet) {
-    // Small sizes run the batched codelets directly; no plan state.
-  } else if (MixedRadixFft::supported(n_)) {
-    mixed_ = std::make_unique<MixedRadixFft>(n_, dir_);
-  } else {
+  } else if (radices.empty()) {
     // Bluestein chirp-z setup: convolution length M = next pow2 >= 2n-1.
     conv_n_ = 1;
     while (conv_n_ < 2 * n_ - 1) conv_n_ <<= 1;
@@ -145,7 +159,7 @@ void Fft1d::apply_lanes(cplx* data, idx_t lanes, idx_t count) const {
   BWFFT_CHECK(lanes >= 1 && count >= 0, "bad lanes/count");
   if (n_ == 1 || count == 0) return;
 
-  if (is_pow2(n_)) {
+  if (!slevels_.empty()) {
     const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa_);
     if (lanes == 1 && bt.width > 1 && count >= bt.width &&
         n_ * bt.width <= kGatherMaxElems) {
@@ -155,34 +169,6 @@ void Fft1d::apply_lanes(cplx* data, idx_t lanes, idx_t count) const {
     cplx* scratch = thread_scratch(static_cast<std::size_t>(n_ * lanes));
     for (idx_t t = 0; t < count; ++t) {
       stockham_tile(data + t * n_ * lanes, scratch, lanes, bt);
-    }
-    return;
-  }
-
-  if (n_ <= codelets::kMaxCodelet) {
-    // One batched call per tile, in place (is == os == lanes).
-    const kernels::BatchFn fn = kernels::dispatch_batch_table(isa_).fn[n_];
-    for (idx_t t = 0; t < count; ++t) {
-      cplx* tile = data + t * n_ * lanes;
-      fn(tile, lanes, tile, lanes, lanes, nullptr, dir_);
-    }
-    return;
-  }
-
-  if (mixed_) {
-    // Smooth sizes: exact mixed-radix per lane pencil.
-    cvec pencil(static_cast<std::size_t>(n_));
-    for (idx_t t = 0; t < count; ++t) {
-      cplx* tile = data + t * n_ * lanes;
-      for (idx_t l = 0; l < lanes; ++l) {
-        if (lanes == 1) {
-          mixed_->apply(tile);
-        } else {
-          for (idx_t j = 0; j < n_; ++j) pencil[static_cast<std::size_t>(j)] = tile[j * lanes + l];
-          mixed_->apply(pencil.data());
-          for (idx_t j = 0; j < n_; ++j) tile[j * lanes + l] = pencil[static_cast<std::size_t>(j)];
-        }
-      }
     }
     return;
   }
@@ -224,7 +210,8 @@ void Fft1d::bluestein(cplx* data) const {
 
 void Fft1d::apply_lanes_strided(cplx* base, idx_t lanes,
                                 idx_t row_stride) const {
-  BWFFT_CHECK(is_pow2(n_), "strided lanes path requires power-of-two n");
+  BWFFT_CHECK(conv_n_ == 0,
+              "strided lanes path requires a size with a Stockham schedule");
   BWFFT_CHECK(lanes >= 1 && row_stride >= lanes, "bad lanes/row_stride");
   if (n_ == 1) return;
   const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa_);

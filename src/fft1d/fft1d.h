@@ -1,42 +1,39 @@
 // 1D FFT engine.
 //
-// Three execution styles, matching the roles 1D transforms play in the
-// paper's multidimensional algorithms:
+// One kernel path: every size with a radix schedule (below) runs the
+// Stockham autosort sweep over the batched split-format codelets
+// (kernels/batch.h), SIMD-dispatched at run time (scalar / AVX2+FMA /
+// AVX-512 from cpuid). Each level is one twiddled radix-r DIF codelet,
+// DFT_r (x) I_lanes on rows of the tile — the paper's DFT_n (x) I_mu
+// kernel (§III-D). Every other size runs Bluestein's chirp-z algorithm
+// on top of a power-of-two sweep.
 //
 //  * apply_lanes(data, lanes, count) — the compute kernel of the
 //    double-buffered stages: `count` tiles, each holding an n x lanes
 //    row-major block, are transformed along the n dimension in place.
 //    This is the SPL construct I_count (x) DFT_n (x) I_lanes. With
 //    lanes = mu (one cacheline) every butterfly streams whole cachelines,
-//    which is the paper's "cache aware FFT" (§IV-A). Stockham autosort
-//    over the batched split-format codelets (kernels/batch.h), radices
-//    {16, 8, 4, 2}, SIMD-dispatched at run time (scalar / AVX2+FMA /
-//    AVX-512 from cpuid).
+//    which is the paper's "cache aware FFT" (§IV-A).
 //
 //  * apply_batch(data, count) — lanes = 1 special case (I_count (x) DFT_n)
 //    on contiguous pencils: the stage-0 kernel of the multi-D engines. (The
 //    four-step 1D row pass does not use it: its load transposes R rows
 //    into an n2 x R tile, and it runs apply_lanes at lanes = R.) A lone
-//    pencil's first radix-16 level has row stride 1, i.e. one lane per
-//    codelet call, so power-of-two batches are instead gathered G pencils
-//    at a time (G = the dispatched codelet chunk width: 8 AVX-512, 4 AVX2)
-//    into an n x G tile — L^{nG}_G, the short-vector rewrite of
-//    I_G (x) DFT_n — run at lanes = G and scattered back, both copies
-//    through the table's SIMD block transpose. The gather
-//    needs count >= G and n*G <= 32768 elements (tile plus Stockham
-//    scratch within 1 MiB of per-thread scratch); a remainder of two or
-//    more pencils is gathered at its own width. Scalar dispatch and
-//    longer pencils keep the per-pencil path.
+//    pencil's first level has row stride 1, i.e. one lane per codelet
+//    call, so batches are instead gathered G pencils at a time (G = the
+//    dispatched codelet chunk width: 8 AVX-512, 4 AVX2) into an n x G
+//    tile — L^{nG}_G, the short-vector rewrite of I_G (x) DFT_n — run at
+//    lanes = G and scattered back, both copies through the table's SIMD
+//    block transpose. The gather needs count >= G and n*G <= 32768
+//    elements (tile plus Stockham scratch within 1 MiB of per-thread
+//    scratch); a remainder of two or more pencils is gathered at its own
+//    width. Scalar dispatch and longer pencils keep the per-pencil path.
 //
 //  * apply_strided_inplace(data, stride) — a single pencil transformed in
 //    place at an element stride, the access pattern of the *naive* pencil
 //    baseline the paper criticises. Iterative DIT with bit-reversal; no
 //    buffering, so large strides hit main memory hard — deliberately.
-//
-// Power-of-two sizes run the Stockham/DIT paths; other sizes use the
-// batched small-DFT codelets (n <= 16), the mixed-radix Cooley–Tukey
-// engine (smooth sizes, prime factors <= 7), or Bluestein's chirp-z
-// algorithm on top of the power-of-two engine (everything else).
+//    Power-of-two sizes only.
 #pragma once
 
 #include <memory>
@@ -44,11 +41,21 @@
 
 #include "common/aligned.h"
 #include "common/types.h"
-#include "fft1d/mixed_radix.h"
 #include "kernels/batch.h"
 #include "kernels/twiddle.h"
 
 namespace bwfft {
+
+/// Radices of the Stockham schedule of an n-point transform, first level
+/// first: one level of radix n for 2 <= n <= 16, else greedy over
+/// {16, 8, 7, 6, 5, 4, 3, 2}. For a power of two that is radix-16 levels
+/// then one 8/4/2 level. Empty for n = 1 (no level) and for sizes no chain
+/// reaches (a prime factor above 7 and n > 16), which run Bluestein.
+std::vector<idx_t> stockham_radices(idx_t n);
+
+/// True when an n-point Fft1d runs the Stockham sweep (n = 1 included):
+/// apply_lanes_strided accepts exactly these sizes.
+bool has_stockham_schedule(idx_t n);
 
 class Fft1d {
  public:
@@ -82,7 +89,7 @@ class Fft1d {
   /// lanes <= row_stride). The tile is gathered into cache-resident
   /// scratch, transformed, and scattered back — the buffering approach of
   /// Frigo et al. [11] used by the slab–pencil baseline's z stage.
-  /// Power-of-two sizes only.
+  /// Sizes with a Stockham schedule only.
   void apply_lanes_strided(cplx* base, idx_t lanes, idx_t row_stride) const;
 
   /// In-place transform of one pencil whose elements sit at `stride`
@@ -101,13 +108,12 @@ class Fft1d {
                       const kernels::BatchTable& bt) const;
   void bluestein(cplx* data) const;
 
-  /// One Stockham DIF level of radix r in {16, 8, 4, 2}: the greedy
-  /// high-radix schedule (16 while it divides, then one 8/4/2 level)
-  /// minimises passes over the cached tile — n = 128 takes two levels
-  /// where the old radix-4/2 schedule took four. Twiddles are laid out
-  /// per output packet p: tw[(r-1)*p + (k-1)] = w_len^{p*k}, exactly the
-  /// `tw` row the batched codelet ABI consumes; packet p = 0 has unit
-  /// twiddles and is passed tw = nullptr.
+  /// One Stockham DIF level of radix r (stockham_radices): the greedy
+  /// high-radix schedule minimises passes over the cached tile — n = 128
+  /// takes two levels where a radix-4/2 schedule takes four. Twiddles
+  /// are laid out per output packet p: tw[(r-1)*p + (k-1)] = w_len^{p*k},
+  /// exactly the `tw` row the batched codelet ABI consumes; packet p = 0
+  /// has unit twiddles and is passed tw = nullptr.
   struct StockhamLevel {
     idx_t radix;
     cvec tw;
@@ -116,14 +122,11 @@ class Fft1d {
   idx_t n_;
   Direction dir_;
   kernels::Isa isa_;                // dispatch request (Auto = decide late)
-  std::vector<StockhamLevel> slevels_;  // Stockham schedule (pow2 sizes)
-  cvec dit_tw_;                     // DIT twiddles w_n^j, j < n/2
-  std::vector<idx_t> bitrev_;       // bit-reversal permutation
+  std::vector<StockhamLevel> slevels_;  // Stockham schedule
+  cvec dit_tw_;                     // DIT twiddles w_n^j, j < n/2 (pow2)
+  std::vector<idx_t> bitrev_;       // bit-reversal permutation (pow2)
 
-  // Mixed-radix engine (smooth non-power-of-two sizes).
-  std::unique_ptr<MixedRadixFft> mixed_;
-
-  // Bluestein state (non-power-of-two, non-codelet sizes).
+  // Bluestein state (sizes without a Stockham schedule).
   idx_t conv_n_ = 0;                // power-of-two convolution length
   cvec chirp_;                      // c[j] = w^{j^2/2}: conjugate chirp
   cvec chirp_fft_;                  // FFT of the zero-padded chirp kernel

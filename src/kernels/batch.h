@@ -1,16 +1,14 @@
 // Batched split-format SIMD codelets with runtime ISA dispatch.
 //
-// The scalar codelets (kernels/codelets.h) transform ONE pencil at an
-// element stride; the double-buffer compute stage's DFT_n (x) I_mu
-// nodes used to loop them once per lane. The batched
-// codelets instead transform `lanes` pencils at once, with SIMD vector
-// lanes running ACROSS the batch dimension (the paper's DFT_n (x) I_mu
-// shape): element (j, l) of the tile sits at in[j*is + l], interleaved
-// complex, and each kernel deinterleaves a register-wide chunk of lanes
-// into SPLIT real/imaginary vectors at its edges. In split format a
-// complex multiply by a constant is four FMAs and a multiply-by-(+/-i)
-// is a register rename plus a sign flip — no shuffles inside the
-// butterflies, which is where the interleaved AVX path loses its cycles.
+// The batched codelets are the one kernel layer of the 1D engine: every
+// Stockham level of Fft1d is one of them. Each call transforms `lanes`
+// pencils at once, with SIMD vector lanes running ACROSS the batch
+// dimension (the paper's DFT_n (x) I_mu shape): element (j, l) of the
+// tile sits at in[j*is + l], interleaved complex, and each kernel
+// deinterleaves a register-wide chunk of lanes into SPLIT real/imaginary
+// vectors at its edges. In split format a complex multiply by a constant
+// is four FMAs and a multiply-by-(+/-i) is a register rename plus a sign
+// flip — no shuffles inside the butterflies.
 //
 // Variants are generated from one template body (kernels/batch_gen.h)
 // per instruction set — scalar always, AVX2+FMA and AVX-512F when the

@@ -26,12 +26,12 @@
 // one sign flip. The direction is a template parameter (SG = -1 forward,
 // +1 inverse), so the sign folds into constants at compile time.
 //
-// Sizes 2, 4, 8, 16 use the radix-2 DIT recursions of the scalar
-// codelets; 3, 5, 7 the symmetric/antisymmetric prime splits; 6 the
-// Good–Thomas 2x3 map; 9..15 a table-driven direct DFT (exact, O(n^2)
-// over the lane chunk — these sizes never appear in the hot power-of-two
-// pipeline). All trig constants come from codelets::dft_trig, computed
-// once per process.
+// Sizes 2, 4, 8, 16 use radix-2 DIT recursions; 3, 5, 7 the
+// symmetric/antisymmetric prime splits; 6 the Good–Thomas 2x3 map; 9..15
+// a table-driven direct DFT (exact, O(n^2) over the lane chunk — Fft1d
+// runs them only as the single level of an n <= 16 transform, never
+// inside a longer schedule). All trig constants come from
+// codelets::dft_trig, computed once per process.
 #pragma once
 
 #include <cmath>

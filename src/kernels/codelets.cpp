@@ -12,13 +12,6 @@ namespace {
 
 constexpr double kPi = std::numbers::pi_v<double>;
 
-/// Multiply by +/- i depending on direction: forward uses -i (since the
-/// forward root of order 4 is w_4 = -i), inverse uses +i.
-inline cplx rot90(cplx v, Direction dir) {
-  return dir == Direction::Forward ? cplx(v.imag(), -v.real())
-                                   : cplx(-v.imag(), v.real());
-}
-
 }  // namespace
 
 const TrigTable& dft_trig(idx_t n) {
@@ -40,207 +33,6 @@ const TrigTable& dft_trig(idx_t n) {
     return t;
   }();
   return tables[n];
-}
-
-void dft2(const cplx* in, idx_t is, cplx* out, idx_t os, Direction) {
-  const cplx a = in[0], b = in[is];
-  out[0] = a + b;
-  out[os] = a - b;
-}
-
-void dft3(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir) {
-  // Rader-style 3-point: w_3 = -1/2 +/- sqrt(3)/2 i.
-  constexpr double c = -0.5;
-  const double s = sign_of(dir) * std::sqrt(3.0) / 2.0;
-  const cplx a = in[0], b = in[is], d = in[2 * is];
-  const cplx t1 = b + d;
-  const cplx t2 = b - d;
-  const cplx m1 = a + c * t1;
-  const cplx m2 = cplx(-s * t2.imag(), s * t2.real());
-  out[0] = a + t1;
-  out[os] = m1 + m2;
-  out[2 * os] = m1 - m2;
-}
-
-void dft4(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir) {
-  const cplx a = in[0], b = in[is], c = in[2 * is], d = in[3 * is];
-  const cplx t0 = a + c, t1 = a - c;
-  const cplx t2 = b + d, t3 = rot90(b - d, dir);
-  out[0] = t0 + t2;
-  out[os] = t1 + t3;
-  out[2 * os] = t0 - t2;
-  out[3 * os] = t1 - t3;
-}
-
-void dft5(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir) {
-  // 5-point DFT via the standard symmetric/antisymmetric split.
-  const TrigTable& tt = dft_trig(5);
-  const double s = sign_of(dir);
-  const double c1 = tt.c[1], s1 = s * tt.s[1];
-  const double c2 = tt.c[2], s2 = s * tt.s[2];
-  const cplx a = in[0];
-  const cplx b = in[is], e = in[4 * is];
-  const cplx c = in[2 * is], d = in[3 * is];
-  const cplx p1 = b + e, m1 = b - e;
-  const cplx p2 = c + d, m2 = c - d;
-  out[0] = a + p1 + p2;
-  const cplx r1 = a + c1 * p1 + c2 * p2;
-  const cplx r2 = a + c2 * p1 + c1 * p2;
-  // Imaginary contribution is +i * (s_a m1 + s_b m2): i*(x+iy) = (-y, x).
-  const cplx v1 = s1 * m1 + s2 * m2;
-  const cplx v2 = s2 * m1 - s1 * m2;
-  const cplx i1 = cplx(-v1.imag(), v1.real());
-  const cplx i2 = cplx(-v2.imag(), v2.real());
-  out[os] = r1 + i1;
-  out[2 * os] = r2 + i2;
-  out[3 * os] = r2 - i2;
-  out[4 * os] = r1 - i1;
-}
-
-void dft6(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir) {
-  // Good–Thomas 6 = 2 x 3 (coprime): no twiddles needed.
-  cplx col[2][3];
-  // CRT input map: index (i1, i2) <- in[(3*i1 + 4*i2) mod 6].
-  for (idx_t i1 = 0; i1 < 2; ++i1) {
-    for (idx_t i2 = 0; i2 < 3; ++i2) {
-      col[i1][i2] = in[((3 * i1 + 4 * i2) % 6) * is];
-    }
-  }
-  cplx t[2][3];
-  for (idx_t i1 = 0; i1 < 2; ++i1) dft3(col[i1], 1, t[i1], 1, dir);
-  cplx u[3][2];
-  for (idx_t i2 = 0; i2 < 3; ++i2) {
-    const cplx pair[2] = {t[0][i2], t[1][i2]};
-    cplx res[2];
-    dft2(pair, 1, res, 1, dir);
-    u[i2][0] = res[0];
-    u[i2][1] = res[1];
-  }
-  // CRT output map: out[(3*k1 + 2*k2) mod 6] = u[k2][k1].
-  for (idx_t k1 = 0; k1 < 2; ++k1) {
-    for (idx_t k2 = 0; k2 < 3; ++k2) {
-      out[((3 * k1 + 2 * k2) % 6) * os] = u[k2][k1];
-    }
-  }
-}
-
-void dft7(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir) {
-  // Direct symmetric evaluation; 7 is prime and rarely hot, so clarity
-  // over cleverness.
-  const TrigTable& tt = dft_trig(7);
-  const double s = sign_of(dir);
-  const double cs[3] = {tt.c[1], tt.c[2], tt.c[3]};
-  const double sn[3] = {s * tt.s[1], s * tt.s[2], s * tt.s[3]};
-  const cplx a = in[0];
-  cplx p[3], m[3];
-  for (int j = 0; j < 3; ++j) {
-    const cplx hi = in[(j + 1) * is];
-    const cplx lo = in[(6 - j) * is];
-    p[j] = hi + lo;
-    m[j] = hi - lo;
-  }
-  out[0] = a + p[0] + p[1] + p[2];
-  for (int k = 1; k <= 3; ++k) {
-    cplx re = a;
-    cplx im(0.0, 0.0);
-    for (int j = 1; j <= 3; ++j) {
-      const int idx = (k * j) % 7;
-      const int fold = idx <= 3 ? idx : 7 - idx;
-      const double sign_im = idx <= 3 ? 1.0 : -1.0;
-      re += cs[fold - 1] * p[j - 1];
-      im += sign_im * sn[fold - 1] * m[j - 1];
-    }
-    const cplx rot(-im.imag(), im.real());  // +i * im
-    out[k * os] = re + rot;
-    out[(7 - k) * os] = re - rot;
-  }
-}
-
-void dft8(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir) {
-  // Radix-2 DIT on top of two DFT4s, with the w_8 twiddles inlined.
-  const double r = std::sqrt(0.5);
-  cplx even[4], odd[4], fe[4], fo[4];
-  for (idx_t j = 0; j < 4; ++j) {
-    even[j] = in[2 * j * is];
-    odd[j] = in[(2 * j + 1) * is];
-  }
-  dft4(even, 1, fe, 1, dir);
-  dft4(odd, 1, fo, 1, dir);
-  const double sg = sign_of(dir);
-  const cplx w1(r, sg * r);        // w_8^1
-  const cplx w2(0.0, sg);          // w_8^2
-  const cplx w3(-r, sg * r);       // w_8^3
-  const cplx t0 = fo[0], t1 = fo[1] * w1, t2 = fo[2] * w2, t3 = fo[3] * w3;
-  out[0] = fe[0] + t0;
-  out[os] = fe[1] + t1;
-  out[2 * os] = fe[2] + t2;
-  out[3 * os] = fe[3] + t3;
-  out[4 * os] = fe[0] - t0;
-  out[5 * os] = fe[1] - t1;
-  out[6 * os] = fe[2] - t2;
-  out[7 * os] = fe[3] - t3;
-}
-
-void dft16(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir) {
-  // Radix-2 DIT on top of two DFT8s.
-  cplx even[8], odd[8], fe[8], fo[8];
-  for (idx_t j = 0; j < 8; ++j) {
-    even[j] = in[2 * j * is];
-    odd[j] = in[(2 * j + 1) * is];
-  }
-  dft8(even, 1, fe, 1, dir);
-  dft8(odd, 1, fo, 1, dir);
-  const TrigTable& tt = dft_trig(16);
-  const double sg = sign_of(dir);
-  for (idx_t k = 0; k < 8; ++k) {
-    const cplx w(tt.c[k], sg * tt.s[k]);  // w_16^{+/-k}
-    const cplx t = fo[k] * w;
-    out[k * os] = fe[k] + t;
-    out[(k + 8) * os] = fe[k] - t;
-  }
-}
-
-namespace {
-
-/// Table-driven direct DFT for the sizes without an unrolled body
-/// (9..15). O(n^2), but these sizes only appear as mixed-radix leftovers,
-/// never in the hot power-of-two schedules.
-template <idx_t N>
-void dft_direct(const cplx* in, idx_t is, cplx* out, idx_t os,
-                Direction dir) {
-  const TrigTable& tt = dft_trig(N);
-  const double sg = sign_of(dir);
-  for (idx_t k = 0; k < N; ++k) {
-    cplx acc = in[0];
-    for (idx_t j = 1; j < N; ++j) {
-      const idx_t m = (j * k) % N;
-      acc += in[j * is] * cplx(tt.c[m], sg * tt.s[m]);
-    }
-    out[k * os] = acc;
-  }
-}
-
-}  // namespace
-
-CodeletFn lookup(idx_t n) {
-  switch (n) {
-    case 2: return dft2;
-    case 3: return dft3;
-    case 4: return dft4;
-    case 5: return dft5;
-    case 6: return dft6;
-    case 7: return dft7;
-    case 8: return dft8;
-    case 9: return dft_direct<9>;
-    case 10: return dft_direct<10>;
-    case 11: return dft_direct<11>;
-    case 12: return dft_direct<12>;
-    case 13: return dft_direct<13>;
-    case 14: return dft_direct<14>;
-    case 15: return dft_direct<15>;
-    case 16: return dft16;
-    default: return nullptr;
-  }
 }
 
 }  // namespace bwfft::codelets

@@ -1,38 +1,17 @@
-// Hand-written small-DFT codelets.
+// Shared trig constants of the small-DFT codelets.
 //
-// Fully unrolled DFTs for sizes 2..8 and 16 plus a table-driven direct
-// path for the remaining sizes up to 16, parameterised by input and
-// output stride so they can serve as base cases of the mixed-radix
-// engine and as strided pencil kernels. Each codelet is an exact
-// implementation of spl::Dft(n) and is tested against it
-// entry-for-entry.
+// The batched SIMD codelets (kernels/batch_gen.h) cover every size
+// 2..kMaxCodelet; each instantiation reads its constants from one table
+// per order, so every ISA variant of a given size agrees on them
+// bit-for-bit.
 #pragma once
 
 #include "common/types.h"
 
 namespace bwfft::codelets {
 
-/// Apply an n-point DFT: out[k*os] = sum_l w^{kl} in[l*is]. `in` and `out`
-/// must not alias (use a temporary for in-place application).
-using CodeletFn = void (*)(const cplx* in, idx_t is, cplx* out, idx_t os,
-                           Direction dir);
-
-void dft2(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-void dft3(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-void dft4(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-void dft5(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-void dft6(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-void dft7(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-void dft8(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-void dft16(const cplx* in, idx_t is, cplx* out, idx_t os, Direction dir);
-
 /// Largest size for which a codelet exists.
 inline constexpr idx_t kMaxCodelet = 16;
-
-/// Codelet lookup. Never returns nullptr for 2 <= n <= kMaxCodelet:
-/// sizes without an unrolled body (9..15) get a table-driven direct DFT.
-/// Sizes outside that range return nullptr.
-CodeletFn lookup(idx_t n);
 
 /// Forward-convention roots of unity of order n: c[j] = cos(2*pi*j/n),
 /// s[j] = sin(2*pi*j/n) for j < n, computed once per process. The forward
@@ -42,10 +21,8 @@ struct TrigTable {
   double s[kMaxCodelet];
 };
 
-/// Shared trig constants for order n (2 <= n <= kMaxCodelet). The tables
-/// are built on first use and reused by the scalar codelets, the direct
-/// fallback, and the batched SIMD bodies (kernels/batch_gen.h), so every
-/// variant of a given size agrees on its constants bit-for-bit.
+/// Shared trig constants for order n (2 <= n <= kMaxCodelet), built on
+/// first use.
 const TrigTable& dft_trig(idx_t n);
 
 }  // namespace bwfft::codelets

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/cpu.h"
-#include "kernels/vecops.h"
 
 namespace bwfft::kernels {
 
@@ -31,6 +30,7 @@ Isa env_request() {
 }
 
 std::atomic<int> g_override{static_cast<int>(Isa::Auto)};
+std::atomic<bool> g_force_scalar{false};
 
 }  // namespace
 
@@ -84,6 +84,12 @@ void set_isa_override(Isa isa) {
 
 Isa isa_override() {
   return static_cast<Isa>(g_override.load(std::memory_order_relaxed));
+}
+
+bool force_scalar() { return g_force_scalar.load(std::memory_order_relaxed); }
+
+void set_force_scalar(bool v) {
+  g_force_scalar.store(v, std::memory_order_relaxed);
 }
 
 std::string dispatch_report() {

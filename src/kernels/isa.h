@@ -12,8 +12,8 @@
 //      read once at first use; requests above the host's capability
 //      clamp down to the best available set.
 //   2. set_isa_override() — the programmatic equivalent (tests, benches).
-//   3. set_force_scalar() (kernels/vecops.h) — the pre-existing ablation
-//      toggle; it wins over everything and forces Isa::Scalar.
+//   3. set_force_scalar() — the ablation toggle; it wins over everything
+//      and forces Isa::Scalar.
 //
 // Decision path: force_scalar ? scalar
 //              : override set ? min(override, detected)
@@ -64,6 +64,11 @@ void set_isa_override(Isa isa);
 
 /// Currently installed override (Auto = none).
 Isa isa_override();
+
+/// Ablation switch (benches, tests): while set, every request resolves
+/// to Isa::Scalar.
+bool force_scalar();
+void set_force_scalar(bool v);
 
 /// Human-readable dispatch report: detected features, the env/override
 /// state, and the active ISA — the text behind `bwfft_cli --dispatch`.

@@ -17,12 +17,4 @@ cvec root_table(idx_t n, idx_t count, Direction dir) {
   return t;
 }
 
-std::vector<cvec> stockham_twiddles(idx_t n, Direction dir) {
-  std::vector<cvec> levels;
-  for (idx_t len = n; len > 1; len >>= 1) {
-    levels.push_back(root_table(len, len / 2, dir));
-  }
-  return levels;
-}
-
 }  // namespace bwfft

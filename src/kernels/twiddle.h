@@ -15,11 +15,6 @@ cplx root_of_unity(idx_t n, idx_t p, Direction dir);
 /// Table of the first `count` powers w_n^0 .. w_n^{count-1}.
 cvec root_table(idx_t n, idx_t count, Direction dir);
 
-/// Per-level Stockham (DIF) twiddles for a power-of-two transform of size
-/// n: level l covers sub-transform size n >> l and stores (n >> l)/2
-/// twiddles w_{n>>l}^p.
-std::vector<cvec> stockham_twiddles(idx_t n, Direction dir);
-
 /// True if n is a power of two (n >= 1).
 constexpr bool is_pow2(idx_t n) { return n > 0 && (n & (n - 1)) == 0; }
 

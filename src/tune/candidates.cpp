@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "fft1d/fft1d.h"
 #include "kernels/isa.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/stage_plan.h"
@@ -93,10 +94,15 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
     engines = {req.engine};
   } else {
     engines = {EngineKind::DoubleBuffer, EngineKind::StageParallel};
-    // The naive 1D DIT only plans at powers of two; never enumerate a
-    // candidate the engine would reject.
-    if (!one_d || is_pow2(m)) engines.push_back(EngineKind::Pencil);
-    if (dims.size() == 3) engines.push_back(EngineKind::SlabPencil);
+    // Never enumerate a candidate the engine would reject: pencil (and
+    // the naive 1D DIT) plans only at powers of two, and slab-pencil's
+    // buffered z pencils need a Stockham size.
+    if (std::all_of(dims.begin(), dims.end(), is_pow2)) {
+      engines.push_back(EngineKind::Pencil);
+    }
+    if (dims.size() == 3 && has_stockham_schedule(dims[0])) {
+      engines.push_back(EngineKind::SlabPencil);
+    }
   }
 
   std::vector<int> splits;  // double-buffer only; others ignore it

@@ -54,12 +54,13 @@ std::string candidate_label(const TuneCandidate& c);
 /// Enumerate the candidate grid for a transform shape: engine kind x
 /// compute split x block size x packet size x non-temporal. Engines that
 /// ignore a knob contribute one entry per remaining axis; slab-pencil is
-/// 3D-only; the dense reference oracle is never a candidate. Knobs the
-/// caller pinned in `req` (threads, explicit mu/block/compute) are
-/// respected, shrinking the grid. 1D shapes swap the packet axis for the
-/// four-step factorization axis (the default n1 plus its x2 / /2
-/// skews, where they divide n); the naive-DIT baseline is enumerated
-/// only at power-of-two sizes, where it can plan.
+/// 3D-only and needs a z size with a Stockham schedule; the dense
+/// reference oracle is never a candidate. Knobs the caller pinned in
+/// `req` (threads, explicit mu/block/compute) are respected, shrinking
+/// the grid. 1D shapes swap the packet axis for the four-step
+/// factorization axis (the default n1 plus its x2 / /2 skews, where they
+/// divide n); pencil and the naive-DIT baseline are enumerated only when
+/// every dimension is a power of two, where they can plan.
 std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
                                                 const FftOptions& req);
 

@@ -17,7 +17,6 @@
 #include "kernels/codelets.h"
 #include "kernels/isa.h"
 #include "kernels/twiddle.h"
-#include "kernels/vecops.h"
 #include "layout/stream_copy.h"
 #include "obs/obs.h"
 #include "test_util.h"
@@ -193,10 +192,10 @@ TEST(BatchDispatch, OverrideClampsAndForcedScalarWins) {
   EXPECT_TRUE(kernels::isa_available(clamped));
   kernels::set_isa_override(Isa::Auto);
 
-  set_force_scalar(true);
+  kernels::set_force_scalar(true);
   EXPECT_EQ(Isa::Scalar, kernels::active_isa());
   EXPECT_EQ(Isa::Scalar, kernels::resolve_isa(Isa::Avx512));
-  set_force_scalar(false);
+  kernels::set_force_scalar(false);
 }
 
 TEST(BatchDispatch, DispatchBumpsPerIsaCounter) {

@@ -2,7 +2,7 @@
 // mathematical DFT properties on the core engine, equality of results
 // across every ablation configuration (non-temporal, packet size, scalar
 // kernels, buffer size, thread counts), plan reuse, and non-power-of-two
-// support via the mixed-radix/Bluestein kernel paths.
+// support via the Stockham sweep (smooth sizes) and Bluestein.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -12,7 +12,7 @@
 #include "fft/fft.h"
 #include "fft/reference.h"
 #include "fft/stage.h"
-#include "kernels/vecops.h"
+#include "kernels/isa.h"
 #include "test_util.h"
 
 namespace bwfft {
@@ -110,10 +110,10 @@ TEST(EngineEquivalence, ConfigurationsAgree) {
     EXPECT_LT(max_err(want, run_3d(k, n, m, o, x)), 1e-12) << "mu=2";
   }
   {
-    set_force_scalar(true);
+    kernels::set_force_scalar(true);
     FftOptions o = base_opts();
     auto got = run_3d(k, n, m, o, x);
-    set_force_scalar(false);
+    kernels::set_force_scalar(false);
     EXPECT_LT(max_err(want, got), fft_tol(1024.0)) << "scalar";
   }
   {
@@ -140,7 +140,8 @@ TEST(EngineEquivalence, ConfigurationsAgree) {
   }
 }
 
-// Non-power-of-two cubes run through the mixed-radix/Bluestein kernels.
+// Non-power-of-two cubes: smooth sizes run the Stockham sweep at their
+// greedy radix schedule, a prime above 16 runs Bluestein.
 class NonPow2Shapes
     : public ::testing::TestWithParam<std::tuple<idx_t, idx_t, idx_t>> {};
 

@@ -1,15 +1,16 @@
 // Tests for the 1D FFT engine: all execution styles against the dense
-// reference, analytic DFT properties, parameterised size sweeps, and the
-// mixed-radix engine behind smooth sizes.
+// reference, analytic DFT properties, parameterised size sweeps over the
+// Stockham schedules (powers of two and smooth sizes) and Bluestein, and
+// real-valued signals through the complex transform.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.h"
 #include "fft/reference.h"
 #include "fft1d/fft1d.h"
-#include "fft1d/mixed_radix.h"
 #include "kernels/batch.h"
 #include "kernels/isa.h"
-#include "kernels/vecops.h"
 #include "test_util.h"
 
 namespace bwfft {
@@ -58,8 +59,9 @@ TEST_P(Fft1dSizes, ForwardInverseRoundTrip) {
   EXPECT_LT(max_err(x, y), fft_tol(static_cast<double>(n)));
 }
 
-// Power-of-two sizes exercise Stockham; 3,5,6,7 the codelets; 9..60 the
-// Bluestein chirp-z path; 1 the no-op edge.
+// Every size but 17 and 31 runs the Stockham sweep: n <= 16 as one codelet
+// level, 60 at radices {6, 5, 2}, powers of two at radix 16 plus one
+// 8/4/2 level. 17 and 31 run Bluestein; 1 is the no-op edge.
 INSTANTIATE_TEST_SUITE_P(AllPaths, Fft1dSizes,
                          ::testing::Values<idx_t>(1, 2, 3, 4, 5, 6, 7, 8, 9,
                                                   10, 12, 15, 16, 17, 31, 32,
@@ -129,22 +131,30 @@ TEST(Fft1d, StridedInplaceMatchesBatch) {
 }
 
 TEST(Fft1d, StridedLanesMatchesGather) {
-  const idx_t n = 32, lanes = 4, row_stride = 20;
-  Fft1d plan(n, Direction::Forward);
-  auto x = random_cvec(n * row_stride, 8);
-  cvec got = x;
-  plan.apply_lanes_strided(got.data(), lanes, row_stride);
-  for (idx_t l = 0; l < lanes; ++l) {
-    cvec pencil(static_cast<std::size_t>(n));
-    for (idx_t j = 0; j < n; ++j) pencil[static_cast<std::size_t>(j)] = x[static_cast<std::size_t>(j * row_stride + l)];
-    plan.apply_batch(pencil.data(), 1);
-    for (idx_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(0.0,
-                  std::abs(pencil[static_cast<std::size_t>(j)] -
-                           got[static_cast<std::size_t>(j * row_stride + l)]),
-                  fft_tol(32.0));
+  // Every size with a Stockham schedule; Bluestein sizes are rejected.
+  const idx_t lanes = 4, row_stride = 20;
+  for (idx_t n : {idx_t{32}, idx_t{12}, idx_t{360}}) {
+    Fft1d plan(n, Direction::Forward);
+    auto x = random_cvec(n * row_stride, 8);
+    cvec got = x;
+    plan.apply_lanes_strided(got.data(), lanes, row_stride);
+    for (idx_t l = 0; l < lanes; ++l) {
+      cvec pencil(static_cast<std::size_t>(n));
+      for (idx_t j = 0; j < n; ++j) pencil[static_cast<std::size_t>(j)] = x[static_cast<std::size_t>(j * row_stride + l)];
+      plan.apply_batch(pencil.data(), 1);
+      for (idx_t j = 0; j < n; ++j) {
+        EXPECT_NEAR(0.0,
+                    std::abs(pencil[static_cast<std::size_t>(j)] -
+                             got[static_cast<std::size_t>(j * row_stride + l)]),
+                    fft_tol(static_cast<double>(n)))
+            << "n=" << n;
+      }
     }
   }
+  cvec bluestein(17 * row_stride);
+  EXPECT_THROW(Fft1d(17, Direction::Forward)
+                   .apply_lanes_strided(bluestein.data(), lanes, row_stride),
+               Error);
 }
 
 TEST(Fft1d, ScalarPathMatchesVectorPath) {
@@ -153,10 +163,10 @@ TEST(Fft1d, ScalarPathMatchesVectorPath) {
   Fft1d plan(n, Direction::Forward);
   cvec vec_result = x;
   plan.apply_batch(vec_result.data(), 1);
-  set_force_scalar(true);
+  kernels::set_force_scalar(true);
   cvec scal_result = x;
   plan.apply_batch(scal_result.data(), 1);
-  set_force_scalar(false);
+  kernels::set_force_scalar(false);
   EXPECT_LT(max_err(vec_result, scal_result), 1e-13);
 }
 
@@ -221,19 +231,37 @@ TEST(Fft1d, RejectsInvalidSizes) {
   EXPECT_THROW(plan.apply_strided_inplace(x.data(), 1), Error);
 }
 
+// Smooth sizes run the Stockham sweep at their greedy radix schedule,
+// contiguous and at 4 lanes.
 class MixedRadixSizes : public ::testing::TestWithParam<idx_t> {};
 
 TEST_P(MixedRadixSizes, MatchesReference) {
   const idx_t n = GetParam();
-  ASSERT_TRUE(MixedRadixFft::supported(n));
+  ASSERT_TRUE(has_stockham_schedule(n));
+  const idx_t lanes = 4;
   for (Direction dir : {Direction::Forward, Direction::Inverse}) {
-    MixedRadixFft plan(n, dir);
+    Fft1d plan(n, dir);
     auto x = random_cvec(n, 6500 + n);
-    cvec want(x.size());
-    reference_dft_1d(x.data(), want.data(), n, dir);
+    auto want = reference_fft(x, dir);
     cvec got = x;
-    plan.apply(got.data());
+    plan.apply_batch(got.data(), 1);
     EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n))) << n;
+    // The same pencil in lane 2 of an n x 4 tile; the other lanes hold x
+    // shifted, so a lane mix-up shows.
+    cvec tile(static_cast<std::size_t>(n * lanes));
+    for (idx_t j = 0; j < n; ++j) {
+      for (idx_t l = 0; l < lanes; ++l) {
+        tile[static_cast<std::size_t>(j * lanes + l)] =
+            x[static_cast<std::size_t>((j + 2 - l + n) % n)];
+      }
+    }
+    plan.apply_lanes(tile.data(), lanes, 1);
+    double err = 0.0;
+    for (idx_t j = 0; j < n; ++j) {
+      err = std::max(err, std::abs(want[static_cast<std::size_t>(j)] -
+                                   tile[static_cast<std::size_t>(j * lanes + 2)]));
+    }
+    EXPECT_LT(err, fft_tol(static_cast<double>(n))) << n << " lanes";
   }
 }
 
@@ -243,17 +271,19 @@ INSTANTIATE_TEST_SUITE_P(SmoothSizes, MixedRadixSizes,
                                                   360, 1000));
 
 TEST(MixedRadix, SupportDetection) {
-  EXPECT_TRUE(MixedRadixFft::supported(2 * 3 * 5 * 7));
-  EXPECT_TRUE(MixedRadixFft::supported(1024));
-  EXPECT_FALSE(MixedRadixFft::supported(11));
-  EXPECT_FALSE(MixedRadixFft::supported(2 * 11));
-  EXPECT_FALSE(MixedRadixFft::supported(13 * 3));
+  EXPECT_TRUE(has_stockham_schedule(1));
+  EXPECT_TRUE(has_stockham_schedule(2 * 3 * 5 * 7));
+  EXPECT_TRUE(has_stockham_schedule(1024));
+  EXPECT_TRUE(has_stockham_schedule(11));  // n <= 16: one radix-11 level
+  EXPECT_FALSE(has_stockham_schedule(17));
+  EXPECT_FALSE(has_stockham_schedule(2 * 11));
+  EXPECT_FALSE(has_stockham_schedule(13 * 3));
 }
 
 TEST(MixedRadix, Fft1dRoutesSmoothSizesToMixedRadix) {
-  // 360 = 2^3 * 3^2 * 5 is smooth: Fft1d must be exact (Bluestein would
-  // also pass, but this documents the intended routing via precision: the
-  // mixed-radix path has no convolution round-off amplification).
+  // 360 = 2^3 * 3^2 * 5 is smooth: Fft1d runs the Stockham sweep, which
+  // has no convolution round-off amplification (Bluestein would also
+  // pass at this tolerance).
   const idx_t n = 360;
   Fft1d plan(n, Direction::Forward);
   auto x = random_cvec(n, 6600);
@@ -262,6 +292,70 @@ TEST(MixedRadix, Fft1dRoutesSmoothSizesToMixedRadix) {
   cvec got = x;
   plan.apply_batch(got.data(), 1);
   EXPECT_LT(max_err(want, got), fft_tol(360.0));
+}
+
+// Real-valued signals through the complex transform: the spectrum is
+// Hermitian, so bins 0..n/2 carry it (examples/spectrum1d reads these).
+cvec real_signal(idx_t n, std::uint64_t seed) {
+  cvec v = random_cvec(n, seed);
+  for (auto& x : v) x = cplx(x.real(), 0.0);
+  return v;
+}
+
+class RealFftSizes : public ::testing::TestWithParam<idx_t> {};
+
+TEST_P(RealFftSizes, ForwardMatchesComplexReference) {
+  const idx_t n = GetParam();
+  const cvec x = real_signal(n, 8000 + n);
+  const cvec want = reference_fft(x, Direction::Forward);
+  cvec got = x;
+  Fft1d(n, Direction::Forward).apply_batch(got.data(), 1);
+  EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n))) << "n=" << n;
+  for (idx_t k = 1; k < n; ++k) {
+    EXPECT_NEAR(0.0,
+                std::abs(got[static_cast<std::size_t>(k)] -
+                         std::conj(got[static_cast<std::size_t>(n - k)])),
+                fft_tol(static_cast<double>(n)))
+        << "n=" << n << " k=" << k;
+  }
+}
+
+TEST_P(RealFftSizes, RoundTrip) {
+  const idx_t n = GetParam();
+  const cvec x = real_signal(n, 8100 + n);
+  Fft1d fwd(n, Direction::Forward), inv(n, Direction::Inverse);
+  cvec y = x;
+  fwd.apply_batch(y.data(), 1);
+  inv.apply_batch(y.data(), 1);
+  inv.scale_inverse(y.data(), n);
+  EXPECT_LT(max_err(x, y), fft_tol(static_cast<double>(n))) << "n=" << n;
+}
+
+TEST_P(RealFftSizes, UnnormalizedInverseIsNTimesInput) {
+  const idx_t n = GetParam();
+  const cvec x = real_signal(n, 8200 + n);
+  Fft1d fwd(n, Direction::Forward), inv(n, Direction::Inverse);
+  cvec y = x;
+  fwd.apply_batch(y.data(), 1);
+  inv.apply_batch(y.data(), 1);
+  for (idx_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(0.0,
+                std::abs(static_cast<double>(n) * x[static_cast<std::size_t>(j)] -
+                         y[static_cast<std::size_t>(j)]),
+                fft_tol(static_cast<double>(n)) * static_cast<double>(n));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RealFftSizes,
+                         ::testing::Values<idx_t>(2, 4, 8, 6, 10, 16, 64, 100,
+                                                  256, 1024));
+
+TEST(RealFft, EdgeBinsAreReal) {
+  const idx_t n = 32;
+  cvec x = real_signal(n, 8300);
+  Fft1d(n, Direction::Forward).apply_batch(x.data(), 1);
+  EXPECT_NEAR(0.0, x[0].imag(), 1e-12);                               // DC
+  EXPECT_NEAR(0.0, x[static_cast<std::size_t>(n / 2)].imag(), 1e-12);  // Nyquist
 }
 
 // Installs an ISA override for one scope (requests clamp to the host).
@@ -282,7 +376,7 @@ idx_t dispatched_width() {
 }
 
 // Contiguous-pencil batches: n <= 4096 gathers G pencils per tile on SIMD
-// dispatch, n = 8192 sits above the gather cap. The counts cover a lone
+// dispatch, n = 8192 and 3*4096 sit above the gather cap. The counts cover a lone
 // pencil, a batch too small to gather, exact multiples of G, and the
 // remainders (G+3 gathers a width-3 tail, 2G+1 a single leftover).
 class GatheredBatch : public ::testing::TestWithParam<idx_t> {};
@@ -313,9 +407,14 @@ TEST_P(GatheredBatch, MatchesReferenceOnEveryIsaAndCount) {
 
 INSTANTIATE_TEST_SUITE_P(PowerOfTwo, GatheredBatch,
                          ::testing::Values<idx_t>(2, 16, 64, 256, 4096, 8192));
+INSTANTIATE_TEST_SUITE_P(Smooth, GatheredBatch,
+                         ::testing::Values<idx_t>(12, 360, 768, 1000,
+                                                  3 * 4096));
 
-// Odd level counts (16 = 16; 512 = 16*16*2; 4096 = 16^3) end on a level
-// that runs in place on the tile; lanes = 1 also covers the gather.
+// Odd level counts (16 = 16; 512 = 16*16*2; 4096 = 16^3; 12 = 12;
+// 768 = 16*16*3; 3*4096 = 16^3*3) end on a level that runs in place on the
+// tile, even ones (360 = 8*5*3*3; 1000 = 8*5*5*5) on the scratch swap;
+// lanes = 1 also covers the gather.
 class OddLevelLanes
     : public ::testing::TestWithParam<std::tuple<idx_t, idx_t>> {};
 
@@ -349,6 +448,10 @@ TEST_P(OddLevelLanes, MatchesReferenceOnEveryIsa) {
 INSTANTIATE_TEST_SUITE_P(
     InPlaceLastLevel, OddLevelLanes,
     ::testing::Combine(::testing::Values<idx_t>(16, 512, 4096),
+                       ::testing::Values<idx_t>(1, 4, 8, 32)));
+INSTANTIATE_TEST_SUITE_P(
+    Smooth, OddLevelLanes,
+    ::testing::Combine(::testing::Values<idx_t>(12, 360, 768, 1000, 3 * 4096),
                        ::testing::Values<idx_t>(1, 4, 8, 32)));
 
 }  // namespace

@@ -20,9 +20,10 @@ using test::ShiftedBatch;
 TEST(Fft1dThreads, SharedPlanBatchesDisjointPencilRanges) {
   constexpr int kThreads = 4;
   // 67 pencils per thread: whole G-wide gathers plus a remainder. n = 4096
-  // makes every thread grow its scratch to the gather budget.
+  // makes every thread grow its scratch to the gather budget; n = 768
+  // (radices 16, 16, 3) is a smooth size on the same sweep.
   const idx_t per_thread = 67;
-  for (idx_t n : {idx_t{256}, idx_t{4096}}) {
+  for (idx_t n : {idx_t{256}, idx_t{4096}, idx_t{768}}) {
     for (Direction dir : {Direction::Forward, Direction::Inverse}) {
       const ShiftedBatch oracle(n, dir, 1200 + n);
       const Fft1d plan(n, dir);

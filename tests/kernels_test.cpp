@@ -1,14 +1,17 @@
-// Tests for the kernel layer: twiddle tables, codelets against the dense
-// DFT, and the SIMD butterfly micro-op against its scalar semantics.
+// Tests for the kernel layer: twiddle tables, the Stockham radix
+// schedule, the batched codelets at lanes = 1 against the dense SPL DFT
+// matrix, and the codelets' shared trig tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
 #include "common/rng.h"
+#include "fft1d/fft1d.h"
+#include "kernels/batch.h"
 #include "kernels/codelets.h"
+#include "kernels/isa.h"
 #include "kernels/twiddle.h"
-#include "kernels/vecops.h"
 #include "spl/expr.h"
 #include "test_util.h"
 
@@ -41,16 +44,17 @@ TEST(Twiddle, TableMatchesScalar) {
 }
 
 TEST(Twiddle, StockhamLevels) {
-  auto levels = stockham_twiddles(16, Direction::Forward);
-  ASSERT_EQ(4u, levels.size());
-  EXPECT_EQ(8u, levels[0].size());
-  EXPECT_EQ(4u, levels[1].size());
-  EXPECT_EQ(2u, levels[2].size());
-  EXPECT_EQ(1u, levels[3].size());
-  // Level l twiddles are roots of order 16 >> l.
-  EXPECT_NEAR(0.0,
-              std::abs(levels[1][1] - root_of_unity(8, 1, Direction::Forward)),
-              1e-15);
+  // Powers of two: radix-16 levels, then one 8/4/2 level.
+  EXPECT_EQ((std::vector<idx_t>{16}), stockham_radices(16));
+  EXPECT_EQ((std::vector<idx_t>{16, 2}), stockham_radices(32));
+  EXPECT_EQ((std::vector<idx_t>{16, 16, 2}), stockham_radices(512));
+  EXPECT_EQ((std::vector<idx_t>{16, 16, 16}), stockham_radices(4096));
+  // n <= 16 is one level of radix n, larger smooth n greedy.
+  EXPECT_EQ((std::vector<idx_t>{12}), stockham_radices(12));
+  EXPECT_EQ((std::vector<idx_t>{16, 16, 3}), stockham_radices(768));
+  EXPECT_EQ((std::vector<idx_t>{8, 5, 3, 3}), stockham_radices(360));
+  EXPECT_TRUE(stockham_radices(1).empty());
+  EXPECT_TRUE(stockham_radices(17).empty());
 }
 
 TEST(Twiddle, Pow2Helpers) {
@@ -62,18 +66,22 @@ TEST(Twiddle, Pow2Helpers) {
   EXPECT_EQ(10, log2_floor(1024));
 }
 
+/// One n-point DFT through the dispatched batched codelet at lanes = 1,
+/// input rows at stride is, output rows at stride os (holes keep -9-9i).
+cvec batched_dft(const cvec& x, idx_t n, idx_t is, idx_t os, Direction dir) {
+  cvec got(static_cast<std::size_t>((n - 1) * os + 1), cplx(-9, -9));
+  kernels::batch_lookup(n)(x.data(), is, got.data(), os, 1, nullptr, dir);
+  return got;
+}
+
 class CodeletSizes : public ::testing::TestWithParam<idx_t> {};
 
 TEST_P(CodeletSizes, MatchesDenseDftBothDirections) {
   const idx_t n = GetParam();
-  auto fn = codelets::lookup(n);
-  ASSERT_NE(nullptr, fn);
   for (Direction dir : {Direction::Forward, Direction::Inverse}) {
     auto x = random_cvec(n, 600 + n);
-    cvec got(x.size());
-    fn(x.data(), 1, got.data(), 1, dir);
     auto want = (*spl::dft(n, dir))(x);
-    EXPECT_LT(max_err(want, got), 1e-13) << "n=" << n;
+    EXPECT_LT(max_err(want, batched_dft(x, n, 1, 1, dir)), 1e-13) << "n=" << n;
   }
 }
 
@@ -83,8 +91,7 @@ INSTANTIATE_TEST_SUITE_P(All, CodeletSizes,
 TEST(Codelets, StridedInputAndOutput) {
   const idx_t n = 8, is = 3, os = 2;
   auto x = random_cvec(n * is, 700);
-  cvec got(static_cast<std::size_t>(n * os), cplx(-9, -9));
-  codelets::dft8(x.data(), is, got.data(), os, Direction::Forward);
+  const cvec got = batched_dft(x, n, is, os, Direction::Forward);
   cvec gathered(static_cast<std::size_t>(n));
   for (idx_t j = 0; j < n; ++j) gathered[static_cast<std::size_t>(j)] = x[static_cast<std::size_t>(j * is)];
   auto want = (*spl::dft(n))(gathered);
@@ -99,35 +106,33 @@ TEST(Codelets, StridedInputAndOutput) {
 }
 
 TEST(Codelets, LookupCoversEverySupportedSize) {
-  // 9..15 are served by the generic strided fallback; lookup() must never
-  // return null inside [2, kMaxCodelet].
+  // Every size in [2, kMaxCodelet] has a codelet; 1 (the identity) and
+  // sizes above the table have none.
   for (idx_t n = 2; n <= codelets::kMaxCodelet; ++n) {
-    EXPECT_NE(nullptr, codelets::lookup(n)) << "n=" << n;
+    EXPECT_NE(nullptr, kernels::batch_lookup(n)) << "n=" << n;
   }
-  EXPECT_EQ(nullptr, codelets::lookup(1));
-  EXPECT_EQ(nullptr, codelets::lookup(32));
+  EXPECT_EQ(nullptr, kernels::batch_lookup(1));
+  EXPECT_EQ(nullptr, kernels::batch_lookup(32));
 }
 
 TEST(Codelets, FallbackSizesMatchDenseDftBothDirections) {
+  // 9..15 run the table-driven direct DFT body.
   for (idx_t n = 9; n <= 15; ++n) {
-    auto fn = codelets::lookup(n);
-    ASSERT_NE(nullptr, fn);
     for (Direction dir : {Direction::Forward, Direction::Inverse}) {
       auto x = random_cvec(n, 900 + n);
-      cvec got(x.size());
-      fn(x.data(), 1, got.data(), 1, dir);
       auto want = (*spl::dft(n, dir))(x);
-      EXPECT_LT(max_err(want, got), 1e-12) << "n=" << n;
+      EXPECT_LT(max_err(want, batched_dft(x, n, 1, 1, dir)), 1e-12)
+          << "n=" << n;
     }
   }
 }
 
 TEST(Codelets, TrigTablesAreBitExactWithPerCallExpressions) {
-  // Satellite regression: dft5/dft7/dft16 hoisted their cos/sin calls into
+  // The radix-5/7/16 codelet bodies read their cos/sin constants from
   // dft_trig tables. The table builder must evaluate the *same* libm
-  // expression shapes the codelets used per call, or results drift by an
-  // ULP between builds. Recompute each angle exactly as the old code did
-  // and demand bitwise equality.
+  // expression shapes the codelets once computed per call, or results
+  // drift by an ULP between builds. Recompute each angle that way and
+  // demand bitwise equality.
   for (idx_t n : {idx_t{5}, idx_t{7}, idx_t{16}}) {
     const auto& t = codelets::dft_trig(n);
     for (idx_t j = 0; j < n; ++j) {
@@ -139,7 +144,7 @@ TEST(Codelets, TrigTablesAreBitExactWithPerCallExpressions) {
           << "sin n=" << n << " j=" << j;
     }
   }
-  // dft16 derives its inverse twiddles from the same table via
+  // Radix 16 derives its inverse twiddles from the same table via
   // cos(-x) == cos(x), sin(-x) == -sin(x); confirm libm honors that
   // symmetry bitwise for the angles in play.
   for (idx_t j = 0; j < 16; ++j) {
@@ -149,27 +154,13 @@ TEST(Codelets, TrigTablesAreBitExactWithPerCallExpressions) {
   }
 }
 
-TEST(VecOps, ButterflyPacketsMatchesScalar) {
-  for (idx_t count : {2, 4, 8, 16}) {
-    auto a = random_cvec(count, 800);
-    auto b = random_cvec(count, 801);
-    const cplx w(0.6, -0.8);
-    cvec lo_v(a.size()), hi_v(a.size()), lo_s(a.size()), hi_s(a.size());
-    vecops::butterfly_packets(a.data(), b.data(), w, lo_v.data(), hi_v.data(),
-                              count);
-    vecops::butterfly_packets_scalar(a.data(), b.data(), w, lo_s.data(),
-                                     hi_s.data(), count);
-    EXPECT_LT(max_err(lo_v, lo_s), 1e-15) << count;
-    EXPECT_LT(max_err(hi_v, hi_s), 1e-15) << count;
-  }
-}
-
 TEST(VecOps, ForceScalarToggle) {
-  EXPECT_FALSE(force_scalar());
-  set_force_scalar(true);
-  EXPECT_TRUE(force_scalar());
-  set_force_scalar(false);
-  EXPECT_FALSE(force_scalar());
+  EXPECT_FALSE(kernels::force_scalar());
+  kernels::set_force_scalar(true);
+  EXPECT_TRUE(kernels::force_scalar());
+  EXPECT_EQ(kernels::Isa::Scalar, kernels::active_isa());
+  kernels::set_force_scalar(false);
+  EXPECT_FALSE(kernels::force_scalar());
 }
 
 }  // namespace

@@ -29,12 +29,39 @@ using test::fft_tol;
 using test::max_err;
 
 /// Oracle for sizes where the dense O(n^2) reference is unusable: one
-/// flat Stockham / mixed-radix pass over the whole array.
+/// flat Stockham pass over the whole array.
 cvec stockham_oracle(const cvec& x, Direction dir = Direction::Forward) {
   cvec want = x;
   Fft1d flat(static_cast<idx_t>(x.size()), dir);
   flat.apply_batch(want.data(), 1);
   return want;
+}
+
+/// Bins `bins` of the DFT of x, summed directly in long double: an
+/// oracle independent of the codelets the engines and the Stockham pass
+/// share. Roots come from one table of N long-double sincos values,
+/// indexed by (j * k) mod N, so no angle is reduced in double.
+std::vector<std::complex<long double>> long_double_bins(
+    const cvec& x, const std::vector<idx_t>& bins) {
+  const idx_t n = static_cast<idx_t>(x.size());
+  std::vector<std::complex<long double>> roots(static_cast<std::size_t>(n));
+  const long double two_pi = 6.283185307179586476925286766559L;
+  for (idx_t r = 0; r < n; ++r) {
+    const long double a = -two_pi * static_cast<long double>(r) /
+                          static_cast<long double>(n);
+    roots[static_cast<std::size_t>(r)] = {std::cos(a), std::sin(a)};
+  }
+  std::vector<std::complex<long double>> out;
+  for (idx_t k : bins) {
+    std::complex<long double> acc = 0;
+    for (idx_t j = 0; j < n; ++j) {
+      const cplx v = x[static_cast<std::size_t>(j)];
+      acc += std::complex<long double>(v.real(), v.imag()) *
+             roots[static_cast<std::size_t>((j * k) % n)];
+    }
+    out.push_back(acc);
+  }
+  return out;
 }
 
 FftOptions large_opts(int threads) {
@@ -176,11 +203,26 @@ TEST(Fft1dLarge, MultiThreadedPipelineMatchesUnevenSplits) {
 
 TEST(Fft1dLarge, MixedRadixRowsMatchOnFourThreads) {
   // n = 3 * 2^16 on four threads. n1 = 256 leaves n2 = 768 = 3 * 2^8,
-  // so the Rows stage's lanes-R compute runs the mixed-radix engine; the
-  // default split (n1 = 384) puts the odd factor on the column side.
+  // so the Rows stage's lanes-R compute runs the smooth radices 16, 16, 3;
+  // the default split (n1 = 384) puts the odd factor on the column side.
   const idx_t n = 3 * (idx_t{1} << 16);
   auto x = random_cvec(n, 9545);
   const cvec want = stockham_oracle(x);
+  // The flat oracle shares the engines' codelets, so pin it to a
+  // long-double direct sum at a few bins (16 * eps * log2(N) of ||x||_2).
+  const std::vector<idx_t> bins = {0, 1, n / 3, n / 2, n - 1};
+  const auto exact = long_double_bins(x, bins);
+  long double norm2 = 0;
+  for (const cplx& v : x) norm2 += std::norm(std::complex<long double>(v));
+  const double gate = 16.0 * std::numeric_limits<double>::epsilon() * 18.0 *
+                      static_cast<double>(std::sqrt(norm2));
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    const cplx w = want[static_cast<std::size_t>(bins[i])];
+    EXPECT_LE(static_cast<double>(std::abs(
+                  std::complex<long double>(w.real(), w.imag()) - exact[i])),
+              gate)
+        << "bin " << bins[i];
+  }
   for (idx_t req : {idx_t{256}, idx_t{0}}) {
     FftOptions o = large_opts(4);
     o.factor_n1 = req;
@@ -275,33 +317,6 @@ TEST(Fft1dLarge, ChooseFactorsPolicy) {
   EXPECT_EQ(std::make_pair(idx_t{16}, idx_t{256}),
             four_step_factors(4096, 16));
   EXPECT_THROW(four_step_factors(64, 5), Error);
-}
-
-/// Bins `bins` of the DFT of x, summed directly in long double: an
-/// oracle independent of the codelets the engines and the Stockham pass
-/// share. Roots come from one table of N long-double sincos values,
-/// indexed by (j * k) mod N, so no angle is reduced in double.
-std::vector<std::complex<long double>> long_double_bins(
-    const cvec& x, const std::vector<idx_t>& bins) {
-  const idx_t n = static_cast<idx_t>(x.size());
-  std::vector<std::complex<long double>> roots(static_cast<std::size_t>(n));
-  const long double two_pi = 6.283185307179586476925286766559L;
-  for (idx_t r = 0; r < n; ++r) {
-    const long double a = -two_pi * static_cast<long double>(r) /
-                          static_cast<long double>(n);
-    roots[static_cast<std::size_t>(r)] = {std::cos(a), std::sin(a)};
-  }
-  std::vector<std::complex<long double>> out;
-  for (idx_t k : bins) {
-    std::complex<long double> acc = 0;
-    for (idx_t j = 0; j < n; ++j) {
-      const cplx v = x[static_cast<std::size_t>(j)];
-      acc += std::complex<long double>(v.real(), v.imag()) *
-             roots[static_cast<std::size_t>((j * k) % n)];
-    }
-    out.push_back(acc);
-  }
-  return out;
 }
 
 TEST(Fft1dLarge, FourStepMatchesLongDoubleSumAtSampledBins) {

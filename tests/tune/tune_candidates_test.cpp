@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/topology.h"
+#include "fft/engine.h"
 #include "kernels/isa.h"
 #include "pipeline/stage_plan.h"
 #include "tune/candidates.h"
@@ -37,6 +38,29 @@ TEST(Candidates, GridCoversEnginesPerRank) {
   const auto grid2 = enumerate_candidates({256, 256}, auto_request());
   EXPECT_FALSE(contains_engine(grid2, EngineKind::SlabPencil));
   EXPECT_TRUE(contains_engine(grid2, EngineKind::DoubleBuffer));
+}
+
+TEST(Candidates, EveryCandidateBuilds) {
+  // Pencil plans only at powers of two, slab-pencil only at a z size with
+  // a Stockham schedule (12 has one, 17 does not).
+  FftOptions req = auto_request();
+  req.threads = 4;
+  EXPECT_FALSE(contains_engine(enumerate_candidates({12, 16, 16}, req),
+                               EngineKind::Pencil));
+  EXPECT_TRUE(contains_engine(enumerate_candidates({12, 16, 16}, req),
+                              EngineKind::SlabPencil));
+  EXPECT_FALSE(contains_engine(enumerate_candidates({17, 16, 16}, req),
+                               EngineKind::SlabPencil));
+  const std::vector<std::vector<idx_t>> shapes = {
+      {12, 16, 16}, {17, 16, 16}, {16, 16, 12}, {6, 4}, {17}, {768}};
+  for (const auto& dims : shapes) {
+    for (const TuneCandidate& c : enumerate_candidates(dims, req)) {
+      EXPECT_NO_THROW(
+          make_engine(dims, Direction::Forward, apply_candidate(c, req)))
+          << dims.size() << "D " << dims.front() << ": "
+          << candidate_label(c);
+    }
+  }
 }
 
 TEST(Candidates, GridContainsTheDefaultConfig) {

@@ -274,8 +274,15 @@ int main(int argc, char** argv) {
   // One path for every rank, with the facades' recovery ladder: an
   // injected or real failure degrades the plan (fewer threads, plain
   // memory, fallback engine) instead of aborting the tool, and --verbose
-  // shows what the recovery layer did.
-  std::unique_ptr<MdEngine> plan = make_engine_recovering(a.dims, dir, opts);
+  // shows what the recovery layer did. A plan the shape cannot run
+  // (kBadPlan) exits 1 like a failed execute.
+  std::unique_ptr<MdEngine> plan;
+  try {
+    plan = make_engine_recovering(a.dims, dir, opts);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "plan failed: %s\n", e.what());
+    return 1;
+  }
   if (kind == EngineKind::Auto) {
     std::printf("auto (%s): resolved to engine=%s\n",
                 tune_level_name(opts.tune_level), plan->name());
