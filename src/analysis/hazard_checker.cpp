@@ -5,6 +5,7 @@
 
 #include "common/aligned.h"
 #include "common/error.h"
+#include "layout/stream_copy.h"
 
 namespace bwfft::analysis {
 
@@ -72,16 +73,25 @@ std::string HazardReport::str() const {
 
 namespace {
 
-/// audit_schedule under Private: per claim, one load, one compute and one
-/// store, all by the thread that claimed it, in that order; per thread,
-/// the tile holds one claim at a time (its store precedes its next load).
+/// The tasks a Private claim of a stage with fusion `fused` runs.
+bool claim_has(Kind k, Fusion fused) {
+  return k == Kind::Compute || (k == Kind::Load && fused == Fusion::None) ||
+         (k == Kind::Store && fused != Fusion::LoadStore);
+}
+
+/// audit_schedule under Private: per claim, each of the stage's tasks
+/// once, all by the thread that claimed it, in L -> C -> S order among
+/// those present; per thread, the tile holds one claim at a time (the
+/// claim's last task precedes the thread's next claim's first).
 void audit_claims(const Trace& trace, idx_t iterations, const RolePlan& roles,
-                  HazardReport& rep) {
+                  Fusion fused, HazardReport& rep) {
   auto add = [&rep](VKind k, const DoubleBufferPipeline::TraceEvent& ev,
                     std::string detail) {
     rep.violations.push_back(
         {k, ev.step, ev.iter, ev.half, ev.tid, std::move(detail)});
   };
+  const Kind first = claim_has(Kind::Load, fused) ? Kind::Load : Kind::Compute;
+  const Kind last = claim_has(Kind::Store, fused) ? Kind::Store : Kind::Compute;
   // Per (claim, kind): how often it ran, the first runner, its position.
   const auto nslots = static_cast<std::size_t>(iterations) * 3;
   std::vector<int> count(nslots, 0), runner(nslots, -1);
@@ -109,41 +119,47 @@ void audit_claims(const Trace& trace, idx_t iterations, const RolePlan& roles,
       at[slot] = static_cast<long>(idx);
     }
     idx_t& held = on_tile[static_cast<std::size_t>(ev.tid)];
-    if (ev.kind == Kind::Load) {
+    if (ev.kind == first) {
       if (held >= 0) {
         add(VKind::ProgramOrder, ev,
-            "load ran before store(" + std::to_string(held) +
-                ") retired the tile");
+            std::string(task_name(first)) + " ran before claim " +
+                std::to_string(held) + " retired the tile");
       }
       held = ev.iter;
-    } else if (ev.kind == Kind::Store && held == ev.iter) {
-      held = -1;
     }
+    if (ev.kind == last && held == ev.iter) held = -1;
   }
   for (idx_t i = 0; i < iterations; ++i) {
     const auto base = static_cast<std::size_t>(i) * 3;
+    int owner = -1;
+    long prev = -1;
     for (Kind k : {Kind::Load, Kind::Compute, Kind::Store}) {
-      const int n = count[base + static_cast<std::size_t>(k)];
-      if (n == 0) {
+      const auto slot = base + static_cast<std::size_t>(k);
+      const int n = count[slot];
+      const bool want = claim_has(k, fused);
+      if (want && n == 0) {
         rep.violations.push_back({VKind::MissingTask, i, i, -1, -1,
                                   std::string("claim's ") + task_name(k) +
                                       " did not run"});
-      } else if (n > 1) {
-        rep.violations.push_back({VKind::DuplicateTask, i, i, -1, -1,
-                                  std::string("claim's ") + task_name(k) +
-                                      " ran " + std::to_string(n) + " times"});
+      } else if (n > (want ? 1 : 0)) {
+        rep.violations.push_back(
+            {VKind::DuplicateTask, i, i, -1, -1,
+             std::string("claim's ") + task_name(k) + " ran " +
+                 std::to_string(n) + " times" +
+                 (want ? "" : ", but the stage fuses it into the compute")});
       }
-    }
-    const int l = runner[base], c = runner[base + 1], st = runner[base + 2];
-    if ((c >= 0 && c != l) || (st >= 0 && st != l)) {
-      rep.violations.push_back(
-          {VKind::SliceMismatch, i, i, -1, l,
-           "claim's tasks ran on more than one thread"});
-    }
-    const long pl = at[base], pc = at[base + 1], ps = at[base + 2];
-    if ((pl >= 0 && pc >= 0 && pc < pl) || (pc >= 0 && ps >= 0 && ps < pc)) {
-      rep.violations.push_back({VKind::ProgramOrder, i, i, -1, l,
-                                "expected load -> compute -> store"});
+      if (runner[slot] < 0) continue;
+      if (owner >= 0 && runner[slot] != owner) {
+        rep.violations.push_back(
+            {VKind::SliceMismatch, i, i, -1, owner,
+             "claim's tasks ran on more than one thread"});
+      }
+      if (prev >= 0 && at[slot] < prev) {
+        rep.violations.push_back({VKind::ProgramOrder, i, i, -1, owner,
+                                  "expected load -> compute -> store"});
+      }
+      if (owner < 0) owner = runner[slot];
+      prev = at[slot];
     }
   }
 }
@@ -151,7 +167,7 @@ void audit_claims(const Trace& trace, idx_t iterations, const RolePlan& roles,
 }  // namespace
 
 HazardReport audit_schedule(const Trace& trace, idx_t iterations,
-                            const RolePlan& roles) {
+                            const RolePlan& roles, Fusion fused) {
   HazardReport rep;
   rep.iterations = iterations;
   rep.events = trace.size();
@@ -159,7 +175,7 @@ HazardReport audit_schedule(const Trace& trace, idx_t iterations,
   BWFFT_CHECK(roles.total >= 1, "schedule audit needs a role plan");
 
   if (roles.data == 0) {
-    audit_claims(trace, iterations, roles, rep);
+    audit_claims(trace, iterations, roles, fused, rep);
     return rep;
   }
   auto add = [&rep](VKind k, idx_t step, idx_t iter, int half, int tid,
@@ -327,6 +343,30 @@ PartitionMap probe_partition(
   return map;
 }
 
+PartitionMap probe_outputs(
+    const std::function<void(idx_t, cplx*, int, int)>& task,
+    idx_t iterations, cplx* out, idx_t out_elems, idx_t tile_elems) {
+  BWFFT_CHECK(task != nullptr, "cannot probe an empty task");
+  BWFFT_CHECK(iterations >= 1 && out_elems >= 1 && tile_elems >= 1,
+              "probe needs claims, an output and a tile");
+  PartitionMap map;
+  map.block_elems = out_elems;
+  map.parts = static_cast<int>(iterations);
+  map.writers.resize(static_cast<std::size_t>(out_elems));
+  AlignedBuffer<cplx> tile(static_cast<std::size_t>(tile_elems));
+  for (idx_t i = 0; i < iterations; ++i) {
+    for (idx_t e = 0; e < out_elems; ++e) out[e] = kSentinel;
+    task(i, tile.data(), 0, 1);
+    stream_fence();  // the claim's streaming stores, before the scan
+    for (idx_t e = 0; e < out_elems; ++e) {
+      if (out[e] != kSentinel) {
+        map.writers[static_cast<std::size_t>(e)].push_back(static_cast<int>(i));
+      }
+    }
+  }
+  return map;
+}
+
 void audit_partition(const PartitionMap& map, bool require_cover,
                      const std::string& task_name, HazardReport& out) {
   // Classify every element, then collapse maximal runs with an identical
@@ -413,9 +453,12 @@ HazardReport HazardChecker::check(const PipelineStage& stage) {
   }
   pipe_.set_trace(nullptr);
 
-  HazardReport rep = audit_schedule(trace, stage.iterations, pipe_.roles());
+  HazardReport rep = audit_schedule(trace, stage.iterations, pipe_.roles(),
+                                    stage.fusion());
   if (opts_.probe_partitions) {
-    // A Private claim is one partition: rank 0 of 1 on the tile.
+    // A Private claim is one partition: rank 0 of 1 on the tile. A fused
+    // claim (no load task) uses the tile only as work space, so its
+    // compute has no tile window to probe.
     const RolePlan& roles = pipe_.roles();
     const bool split = roles.data > 0;
     PartitionMap load, compute;
@@ -424,7 +467,7 @@ HazardReport HazardChecker::check(const PipelineStage& stage) {
                              pipe_.block_elems(), split ? roles.data : 1);
       audit_partition(load, opts_.require_cover, "load", rep);
     }
-    if (stage.compute) {
+    if (stage.compute && stage.load) {
       compute = probe_partition(stage.compute, opts_.probe_iter,
                                 pipe_.block_elems(), split ? roles.compute : 1);
       audit_partition(compute, opts_.require_cover, "compute", rep);

@@ -20,11 +20,12 @@
 //         in [1, iters]; nothing else.
 //
 //   With no data threads the Private schedule is expected instead: every
-//   claim i in [0, iters) runs exactly once, its load, compute and store
-//   at step i on one thread's own tile (half = tid), in the order
-//   L(i) -> C(i) -> S(i), and a thread's tile holds one claim at a time
-//   (S(i) precedes that thread's next load). Threads are not ordered
-//   against each other, and any thread may run any claim.
+//   claim i in [0, iters) runs exactly once, each of its stage's tasks
+//   (load, compute and store, or fewer on a fused stage) at step i on one
+//   thread's own tile (half = tid), in the order L(i) -> C(i) -> S(i)
+//   among those present, and a thread's tile holds one claim at a time
+//   (the claim's last task precedes that thread's next claim). Threads are
+//   not ordered against each other, and any thread may run any claim.
 //
 //   Partitioning (from a shadow access map): the (rank, parts) partitions
 //     of a task are pairwise disjoint and, together, cover the whole block.
@@ -32,7 +33,10 @@
 //     sequentially against a sentinel-poisoned buffer, so no cooperation
 //     from the stage implementation is needed. A Private claim is one
 //     partition (parts = 1) whose load write-set must equal its compute
-//     write-set: a thread only ever transforms the claim it loaded.
+//     write-set: a thread only ever transforms the claim it loaded. A
+//     fused claim has no load and uses its tile only as work space, so
+//     its writes are probed over the stage output instead
+//     (probe_outputs).
 //
 // Violations carry (step, iteration, half, thread) context and render into
 // a human-readable report; HazardChecker::run_checked turns a dirty report
@@ -90,9 +94,11 @@ struct HazardReport {
 /// Validate the schedule invariants S1–S5 against a recorded trace.
 /// With data threads in the role plan the Table II overlap schedule is
 /// expected; with roles.data == 0 the Private schedule is expected
-/// instead.
+/// instead, each claim running the tasks `fused` leaves (Split stages
+/// are never fused).
 HazardReport audit_schedule(const Trace& trace, idx_t iterations,
-                            const RolePlan& roles);
+                            const RolePlan& roles,
+                            Fusion fused = Fusion::None);
 
 /// Shadow access map of one pipeline task: writers[e] lists the ranks that
 /// wrote block element e during the sequential per-rank probe.
@@ -110,6 +116,16 @@ struct PartitionMap {
 PartitionMap probe_partition(
     const std::function<void(idx_t, cplx*, int, int)>& task, idx_t iter,
     idx_t block_elems, int parts);
+
+/// Discover each claim's write-set over a stage OUTPUT array: run
+/// `task(i, tile, 0, 1)` for every claim i in [0, iterations), each
+/// against `out` poisoned with the sentinel, on a scratch tile of
+/// `tile_elems`. writers[e] lists the claims that wrote out[e] (parts =
+/// iterations). This is the probe of a fused claim, whose compute writes
+/// its rotated destination rather than a tile window.
+PartitionMap probe_outputs(
+    const std::function<void(idx_t, cplx*, int, int)>& task,
+    idx_t iterations, cplx* out, idx_t out_elems, idx_t tile_elems);
 
 /// Append PartitionOverlap/PartitionGap violations for `map` to `out`.
 /// Contiguous runs of elements with the same defect collapse into one

@@ -38,6 +38,8 @@ const char* engine_label(EngineKind k) {
   return "?";
 }
 
+std::vector<DoubleBufferPipeline::TraceEvent::Kind> claim_tasks(Fusion fused);
+
 void add_issue(StaticReport& rep, StaticIssue::Kind kind, std::string stage,
                std::string detail) {
   rep.issues.push_back({kind, std::move(stage), std::move(detail)});
@@ -158,7 +160,11 @@ StageModel stage_model(const StagePlan& plan, const PlannedStage& s,
       // Split: per-rank windows of the shared half, which depend only on
       // the rank, so one block's worth describes all. Private: a claim
       // (parts = 1) is one window on the tile of the thread that runs it,
-      // placed at claim i's offset so distinct claims never share one.
+      // placed at claim i's offset so distinct claims never share one. A
+      // fused claim reads the same source window and writes the same
+      // rotated window; its compute fills the tile window the load would
+      // have (or uses it as Stockham work space when it also streams the
+      // store), so the claim keeps these windows.
       const idx_t base = pipelined ? 0 : i * st.buf_elems;
       const StridedInterval buf = StridedInterval::contiguous(
           base + r0 * s.row_elems, (r1 - r0) * s.row_elems);
@@ -501,7 +507,8 @@ StaticReport verify_plan(const PlanModel& model) {
   return rep;
 }
 
-Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
+Trace make_table2_trace(idx_t iterations, const RolePlan& roles,
+                        Fusion fused) {
   using Kind = DoubleBufferPipeline::TraceEvent::Kind;
   Trace t;
   if (roles.data == 0) {
@@ -511,9 +518,7 @@ Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
     // claims in program order on its own tile.
     for (int tid = 0; tid < roles.total; ++tid) {
       for (idx_t i = tid; i < iterations; i += roles.total) {
-        t.push_back({i, Kind::Load, i, tid, tid});
-        t.push_back({i, Kind::Compute, i, tid, tid});
-        t.push_back({i, Kind::Store, i, tid, tid});
+        for (Kind k : claim_tasks(fused)) t.push_back({i, k, i, tid, tid});
       }
     }
     return t;
@@ -539,13 +544,24 @@ Trace make_table2_trace(idx_t iterations, const RolePlan& roles) {
 
 namespace {
 
-/// verify_schedule_symbolic under Private. The recurrence: each claim i
-/// is one L(i) C(i) S(i) triplet at step i, run back to back by one
-/// thread on its own tile (half = tid), and every claim in [0, iters)
-/// is run exactly once, by any thread.
-HazardReport verify_claims_symbolic(const Trace& trace, idx_t iterations,
-                                    const RolePlan& roles) {
+/// The tasks of a Private claim of a stage with fusion `fused`, in
+/// program order.
+std::vector<DoubleBufferPipeline::TraceEvent::Kind> claim_tasks(Fusion fused) {
   using Kind = DoubleBufferPipeline::TraceEvent::Kind;
+  switch (fused) {
+    case Fusion::None: return {Kind::Load, Kind::Compute, Kind::Store};
+    case Fusion::Load: return {Kind::Compute, Kind::Store};
+    case Fusion::LoadStore: return {Kind::Compute};
+  }
+  return {};
+}
+
+/// verify_schedule_symbolic under Private. The recurrence: each claim i
+/// is one run of its stage's tasks (claim_tasks) at step i, back to back
+/// by one thread on its own tile (half = tid), and every claim in
+/// [0, iters) is run exactly once, by any thread.
+HazardReport verify_claims_symbolic(const Trace& trace, idx_t iterations,
+                                    const RolePlan& roles, Fusion fused) {
   HazardReport rep;
   rep.iterations = iterations;
   rep.events = trace.size();
@@ -555,9 +571,11 @@ HazardReport verify_claims_symbolic(const Trace& trace, idx_t iterations,
     rep.violations.push_back(
         {k, ev.step, ev.iter, ev.half, ev.tid, std::move(detail)});
   };
-  // The thread that loaded each claim, and per thread the claim in
-  // flight with the next task it owes (0 = L, 1 = C, 2 = S).
-  std::vector<int> loader(static_cast<std::size_t>(iterations), -1);
+  const auto tasks = claim_tasks(fused);
+  const int ntasks = static_cast<int>(tasks.size());
+  // The thread that opened each claim (ran its first task), and per
+  // thread the claim in flight with the index of the next task it owes.
+  std::vector<int> opener(static_cast<std::size_t>(iterations), -1);
   std::vector<idx_t> open(static_cast<std::size_t>(roles.total), -1);
   std::vector<int> phase(static_cast<std::size_t>(roles.total), 0);
 
@@ -577,30 +595,34 @@ HazardReport verify_claims_symbolic(const Trace& trace, idx_t iterations,
                 "a claim runs on its thread's own tile");
       continue;
     }
+    const int want = static_cast<int>(
+        std::find(tasks.begin(), tasks.end(), ev.kind) - tasks.begin());
+    if (want == ntasks) {
+      violation(HazardViolation::Kind::DuplicateTask, ev,
+                "task the stage fuses into its compute");
+      continue;
+    }
     const auto t = static_cast<std::size_t>(ev.tid);
-    const int want = ev.kind == Kind::Load ? 0 : ev.kind == Kind::Compute
-                                                     ? 1
-                                                     : 2;
-    int& who = loader[static_cast<std::size_t>(ev.iter)];
+    int& who = opener[static_cast<std::size_t>(ev.iter)];
     if (want == 0 && who >= 0) {
       violation(HazardViolation::Kind::DuplicateTask, ev,
-                "claim loaded a second time");
+                "claim run a second time");
     } else if (want == 0) {
       who = ev.tid;
     } else if (who != ev.tid) {
       violation(HazardViolation::Kind::SliceMismatch, ev,
-                "claim transformed or stored by a thread that did not "
-                "load it");
+                "claim continued by a thread that did not start it");
     }
     if (phase[t] != want || (want > 0 && open[t] != ev.iter)) {
       violation(HazardViolation::Kind::ProgramOrder, ev,
-                "expected L(i) -> C(i) -> S(i) back to back on the tile");
+                "expected the claim's tasks in L(i) -> C(i) -> S(i) order, "
+                "back to back on the tile");
     }
     open[t] = ev.iter;
-    phase[t] = (want + 1) % 3;
+    phase[t] = (want + 1) % ntasks;
   }
   for (idx_t i = 0; i < iterations; ++i) {
-    if (loader[static_cast<std::size_t>(i)] < 0) {
+    if (opener[static_cast<std::size_t>(i)] < 0) {
       rep.violations.push_back({HazardViolation::Kind::MissingTask, -1, i, -1,
                                 -1, "claim never executed"});
     }
@@ -619,8 +641,10 @@ HazardReport verify_claims_symbolic(const Trace& trace, idx_t iterations,
 }  // namespace
 
 HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
-                                      const RolePlan& roles) {
-  if (roles.data == 0) return verify_claims_symbolic(trace, iterations, roles);
+                                      const RolePlan& roles, Fusion fused) {
+  if (roles.data == 0) {
+    return verify_claims_symbolic(trace, iterations, roles, fused);
+  }
   using Kind = DoubleBufferPipeline::TraceEvent::Kind;
   HazardReport rep;
   rep.iterations = iterations;

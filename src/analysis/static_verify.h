@@ -29,7 +29,8 @@
 // The schedule itself is verified symbolically as well: the Table II
 // recurrences (load(i)@step i, compute(i-1)@step i, store(i-2)@step i,
 // halves alternating) generate the one trace a correct Split execution
-// can record, the Private recurrences (each claim i once, L(i) C(i) S(i)
+// can record, the Private recurrences (each claim i once, L(i) C(i) S(i),
+// or the tasks a fused stage leaves,
 // at step i back to back on one thread's tile, no cross-thread order)
 // the traces a Private one can record, and verify_schedule_symbolic()
 // diffs any trace against that expectation. make_table2_trace() emits an
@@ -145,19 +146,21 @@ StaticReport verify_plan(const PlanModel& model);
 
 /// The trace a correct execution of the Table II schedule must record
 /// for `iterations` blocks, or with roles.data == 0 one a correct Private
-/// execution may record (claims dealt round-robin). Event order matches
-/// per-thread program order.
-Trace make_table2_trace(idx_t iterations, const RolePlan& roles);
+/// execution may record (claims dealt round-robin, each running the tasks
+/// `fused` leaves). Event order matches per-thread program order.
+Trace make_table2_trace(idx_t iterations, const RolePlan& roles,
+                        Fusion fused = Fusion::None);
 
 /// Verify a trace against the schedule recurrences, independently of
 /// audit_schedule(): every event must sit in its unique expected
 /// (step, half, tid) slot, every slot must be filled exactly once, and
 /// each data thread must retire Store(i-2) before Load(i) within a step
-/// (under Private: each claim runs once, L(i) -> C(i) -> S(i) back to
-/// back on one thread's tile).
+/// (under Private: each claim runs once, the tasks `fused` leaves in
+/// L(i) -> C(i) -> S(i) order, back to back on one thread's tile).
 /// Returns the same HazardReport shape as the runtime checker so the two
 /// can be diffed directly.
 HazardReport verify_schedule_symbolic(const Trace& trace, idx_t iterations,
-                                      const RolePlan& roles);
+                                      const RolePlan& roles,
+                                      Fusion fused = Fusion::None);
 
 }  // namespace bwfft::analysis

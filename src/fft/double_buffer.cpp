@@ -29,6 +29,47 @@ constexpr idx_t kPrefetchRows = 8;
 
 }  // namespace
 
+PipelineStage make_rotated_stage(const PlannedStage& s, const Fft1d& fft,
+                                 const cplx* src, cplx* dst) {
+  const StageGeometry g = s.geom;
+  const idx_t block_rows = s.rows_per_block;
+  const idx_t row_elems = s.row_elems;
+  const bool nt = s.nontemporal;
+  PipelineStage stage =
+      make_row_stage(src, fft, g.lanes, block_rows, row_elems, s.iterations);
+  // W_{b,i}: scatter the block through the blocked rotation with
+  // non-temporal stores (the data is dead until the next stage).
+  stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
+    auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
+    if (r1 > r0) {
+      rotate_store_rows(buf + r0 * row_elems, dst, i * block_rows + r0,
+                        r1 - r0, g.a, g.b, g.cp(), g.mu, nt);
+      BWFFT_OBS_COUNT(BytesStored, (r1 - r0) * row_elems * sizeof(cplx));
+    }
+  };
+  if (s.fused == Fusion::None) return stage;
+  // A fused claim (always run whole, rank 0 of 1): the sweep reads the
+  // claim's rows straight from src, and where dst takes streaming stores
+  // its last level writes them to their rotated places, leaving no store
+  // task; otherwise the result lands on the tile for the store above.
+  const RotatedDst rot{dst, g.rows(), 0, g.mu};
+  const bool streams = s.fused == Fusion::LoadStore &&
+                       fft.streams_rotated(g.lanes, block_rows, rot);
+  const idx_t claim_bytes =
+      block_rows * row_elems * static_cast<idx_t>(sizeof(cplx));
+  stage.load = nullptr;
+  stage.compute = [=, &fft](idx_t i, cplx* buf, int, int) {
+    RotatedDst to = rot;
+    to.row0 = i * block_rows;
+    fft.apply_lanes_from(src + to.row0 * row_elems, buf, g.lanes, block_rows,
+                         streams ? &to : nullptr);
+    BWFFT_OBS_COUNT(BytesLoaded, claim_bytes);
+    if (streams) BWFFT_OBS_COUNT(BytesStored, claim_bytes);
+  };
+  if (streams) stage.store = nullptr;
+  return stage;
+}
+
 PipelineStage make_row_stage(const cplx* src, const Fft1d& fft, idx_t lanes,
                              idx_t block_rows, idx_t row_elems,
                              idx_t iterations) {
@@ -94,22 +135,9 @@ PipelineStage DoubleBufferEngine::make_stage(std::size_t k, const cplx* src,
   PipelineStage stage;
   stage.iterations = s.iterations;
   switch (s.kind) {
-    case StageKind::Rotated: {
-      const StageGeometry g = s.geom;
-      stage = make_row_stage(src, fft, g.lanes, block_rows, row_elems,
-                             s.iterations);
-      // W_{b,i}: scatter the block through the blocked rotation with
-      // non-temporal stores (the data is dead until the next stage).
-      stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
-        auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
-        if (r1 > r0) {
-          rotate_store_rows(buf + r0 * row_elems, dst, i * block_rows + r0,
-                            r1 - r0, g.a, g.b, g.cp(), g.mu, nt);
-          BWFFT_OBS_COUNT(BytesStored, (r1 - r0) * row_elems * sizeof(cplx));
-        }
-      };
+    case StageKind::Rotated:
+      stage = make_rotated_stage(s, fft, src, dst);
       break;
-    }
     case StageKind::Columns: {
       // (DFT_{n1} (x) I_{n2}) then D_{n2}^{n1 n2}, tiled over groups of W
       // contiguous columns. Tiles are row-major n1 x W, so the strided
@@ -232,7 +260,8 @@ void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src, cplx* dst,
   BWFFT_OBS_SCOPE(obs_stage, s.name, 'G', s.rows);
   if (s.kind == StageKind::Flat) {
     ffts_[k]->apply_oop(src, dst);
-    stats_.push_back({timer.seconds(), s.iterations, s.rows_per_block, {}});
+    stats_.push_back(
+        {timer.seconds(), s.iterations, s.rows_per_block, {}, Fusion::None});
     return;
   }
   const PipelineStage stage = make_stage(k, src, dst);
@@ -248,7 +277,7 @@ void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src, cplx* dst,
     pipeline_->execute(stage);
   }
   stats_.push_back({timer.seconds(), s.iterations, s.rows_per_block,
-                    pipeline_->last_utilization()});
+                    pipeline_->last_utilization(), stage.fusion()});
 }
 
 void DoubleBufferEngine::run_all(cplx* in, cplx* out, bool pipelined) {

@@ -48,6 +48,15 @@ PipelineStage make_row_stage(const cplx* src, const Fft1d& fft, idx_t lanes,
                              idx_t block_rows, idx_t row_elems,
                              idx_t iterations);
 
+/// The tasks of Rotated stage `s` (rows of src, blocked rotation into
+/// dst). A fused stage (s.fused, Private only) has no load task: its
+/// compute reads each claim from src. Under Fusion::LoadStore it has no
+/// store task either where Fft1d::streams_rotated accepts dst (a dst
+/// aligned to the streaming width, a lane row of whole vector chunks);
+/// elsewhere it keeps the tile store.
+PipelineStage make_rotated_stage(const PlannedStage& s, const Fft1d& fft,
+                                 const cplx* src, cplx* dst);
+
 class DoubleBufferEngine final : public MdEngine {
  public:
   DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
@@ -76,6 +85,9 @@ class DoubleBufferEngine final : public MdEngine {
     idx_t block_rows = 0;  ///< rows per block or claim
     /// Per-role busy time (empty on the Flat path).
     DoubleBufferPipeline::RoleUtilization util;
+    /// The fusion the stage ran (the plan's, less a store that fell back
+    /// to the tile because dst is not aligned for streaming).
+    Fusion fused = Fusion::None;
   };
   const std::vector<StageStats>& last_stats() const { return stats_; }
 

@@ -6,10 +6,26 @@
 // Intended for test-scale problems.
 #pragma once
 
+#include <complex>
+#include <vector>
+
 #include "common/aligned.h"
 #include "common/types.h"
 
 namespace bwfft {
+
+/// Bins `bins` (row-major flat indices) of the unnormalised DFT of x, an
+/// array of shape `dims` (slowest first), each summed directly in long
+/// double — an O(N)-per-bin oracle for sizes the dense reference cannot
+/// reach, sharing no code with the engines. The sum is separable: the
+/// fastest dimension is summed per line, then scaled by the slower
+/// dimensions' roots. Every root w_n^r is indexed by r = (j * k) mod n and
+/// read from two long-double tables of about sqrt(n) entries each, so no
+/// angle is reduced in double and a 2^24-point 1D sum needs no N-entry
+/// table.
+std::vector<std::complex<long double>> direct_bins(
+    const cplx* x, const std::vector<idx_t>& dims,
+    const std::vector<idx_t>& bins, Direction dir = Direction::Forward);
 
 /// y = DFT_n x (dense matrix-vector product).
 void reference_dft_1d(const cplx* in, cplx* out, idx_t n, Direction dir);

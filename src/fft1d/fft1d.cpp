@@ -1,6 +1,7 @@
 #include "fft1d/fft1d.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "common/error.h"
@@ -101,17 +102,21 @@ Fft1d::Fft1d(idx_t n, Direction dir, kernels::Isa isa)
   }
 }
 
-void Fft1d::stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
-                          const kernels::BatchTable& bt) const {
+void Fft1d::stockham_tile(const cplx* in, cplx* tile, cplx* scratch,
+                          idx_t lanes, const kernels::BatchTable& bt,
+                          cplx* rot, idx_t rot_stride) const {
   // Iterative DIF Stockham autosort over the precomputed radix schedule.
   // A level of radix r splits sub-length `len` into q = len/r input
   // packets at stride s: the batched codelet reads rows src + s*(p + j*q)
   // (row stride s*q), writes rows dst + s*(r*p + k) (row stride s), and
   // scales output row k by w_len^{p*k} — afterwards len /= r, s *= r, and
-  // the buffers swap. The last level has q = 1, so it reads and writes at
-  // the same row stride s; the BatchFn ABI then allows it in place, and it
-  // always writes the tile — the result never needs a copy back.
-  cplx* src = tile;
+  // the buffers swap. The first level reads `in`, which may be the tile
+  // itself or the stage source; later levels ping-pong between scratch
+  // and the tile. The last level has q = 1, so it reads and writes at the
+  // same row stride s; the BatchFn ABI then allows it in place, and it
+  // always writes the tile (or streams to `rot`) — the result never needs
+  // a copy back.
+  const cplx* src = in;
   cplx* dst = scratch;
   idx_t len = n_;
   idx_t s = lanes;
@@ -120,6 +125,16 @@ void Fft1d::stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
     const idx_t q = len / r;
     const kernels::BatchFn fn = bt.fn[r];
     const cplx* tw = lvl.tw.data();
+    if (q == 1 && rot != nullptr) {
+      // Output row k of the last level is tile rows k*(n/r) .. +n/r, so
+      // lane row u of every output row goes to rot at a fixed stride.
+      const idx_t rows = n_ / r;
+      for (idx_t u = 0; u < rows; ++u) {
+        bt.nt[r](src + u * lanes, s, rot + u * rot_stride, rows * rot_stride,
+                 lanes, nullptr, dir_);
+      }
+      return;
+    }
     if (q == 1) dst = tile;
     fn(src, s * q, dst, s, s, nullptr, dir_);  // p = 0: unit twiddles
     for (idx_t p = 1; p < q; ++p) {
@@ -127,55 +142,108 @@ void Fft1d::stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
     }
     len = q;
     s *= r;
-    std::swap(src, dst);
+    cplx* next = dst == scratch ? tile : scratch;
+    src = dst;
+    dst = next;
   }
 }
 
-void Fft1d::gathered_batch(cplx* data, idx_t count,
-                           const kernels::BatchTable& bt) const {
+bool Fft1d::gathers(idx_t count, const kernels::BatchTable& bt) const {
+  return bt.width > 1 && count >= bt.width && n_ * bt.width <= kGatherMaxElems;
+}
+
+void Fft1d::gathered_batch(const cplx* in, cplx* out, idx_t count,
+                           const kernels::BatchTable& bt,
+                           const RotatedDst* dst) const {
   // I_count (x) DFT_n at full SIMD width (the short-vector rewrite
   // I_G (x) DFT_n = L^{nG}_n (DFT_n (x) I_G) L^{nG}_G): G consecutive
   // pencils are gathered into an n x G tile, transformed at lanes = G and
   // scattered back. A remainder of w < G pencils is gathered into the
   // same tile with its unused lanes zeroed, so every pencil runs the same
   // full-width arithmetic and the output does not depend on where a
-  // thread partition cuts the batch.
+  // thread partition cuts the batch. With `dst` the scatter is the
+  // rotated store: the w pencils' packet j is the mu x w block at tile
+  // row j*mu, transposed into a w*mu run that lands contiguously at
+  // packet j of grid rows row0 + t .. + w.
   const idx_t g = bt.width;
-  cplx* tile = thread_scratch(static_cast<std::size_t>(2 * n_ * g));
+  const idx_t mu = dst != nullptr ? dst->mu : 0;
+  cplx* tile = thread_scratch(static_cast<std::size_t>(2 * n_ * g + g * mu));
   cplx* scratch = tile + n_ * g;
+  cplx* run = scratch + n_ * g;
   for (idx_t t = 0; t < count; t += g) {
-    cplx* pencils = data + t * n_;
     const idx_t w = std::min(g, count - t);
     for (idx_t r = 0; w < g && r < n_; ++r) {
       std::fill(tile + r * g + w, tile + (r + 1) * g, cplx{});
     }
-    bt.transpose(pencils, n_, tile, g, w, n_);  // L^{nw}_w
-    stockham_tile(tile, scratch, g, bt);
-    bt.transpose(tile, g, pencils, n_, n_, w);  // L^{nw}_n
+    bt.transpose(in + t * n_, n_, tile, g, w, n_);  // L^{nw}_w
+    stockham_tile(tile, tile, scratch, g, bt);
+    if (dst == nullptr) {
+      bt.transpose(tile, g, out + t * n_, n_, n_, w);  // L^{nw}_n
+      continue;
+    }
+    for (idx_t j = 0; j < n_ / mu; ++j) {
+      bt.transpose(tile + j * mu * g, g, run, mu, mu, w);
+      bt.nt_copy(dst->out + (j * dst->plane + dst->row0 + t) * mu, run,
+                 w * mu);
+    }
   }
 }
 
 void Fft1d::apply_lanes(cplx* data, idx_t lanes, idx_t count) const {
-  BWFFT_CHECK(lanes >= 1 && count >= 0, "bad lanes/count");
-  if (n_ == 1 || count == 0) return;
+  apply_lanes_from(data, data, lanes, count);
+}
 
-  if (!slevels_.empty()) {
-    const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa_);
-    if (lanes == 1 && bt.width > 1 && count >= bt.width &&
-        n_ * bt.width <= kGatherMaxElems) {
-      gathered_batch(data, count, bt);
-      return;
+bool Fft1d::streams_rotated(idx_t lanes, idx_t count,
+                            const RotatedDst& dst) const {
+  if (slevels_.empty() || dst.mu < 1 || (n_ * lanes) % dst.mu != 0) {
+    return false;
+  }
+  const kernels::BatchTable& bt =
+      kernels::batch_table(kernels::resolve_isa(isa_));
+  const auto addr = reinterpret_cast<std::uintptr_t>(dst.out);
+  if (bt.nt_copy == nullptr ||
+      addr % static_cast<std::uintptr_t>(bt.nt_align()) != 0) {
+    return false;
+  }
+  return lanes == 1 ? gathers(count, bt)
+                    : lanes == dst.mu && lanes % bt.width == 0;
+}
+
+void Fft1d::apply_lanes_from(const cplx* in, cplx* out, idx_t lanes,
+                             idx_t count, const RotatedDst* dst) const {
+  BWFFT_CHECK(lanes >= 1 && count >= 0, "bad lanes/count");
+  BWFFT_CHECK(dst == nullptr || streams_rotated(lanes, count, *dst),
+              "this transform cannot stream to a rotated destination");
+  if (count == 0) return;
+  const idx_t tile = n_ * lanes;
+  if (slevels_.empty()) {
+    // n = 1 and Bluestein sizes: copy, then transform in place.
+    if (in != out) {
+      std::memcpy(out, in, static_cast<std::size_t>(count * tile) *
+                               sizeof(cplx));
     }
-    cplx* scratch = thread_scratch(static_cast<std::size_t>(n_ * lanes));
-    for (idx_t t = 0; t < count; ++t) {
-      stockham_tile(data + t * n_ * lanes, scratch, lanes, bt);
-    }
+    if (n_ > 1) bluestein_lanes(out, lanes, count);
     return;
   }
+  const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa_);
+  if (lanes == 1 && gathers(count, bt)) {
+    gathered_batch(in, out, count, bt, dst);
+    return;
+  }
+  cplx* scratch = thread_scratch(static_cast<std::size_t>(tile));
+  for (idx_t t = 0; t < count; ++t) {
+    cplx* rot = dst == nullptr
+                    ? nullptr
+                    : dst->out + (dst->row0 + t) * dst->mu;
+    stockham_tile(in + t * tile, out + t * tile, scratch, lanes, bt, rot,
+                  dst == nullptr ? 0 : dst->plane * dst->mu);
+  }
+}
 
-  // Bluestein path: transform each lane pencil through a gathered copy.
-  // A local buffer is used (not thread_scratch) because the inner
-  // power-of-two transforms use thread_scratch themselves.
+void Fft1d::bluestein_lanes(cplx* data, idx_t lanes, idx_t count) const {
+  // Transform each lane pencil through a gathered copy. A local buffer is
+  // used (not thread_scratch) because the inner power-of-two transforms
+  // use thread_scratch themselves.
   cvec pencil(static_cast<std::size_t>(n_));
   for (idx_t t = 0; t < count; ++t) {
     cplx* tile = data + t * n_ * lanes;
@@ -222,7 +290,7 @@ void Fft1d::apply_lanes_strided(cplx* base, idx_t lanes,
     std::memcpy(tile + j * lanes, base + j * row_stride,
                 static_cast<std::size_t>(lanes) * sizeof(cplx));
   }
-  stockham_tile(tile, scratch, lanes, bt);
+  stockham_tile(tile, tile, scratch, lanes, bt);
   for (idx_t j = 0; j < n_; ++j) {
     std::memcpy(base + j * row_stride, tile + j * lanes,
                 static_cast<std::size_t>(lanes) * sizeof(cplx));

@@ -29,6 +29,12 @@
 //    scratch); a remainder of two or more pencils is gathered at its own
 //    width. Scalar dispatch and longer pencils keep the per-pencil path.
 //
+//  * apply_lanes_from(in, out, lanes, count, dst) — apply_lanes fused
+//    with a stage's data movement: the first Stockham level (or the
+//    pencil gather) reads the tiles straight from `in`, and with a
+//    RotatedDst the last level (or the pencil scatter) streams the
+//    result to its rotated place instead of writing a tile.
+//
 //  * apply_strided_inplace(data, stride) — a single pencil transformed in
 //    place at an element stride, the access pattern of the *naive* pencil
 //    baseline the paper criticises. Iterative DIT with bit-reversal; no
@@ -57,6 +63,16 @@ std::vector<idx_t> stockham_radices(idx_t n);
 /// apply_lanes_strided accepts exactly these sizes.
 bool has_stockham_schedule(idx_t n);
 
+/// A stage's rotated destination (K (x) I_mu, layout/rotate.h): packet j
+/// (elements [j*mu, (j+1)*mu)) of grid row r lands at
+/// out + (j * plane + r) * mu, and tile t of a call is grid row row0 + t.
+struct RotatedDst {
+  cplx* out = nullptr;
+  idx_t plane = 1;  ///< rows of the rotation grid (a*b)
+  idx_t row0 = 0;
+  idx_t mu = 1;
+};
+
 class Fft1d {
  public:
   /// Plan a transform of size n (n >= 1, any n) in the given direction.
@@ -75,6 +91,25 @@ class Fft1d {
   /// In-place transform of `count` tiles, each an n x lanes row-major
   /// block: element (j,l) of tile t lives at data[t*n*lanes + j*lanes + l].
   void apply_lanes(cplx* data, idx_t lanes, idx_t count) const;
+
+  /// apply_lanes reading tile t from in + t*n*lanes and writing it to
+  /// out + t*n*lanes (in == out is apply_lanes). The first Stockham
+  /// level, or the gather of contiguous pencils, reads `in` directly, so
+  /// no copy precedes the sweep. With `dst` the result is not written to
+  /// `out`: the last level NT-stores each lane row j of tile t to its
+  /// rotated place (lanes = mu), or each mu x G block of a gathered tile
+  /// is transposed and streamed as one G*mu run (lanes = 1); `out` then
+  /// only holds intermediate levels. `dst` needs streams_rotated(); call
+  /// stream_fence() before publishing it.
+  void apply_lanes_from(const cplx* in, cplx* out, idx_t lanes, idx_t count,
+                        const RotatedDst* dst = nullptr) const;
+
+  /// True when apply_lanes_from can stream `count` tiles of `lanes` lanes
+  /// into `dst` under the current dispatch: the table has streaming
+  /// codelets, dst.out is aligned to their width, and either the pencils
+  /// are contiguous and gathered (lanes = 1) or a lane row is whole
+  /// vector chunks (lanes = dst.mu, a multiple of the table width).
+  bool streams_rotated(idx_t lanes, idx_t count, const RotatedDst& dst) const;
 
   /// In-place transform of `count` contiguous pencils of length n.
   void apply_batch(cplx* data, idx_t count) const {
@@ -102,11 +137,19 @@ class Fft1d {
   void scale_inverse(cplx* data, idx_t count) const;
 
  private:
-  void stockham_tile(cplx* tile, cplx* scratch, idx_t lanes,
-                     const kernels::BatchTable& bt) const;
-  void gathered_batch(cplx* data, idx_t count,
-                      const kernels::BatchTable& bt) const;
+  /// The sweep of one n x lanes tile: the first level reads `in`, the
+  /// result lands in `tile` (in == tile: in place), or with `rot` the
+  /// last level streams tile row j to rot + j * rot_stride.
+  void stockham_tile(const cplx* in, cplx* tile, cplx* scratch, idx_t lanes,
+                     const kernels::BatchTable& bt, cplx* rot = nullptr,
+                     idx_t rot_stride = 0) const;
+  /// True when `count` contiguous pencils take the gathered path.
+  bool gathers(idx_t count, const kernels::BatchTable& bt) const;
+  void gathered_batch(const cplx* in, cplx* out, idx_t count,
+                      const kernels::BatchTable& bt,
+                      const RotatedDst* dst) const;
   void bluestein(cplx* data) const;
+  void bluestein_lanes(cplx* data, idx_t lanes, idx_t count) const;
 
   /// One Stockham DIF level of radix r (stockham_radices): the greedy
   /// high-radix schedule minimises passes over the cached tile — n = 128

@@ -42,6 +42,10 @@ using BatchFn = void (*)(const cplx* in, idx_t is, cplx* out, idx_t os,
 using TransposeFn = void (*)(const cplx* in, idx_t is, cplx* out, idx_t os,
                              idx_t rows, idx_t cols);
 
+/// Non-temporal copy of `count` complex elements to a 16-byte aligned
+/// destination (see nt_copy below).
+using NtCopyFn = idx_t (*)(cplx* dst, const cplx* src, idx_t count);
+
 /// Dispatch table of one ISA: fn[n] for n = 2..kMaxCodelet (16); fn[0]
 /// and fn[1] are null (a 1-point DFT is the identity). `width` is the
 /// complex lanes of one full register chunk (8 AVX-512, 4 AVX2, 1
@@ -49,10 +53,22 @@ using TransposeFn = void (*)(const cplx* in, idx_t is, cplx* out, idx_t os,
 /// `transpose` moves whole register blocks (4x4 complex AVX-512, 2x2
 /// AVX2) through shuffles — the pencil <-> tile gather and scatter of
 /// Fft1d's contiguous-pencil batches.
+///
+/// `nt` holds the same codelets with streaming (MOVNTPD) stores, and
+/// `nt_copy` the table's streaming copy: a fused stage writes its last
+/// Stockham level straight to its rotated DRAM destination through them.
+/// A streaming chunk store needs `out` aligned to the vector width
+/// (width * 8 bytes) and runs only for lanes a multiple of `width` (a
+/// narrower tail stores temporally). Both are null on the scalar table.
 struct BatchTable {
   BatchFn fn[codelets::kMaxCodelet + 1] = {};
+  BatchFn nt[codelets::kMaxCodelet + 1] = {};
   idx_t width = 1;
   TransposeFn transpose = nullptr;
+  NtCopyFn nt_copy = nullptr;
+
+  /// Byte alignment a streaming codelet's output rows need.
+  idx_t nt_align() const { return width * static_cast<idx_t>(sizeof(double)); }
 };
 
 /// Table of a concrete ISA. Requests the host cannot execute (or that

@@ -41,7 +41,7 @@ void transpose_avx2(const cplx* in, idx_t is, cplx* out, idx_t os,
 // below 4 cascade through gen::Sse2Backend before reaching scalar.
 const BatchTable* avx2_table() {
   static const BatchTable t =
-      gen::make_table<gen::Avx2Backend>(&transpose_avx2);
+      gen::make_table<gen::Avx2Backend>(&transpose_avx2, &nt_copy_avx2);
   return &t;
 }
 

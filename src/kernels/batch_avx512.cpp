@@ -55,6 +55,13 @@ struct Avx512Backend {
     _mm512_storeu_pd(q, _mm512_permutex2var_pd(re, idx_lo, im));
     _mm512_storeu_pd(q + 8, _mm512_permutex2var_pd(re, idx_hi, im));
   }
+  static void storec_nt(cplx* p, V re, V im) {  // p 64-byte aligned
+    auto* q = reinterpret_cast<double*>(p);
+    const __m512i idx_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const __m512i idx_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+    _mm512_stream_pd(q, _mm512_permutex2var_pd(re, idx_lo, im));
+    _mm512_stream_pd(q + 8, _mm512_permutex2var_pd(re, idx_hi, im));
+  }
 };
 
 /// 4x4 complex blocks: four 512-bit rows, eight two-source permutes of
@@ -90,7 +97,7 @@ void transpose_avx512(const cplx* in, idx_t is, cplx* out, idx_t os,
 
 const BatchTable* avx512_table() {
   static const BatchTable t =
-      gen::make_table<Avx512Backend>(&transpose_avx512);
+      gen::make_table<Avx512Backend>(&transpose_avx512, &nt_copy_avx512);
   return &t;
 }
 

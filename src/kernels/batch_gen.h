@@ -17,7 +17,8 @@
 //     static V neg(V);
 //     static void loadc(const cplx* p, V& re, V& im);   // deinterleave
 //     static void storec(cplx* p, V re, V im);          // interleave
-//   };
+//     static void storec_nt(cplx* p, V re, V im);       // streaming
+//   };                                                   // (SIMD only)
 //
 // Interleaved complex enters and leaves through loadc/storec (the only
 // shuffles in the kernel); every butterfly in between runs on split
@@ -389,8 +390,27 @@ struct Avx2Backend {
     _mm256_storeu_pd(q, _mm256_permute2f128_pd(lo, hi, 0x20));
     _mm256_storeu_pd(q + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
   }
+  static void storec_nt(cplx* p, V re, V im) {  // p 32-byte aligned
+    auto* q = reinterpret_cast<double*>(p);
+    const __m256d lo = _mm256_unpacklo_pd(re, im);
+    const __m256d hi = _mm256_unpackhi_pd(re, im);
+    _mm256_stream_pd(q, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_stream_pd(q + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+  }
 };
 #endif  // __AVX2__ && __FMA__
+
+/// Backend B with streaming stores: storec is B::storec_nt, so the
+/// codelets it stamps out write their output rows with MOVNTPD (aligned
+/// to the vector width) — the last Stockham level of a fused stage,
+/// whose output goes straight to DRAM and is dead until the next stage.
+/// The width cascade's tail keeps B's temporal stores.
+template <class B>
+struct NtBackend : B {
+  static void storec(cplx* p, typename B::V re, typename B::V im) {
+    B::storec_nt(p, re, im);
+  }
+};
 
 template <class B, idx_t N, int SG>
 void run_dir(const cplx* in, idx_t is, cplx* out, idx_t os, idx_t lanes,
@@ -451,25 +471,36 @@ void transpose_tiled(const cplx* in, idx_t is, cplx* out, idx_t os,
 }
 
 template <class B>
-BatchTable make_table(TransposeFn transpose) {
+void fill_codelets(BatchFn* fn) {
+  fn[2] = &run<B, 2>;
+  fn[3] = &run<B, 3>;
+  fn[4] = &run<B, 4>;
+  fn[5] = &run<B, 5>;
+  fn[6] = &run<B, 6>;
+  fn[7] = &run<B, 7>;
+  fn[8] = &run<B, 8>;
+  fn[9] = &run<B, 9>;
+  fn[10] = &run<B, 10>;
+  fn[11] = &run<B, 11>;
+  fn[12] = &run<B, 12>;
+  fn[13] = &run<B, 13>;
+  fn[14] = &run<B, 14>;
+  fn[15] = &run<B, 15>;
+  fn[16] = &run<B, 16>;
+}
+
+/// The table of backend B; a non-null `nt_copy` also stamps out the
+/// streaming codelets (NtBackend<B>, which needs B::storec_nt).
+template <class B>
+BatchTable make_table(TransposeFn transpose, NtCopyFn nt_copy = nullptr) {
   BatchTable t;
-  t.fn[2] = &run<B, 2>;
-  t.fn[3] = &run<B, 3>;
-  t.fn[4] = &run<B, 4>;
-  t.fn[5] = &run<B, 5>;
-  t.fn[6] = &run<B, 6>;
-  t.fn[7] = &run<B, 7>;
-  t.fn[8] = &run<B, 8>;
-  t.fn[9] = &run<B, 9>;
-  t.fn[10] = &run<B, 10>;
-  t.fn[11] = &run<B, 11>;
-  t.fn[12] = &run<B, 12>;
-  t.fn[13] = &run<B, 13>;
-  t.fn[14] = &run<B, 14>;
-  t.fn[15] = &run<B, 15>;
-  t.fn[16] = &run<B, 16>;
+  fill_codelets<B>(t.fn);
+  if constexpr (B::kWidth > 1) {
+    if (nt_copy != nullptr) fill_codelets<NtBackend<B>>(t.nt);
+  }
   t.width = B::kWidth;
   t.transpose = transpose;
+  t.nt_copy = nt_copy;
   return t;
 }
 

@@ -13,6 +13,15 @@
 
 namespace bwfft {
 
+const char* fusion_name(Fusion f) {
+  switch (f) {
+    case Fusion::None: return "none";
+    case Fusion::Load: return "load";
+    case Fusion::LoadStore: return "load+store";
+  }
+  return "?";
+}
+
 DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
                                            idx_t block_elems)
     : DoubleBufferPipeline(team, std::move(roles), block_elems, 1) {}
@@ -117,6 +126,10 @@ void DoubleBufferPipeline::run_groups(const PipelineStage* stages,
                                       const RolePlan& roles) {
   for (int g = 0; g < groups_; ++g) {
     BWFFT_CHECK(stages[g].iterations >= 1, "stage needs >= 1 iteration");
+    BWFFT_CHECK(stages[g].compute && (stages[g].store || !stages[g].load),
+                "a stage computes, and fuses its store only with its load");
+    BWFFT_CHECK(roles.data == 0 || stages[g].fusion() == Fusion::None,
+                "the Split schedule runs unfused stages only");
   }
   util_ = RoleUtilization{};
   if (roles.data == 0) util_.min_claims = std::numeric_limits<idx_t>::max();
@@ -196,16 +209,17 @@ void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
 
   if (is_private) {
     // Private schedule: claim i from the group's counter until none is
-    // left, and run L(i), C(i), S(i) back to back on this thread's tile.
-    // No other thread touches the tile, and the next claim's load follows
-    // this claim's store in program order. The claims are keyed by index
+    // left, and run L(i), C(i), S(i) back to back on this thread's tile
+    // (only C, or C and S, when the stage fuses its data tasks). No other
+    // thread touches the tile, and the next claim's first task follows
+    // this claim's last in program order. The claims are keyed by index
     // in the trace, the obs slices and the stall fault.
     std::atomic<idx_t>& next = counters_[static_cast<std::size_t>(group)].next;
     for (idx_t i = next.fetch_add(1); i < iters; i = next.fetch_add(1)) {
       straggle(i);
-      load(i, i, tid);
+      if (stage.load) load(i, i, tid);
       compute(i, i, tid);
-      store(i, i, tid);
+      if (stage.store) store(i, i, tid);
       ++claims;
     }
     // Drain the write-combining buffers once, then meet once: the stage's

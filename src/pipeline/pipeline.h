@@ -31,7 +31,10 @@
 // claim it is working on, and a fast thread takes more claims than a slow
 // one. It fences its NT stores once and meets the team once at the end
 // of the stage. On a host without SMT every core then issues its own DRAM
-// traffic, which the Split roles leave to p_d cores.
+// traffic, which the Split roles leave to p_d cores. A fused claim
+// (Fusion) runs only the tasks its stage has: its compute reads the
+// source and may write the destination itself, so the core's
+// out-of-order window overlaps those DRAM misses with the butterflies.
 //
 // Under Split the shared buffer lives in the last-level cache: its total
 // size follows the paper's policy b = LLC/2 (both halves together),
@@ -53,15 +56,31 @@
 
 namespace bwfft {
 
+/// The data tasks a Private claim folds into its compute: none (L, C, S),
+/// the load (the first Stockham level reads the stage source; C, S), or
+/// the load and the store (the last level also writes the rotated
+/// destination; C alone). Split stages always run all three tasks.
+enum class Fusion { None, Load, LoadStore };
+
+/// "none", "load" or "load+store".
+const char* fusion_name(Fusion f);
+
 /// Callbacks of one tiled stage. Each receives the block (or claim) index,
 /// the buffer slot to use, and its partition (rank of `parts`; a claim is
 /// always rank 0 of 1); implementations must touch only their partition
-/// so tasks can run concurrently.
+/// so tasks can run concurrently. A fused Private stage leaves the tasks
+/// its compute performs empty (fusion()).
 struct PipelineStage {
   idx_t iterations = 0;
   std::function<void(idx_t iter, cplx* buf, int rank, int parts)> load;
   std::function<void(idx_t iter, cplx* buf, int rank, int parts)> compute;
   std::function<void(idx_t iter, const cplx* buf, int rank, int parts)> store;
+
+  /// The fusion the empty tasks denote (no load: Load; no store either:
+  /// LoadStore).
+  Fusion fusion() const {
+    return load ? Fusion::None : store ? Fusion::Load : Fusion::LoadStore;
+  }
 };
 
 class DoubleBufferPipeline {

@@ -227,6 +227,14 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
       const idx_t fit = std::min(budget / s.row_elems, s.rows / p);
       s.rows_per_block = rows_per_block(s.rows, std::max<idx_t>(fit, 1));
       s.iterations = s.rows / s.rows_per_block;
+      // Fused claims: the first Stockham level reads the source, and the
+      // last one streams each packet to its rotated place where the NT
+      // runs are long enough to pay for the per-packet codelet calls.
+      if (s.kind != StageKind::Rotated || sockets > 1) continue;
+      const idx_t lanes = s.geom.lanes;
+      s.fused = s.nontemporal && (lanes == 1 || lanes >= kMinFusedStoreLanes)
+                    ? Fusion::LoadStore
+                    : Fusion::Load;
     }
   }
   return plan;

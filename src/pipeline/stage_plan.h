@@ -27,6 +27,7 @@
 
 #include "fft/options.h"
 #include "fft/stage.h"
+#include "pipeline/pipeline.h"
 
 namespace bwfft {
 
@@ -46,6 +47,11 @@ constexpr idx_t kCoreTileElems = 16384;
 
 /// Widest auto rotation packet: a 1 KiB NT store run.
 constexpr idx_t kMaxPacketElems = 64;
+
+/// Narrowest lane row (lanes = mu) whose fused claims stream their
+/// packets from the last Stockham level: a 256 B NT run. At mu = 8
+/// (4096^2) load-only fusion was faster (EXPERIMENTS.md, "Fused claims").
+constexpr idx_t kMinFusedStoreLanes = 16;
 
 enum class StageKind {
   Rotated,  ///< batch FFT over the rows of `geom`, then the rotation
@@ -72,6 +78,7 @@ struct PlannedStage {
   idx_t iterations = 1;   ///< rows / rows_per_block: blocks or claims
   bool nontemporal = true;
   bool split_b = false;   ///< socket plans: the sockets split geom.b
+  Fusion fused = Fusion::None;  ///< data tasks folded into the compute
 };
 
 /// Slabs a row's packets land in: 1 when stores stay in the storing
@@ -117,6 +124,14 @@ struct StagePlan {
     return data_threads == 0 ? Schedule::Private : Schedule::Split;
   }
 
+  /// Bytes one execute loads, and the same count it stores: every stage
+  /// reads and writes each of its rows once, on every socket.
+  idx_t expected_bytes() const {
+    idx_t elems = 0;
+    for (const PlannedStage& s : stages) elems += s.rows * s.row_elems;
+    return elems * sockets * static_cast<idx_t>(sizeof(cplx));
+  }
+
   /// Elements of one pipeline buffer slot: the block b (one shared half)
   /// under Split, the largest claim (one thread's tile) under Private.
   idx_t slot_elems() const {
@@ -157,7 +172,12 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 /// default_compute_threads. Under Private (p_c = p) every stage is
 /// tiled into claims instead of blocks: the most whole rows within
 /// min(b, topo.core_private_elems()) elements and within rows / p (so
-/// every thread has a claim), but at least one row.
+/// every thread has a claim), but at least one row. A Private Rotated
+/// stage of a one-socket plan fuses its claims' data tasks into the
+/// compute (PlannedStage::fused): always the load, and the store too when
+/// it is non-temporal and either the pencils are contiguous (lanes = 1)
+/// or a lane row is at least 16 elements wide (lanes = mu >= 16: at
+/// mu = 8 the 128 B packets lost to load-only fusion).
 /// EngineKind::StageParallel plans the same stages as Private claims with
 /// temporal stores whatever compute_threads and nontemporal ask for; no
 /// other engine kind is consulted. sockets = sk > 1

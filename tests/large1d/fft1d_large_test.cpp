@@ -37,31 +37,12 @@ cvec stockham_oracle(const cvec& x, Direction dir = Direction::Forward) {
   return want;
 }
 
-/// Bins `bins` of the DFT of x, summed directly in long double: an
-/// oracle independent of the codelets the engines and the Stockham pass
-/// share. Roots come from one table of N long-double sincos values,
-/// indexed by (j * k) mod N, so no angle is reduced in double.
+/// Bins `bins` of the DFT of x from the long-double direct sum of
+/// fft/reference.h: an oracle independent of the codelets the engines and
+/// the Stockham pass share.
 std::vector<std::complex<long double>> long_double_bins(
     const cvec& x, const std::vector<idx_t>& bins) {
-  const idx_t n = static_cast<idx_t>(x.size());
-  std::vector<std::complex<long double>> roots(static_cast<std::size_t>(n));
-  const long double two_pi = 6.283185307179586476925286766559L;
-  for (idx_t r = 0; r < n; ++r) {
-    const long double a = -two_pi * static_cast<long double>(r) /
-                          static_cast<long double>(n);
-    roots[static_cast<std::size_t>(r)] = {std::cos(a), std::sin(a)};
-  }
-  std::vector<std::complex<long double>> out;
-  for (idx_t k : bins) {
-    std::complex<long double> acc = 0;
-    for (idx_t j = 0; j < n; ++j) {
-      const cplx v = x[static_cast<std::size_t>(j)];
-      acc += std::complex<long double>(v.real(), v.imag()) *
-             roots[static_cast<std::size_t>((j * k) % n)];
-    }
-    out.push_back(acc);
-  }
-  return out;
+  return direct_bins(x.data(), {static_cast<idx_t>(x.size())}, bins);
 }
 
 FftOptions large_opts(int threads) {

@@ -1,8 +1,8 @@
 // Accuracy of the multidimensional plans at the benchmark sizes, against
-// an oracle that shares no code with them: a separable direct sum in long
-// double at sampled output bins. The other large multidimensional tests
-// compare engines built from the same codelets, so a defect common to the
-// kernels would cancel out there.
+// an oracle that shares no code with them: the separable long-double
+// direct sum of fft/reference.h at sampled output bins. The other large
+// multidimensional tests compare engines built from the same codelets, so
+// a defect common to the kernels would cancel out there.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,69 +15,12 @@
 #include "common/rng.h"
 #include "fft/double_buffer.h"
 #include "fft/engine.h"
+#include "fft/reference.h"
 
 namespace bwfft {
 namespace {
 
 using ldc = std::complex<long double>;
-
-/// exp(-2 pi i r / n) for r < n, in long double.
-std::vector<ldc> root_table(idx_t n) {
-  const long double two_pi = 6.283185307179586476925286766559L;
-  std::vector<ldc> t(static_cast<std::size_t>(n));
-  for (idx_t r = 0; r < n; ++r) {
-    const long double a =
-        -two_pi * static_cast<long double>(r) / static_cast<long double>(n);
-    t[static_cast<std::size_t>(r)] = {std::cos(a), std::sin(a)};
-  }
-  return t;
-}
-
-/// Forward DFT bins (row-major flat indices) of x with dims `dims`,
-/// summed directly in long double. The sum is separable: the fastest
-/// dimension is summed per line, then scaled by the slower dimensions'
-/// roots, each indexed by (j * k) mod n so no angle is reduced in double.
-std::vector<ldc> direct_bins(const cvec& x, const std::vector<idx_t>& dims,
-                             const std::vector<idx_t>& bins) {
-  std::vector<std::vector<ldc>> roots;
-  for (idx_t d : dims) roots.push_back(root_table(d));
-  const idx_t m = dims.back();
-  const idx_t lines = static_cast<idx_t>(x.size()) / m;
-  std::vector<ldc> out;
-  for (idx_t bin : bins) {
-    // Bin coordinates, slowest first.
-    std::vector<idx_t> k(dims.size());
-    idx_t rest = bin;
-    for (std::size_t d = dims.size(); d-- > 0;) {
-      k[d] = rest % dims[d];
-      rest /= dims[d];
-    }
-    const std::vector<ldc>& fast = roots.back();
-    long double re = 0, im = 0;
-    for (idx_t line = 0; line < lines; ++line) {
-      long double lre = 0, lim = 0;
-      const cplx* row = x.data() + line * m;
-      for (idx_t c = 0; c < m; ++c) {
-        const ldc w = fast[static_cast<std::size_t>((c * k.back()) % m)];
-        const long double xr = row[c].real(), xi = row[c].imag();
-        lre += xr * w.real() - xi * w.imag();
-        lim += xr * w.imag() + xi * w.real();
-      }
-      // The line's slower coordinates, fastest of them first.
-      ldc w = 1;
-      idx_t l = line;
-      for (std::size_t d = dims.size() - 1; d-- > 0;) {
-        const idx_t j = l % dims[d];
-        l /= dims[d];
-        w *= roots[d][static_cast<std::size_t>((j * k[d]) % dims[d])];
-      }
-      re += lre * w.real() - lim * w.imag();
-      im += lre * w.imag() + lim * w.real();
-    }
-    out.emplace_back(re, im);
-  }
-  return out;
-}
 
 TEST(MdAccuracy, BenchmarkPlansMatchLongDoubleSumAtSampledBins) {
   // The default 256^3 and 4096^2 plans on four threads (the Private
@@ -95,7 +38,7 @@ TEST(MdAccuracy, BenchmarkPlansMatchLongDoubleSumAtSampledBins) {
     std::mt19937_64 rng(9601);
     std::uniform_int_distribution<idx_t> pick(0, n - 1);
     while (bins.size() < 8) bins.push_back(pick(rng));
-    const std::vector<ldc> want = direct_bins(x, dims, bins);
+    const std::vector<ldc> want = direct_bins(x.data(), dims, bins);
     long double norm2 = 0;
     for (const cplx& v : x) norm2 += std::norm(ldc(v.real(), v.imag()));
     const double gate = 16.0 * std::numeric_limits<double>::epsilon() *

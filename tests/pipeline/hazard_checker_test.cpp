@@ -297,5 +297,73 @@ TEST(HazardChecker, PrivateProgramOrderEnforced) {
   EXPECT_TRUE(has_violation(rep, VKind::ProgramOrder)) << rep.str();
 }
 
+TEST(HazardChecker, PrivateFusedStagesAreClean) {
+  // Fused claims: the compute reads its claim from src (Fusion::Load,
+  // the store still copies the tile out) or also writes dst itself
+  // (LoadStore). The trace has only the tasks the stage has, the audit
+  // accepts it, and the data is transformed exactly once.
+  ThreadTeam team(4);
+  DoubleBufferPipeline pipe(team, make_role_plan(4, 4, host_topology()), 64);
+  for (Fusion fused : {Fusion::Load, Fusion::LoadStore}) {
+    SCOPED_TRACE(fusion_name(fused));
+    CopyStage fx(64 * 7, 64);
+    fx.stage.load = nullptr;
+    fx.stage.compute = [&fx, fused](idx_t i, cplx* buf, int, int) {
+      cplx* to = fused == Fusion::Load ? buf : fx.dst.data() + i * fx.block;
+      for (idx_t j = 0; j < fx.block; ++j) {
+        to[j] = fx.src[static_cast<std::size_t>(i * fx.block + j)] * 2.0;
+      }
+    };
+    if (fused == Fusion::LoadStore) fx.stage.store = nullptr;
+    ASSERT_EQ(fused, fx.stage.fusion());
+    Trace trace;
+    pipe.set_trace(&trace);
+    pipe.execute(fx.stage);
+    pipe.set_trace(nullptr);
+    EXPECT_EQ(static_cast<std::size_t>(fused == Fusion::Load ? 14 : 7),
+              trace.size());
+    EXPECT_TRUE(audit_schedule(trace, 7, pipe.roles(), fused).clean());
+    EXPECT_FALSE(audit_schedule(trace, 7, pipe.roles()).clean())
+        << "an unfused audit misses the loads";
+    const HazardReport rep = HazardChecker(pipe).check(fx.stage);
+    EXPECT_TRUE(rep.clean()) << rep.str();
+    for (std::size_t j = 0; j < fx.src.size(); ++j) {
+      ASSERT_EQ(fx.src[j] * 2.0, fx.dst[j]) << "element " << j;
+    }
+  }
+}
+
+TEST(HazardChecker, SplitRejectsAFusedStage) {
+  // The Table II roles need a load and a store task to run.
+  ThreadTeam team(2);
+  DoubleBufferPipeline pipe(team, make_role_plan(2, 1, host_topology()), 64);
+  CopyStage fx(64 * 2, 64);
+  fx.stage.load = nullptr;
+  EXPECT_THROW(pipe.execute(fx.stage), Error);
+}
+
+TEST(HazardChecker, FusedOutputProbeFindsAMisroutedClaim) {
+  // probe_outputs: claims writing their own 16-element windows of the
+  // output cover it disjointly; claim 1 one element off overlaps claim 2
+  // and leaves its first element unwritten.
+  const idx_t claims = 4, width = 16;
+  cvec out(static_cast<std::size_t>(claims * width + 1));
+  for (idx_t off : {idx_t{0}, idx_t{1}}) {
+    const auto task = [&](idx_t i, cplx*, int, int) {
+      const idx_t b = i * width + (i == 1 ? off : 0);
+      for (idx_t j = b; j < b + width; ++j) out[j] = cplx(1.0, 0.0);
+    };
+    HazardReport rep;
+    audit_partition(analysis::probe_outputs(task, claims, out.data(),
+                                            claims * width, width),
+                    true, "fused store", rep);
+    EXPECT_EQ(off == 0, rep.clean()) << rep.str();
+    if (off == 1) {
+      EXPECT_TRUE(has_violation(rep, VKind::PartitionOverlap)) << rep.str();
+      EXPECT_TRUE(has_violation(rep, VKind::PartitionGap)) << rep.str();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bwfft

@@ -75,6 +75,34 @@ TEST(CrossCheck, PrivateProgramOrderCorruptionAgrees) {
   expect_both_dirty(trace, 3, roles);
 }
 
+TEST(CrossCheck, FusedClaimTracesAgree) {
+  // A fused stage's claims run only the tasks it has: both checkers
+  // accept those traces under the stage's fusion, and both reject a trace
+  // checked under another fusion (a task missing or one too many), and a
+  // fused claim continued on a second thread.
+  const RolePlan roles = roles_for(4, 4);
+  const Fusion all[] = {Fusion::None, Fusion::Load, Fusion::LoadStore};
+  for (Fusion made : all) {
+    const Trace trace = analysis::make_table2_trace(5, roles, made);
+    for (Fusion checked : all) {
+      SCOPED_TRACE(std::string(fusion_name(made)) + " checked as " +
+                   fusion_name(checked));
+      const auto sym =
+          analysis::verify_schedule_symbolic(trace, 5, roles, checked);
+      const auto dyn = analysis::audit_schedule(trace, 5, roles, checked);
+      EXPECT_EQ(made == checked, sym.clean()) << sym.str();
+      EXPECT_EQ(made == checked, dyn.clean()) << dyn.str();
+    }
+  }
+  Trace moved = analysis::make_table2_trace(3, roles, Fusion::Load);
+  ASSERT_EQ(DoubleBufferPipeline::TraceEvent::Kind::Store, moved[1].kind);
+  moved[1].tid = moved[1].half = 3;  // claim 0's store on another thread
+  EXPECT_FALSE(
+      analysis::verify_schedule_symbolic(moved, 3, roles, Fusion::Load)
+          .clean());
+  EXPECT_FALSE(analysis::audit_schedule(moved, 3, roles, Fusion::Load).clean());
+}
+
 TEST(CrossCheck, SingleThreadTeamAgrees) {
   const RolePlan roles = roles_for(1, 1);
   expect_both_clean(analysis::make_table2_trace(4, roles), 4, roles);

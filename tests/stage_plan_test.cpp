@@ -553,5 +553,39 @@ TEST(StagePlan, SocketPlanRejectsAThreadCountTheSocketsDoNotDivide) {
   EXPECT_EQ(2, make_stage_plan({8, 8, 8}, o, 4).threads);
 }
 
+TEST(StagePlan, PrivateRotatedStagesFuseTheirClaims) {
+  // The load is always fused into a Private Rotated stage; the store too
+  // when it is non-temporal and the pencils are contiguous or a lane row
+  // is at least kMinFusedStoreLanes wide.
+  FftOptions o;
+  o.threads = 4;
+  const auto fusions = [](const StagePlan& plan) {
+    std::vector<Fusion> f;
+    for (const PlannedStage& s : plan.stages) f.push_back(s.fused);
+    return f;
+  };
+  using V = std::vector<Fusion>;
+  const Fusion LS = Fusion::LoadStore, L = Fusion::Load, N = Fusion::None;
+  o.packet_elems = 64;
+  EXPECT_EQ((V{LS, LS, LS}), fusions(make_stage_plan({256, 256, 256}, o)));
+  o.packet_elems = 8;
+  EXPECT_EQ((V{LS, L}), fusions(make_stage_plan({4096, 4096}, o)));
+  o.packet_elems = 16;
+  EXPECT_EQ((V{LS, LS}), fusions(make_stage_plan({64, 64}, o)));
+  o.nontemporal = false;
+  EXPECT_EQ((V{L, L}), fusions(make_stage_plan({64, 64}, o)));
+  o.nontemporal = true;
+  o.packet_elems = 0;
+  // Split, the four-step stages and the socket plans are never fused.
+  o.compute_threads = 2;
+  EXPECT_EQ((V{N, N, N}), fusions(make_stage_plan({64, 64, 64}, o)));
+  o.compute_threads = -1;
+  EXPECT_EQ((V{N, N}), fusions(make_stage_plan({1 << 16}, o)));
+  EXPECT_EQ((V{N, N, N}), fusions(make_stage_plan({64, 64, 64}, o, 2)));
+  // Stage-parallel: the Private claims with temporal stores.
+  o.engine = EngineKind::StageParallel;
+  EXPECT_EQ((V{L, L, L}), fusions(make_stage_plan({64, 64, 64}, o)));
+}
+
 }  // namespace
 }  // namespace bwfft

@@ -7,8 +7,9 @@
 //             [--trace out.json]
 //
 // Plans the transform, times `reps` executions, prints pseudo-Gflop/s and
-// (optionally) verifies against the dense reference (small sizes) or the
-// inverse round trip (any size). With --stats the run is replayed once
+// (optionally) verifies against the dense reference (small sizes) and,
+// above 2^12 points, against a long-double direct sum at sampled bins
+// plus the inverse round trip. With --stats the run is replayed once
 // under the observability layer and a counter dump plus a per-stage
 // roofline (%-of-achievable-peak against the measured STREAM bandwidth)
 // is printed; --trace additionally writes a chrome://tracing JSON file.
@@ -19,9 +20,12 @@
 // into plan construction.
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,7 @@
 #include "fault/fault.h"
 #include "fft/double_buffer.h"
 #include "fft/fft.h"
+#include "fft/reference.h"
 #include "kernels/isa.h"
 #include "obs/obs.h"
 #include "stream/stream.h"
@@ -198,6 +203,77 @@ int run_serve(const cli::Options& a, const FftOptions& base_opts,
                 rejected);
   }
   return failed == 0 ? 0 : 1;
+}
+
+/// The dense reference is O(N^2) along each axis, so it checks only
+/// shapes up to kDenseMax points, and 1D ones up to kSampledMin; every
+/// shape above kSampledMin points is checked at sampled bins.
+constexpr idx_t kDenseMax = idx_t{1} << 18;
+constexpr idx_t kSampledMin = idx_t{1} << 12;
+
+/// --verify: `out` is the transform of `original`. Shapes within the
+/// dense bound are checked against the dense reference. Every shape above
+/// kSampledMin points must also match the long-double direct sum
+/// (fft/reference.h) at 8 sampled bins within 16 * eps * log2(N) *
+/// ||x||_2 each, and round-trip through the inverse plan, which consumes
+/// `out`.
+bool verify(const std::vector<idx_t>& dims, Direction dir,
+            const FftOptions& opts, const cvec& original, cvec& out) {
+  const idx_t total = static_cast<idx_t>(original.size());
+  bool ok = true;
+  if (total <= kDenseMax && (dims.size() > 1 || total <= kSampledMin)) {
+    cvec ref_in = original, want(original.size());
+    FftOptions ref;
+    ref.engine = EngineKind::Reference;
+    make_engine(dims, dir, ref)->execute(ref_in.data(), want.data());
+    double verr = 0.0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      verr = std::max(verr, std::abs(want[i] - out[i]));
+    }
+    ok = verr < 1e-8;
+    std::printf("verify vs dense reference: max err = %.3e [%s]\n", verr,
+                ok ? "OK" : "FAIL");
+  }
+  if (total <= kSampledMin) return ok;
+
+  std::vector<idx_t> bins = {0, 1, total / 2, total - 1};
+  std::mt19937_64 rng(9601);
+  std::uniform_int_distribution<idx_t> pick(0, total - 1);
+  while (bins.size() < 8) bins.push_back(pick(rng));
+  const auto want = direct_bins(original.data(), dims, bins, dir);
+  long double norm2 = 0;
+  for (const cplx& v : original) norm2 += std::norm(std::complex<long double>(v));
+  const double gate = 16.0 * std::numeric_limits<double>::epsilon() *
+                      std::log2(static_cast<double>(total)) *
+                      static_cast<double>(std::sqrt(norm2));
+  double berr = 0.0;
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    const cplx g = out[static_cast<std::size_t>(bins[i])];
+    berr = std::max(berr, static_cast<double>(std::abs(
+                              std::complex<long double>(g.real(), g.imag()) -
+                              want[i])));
+  }
+  const bool bins_ok = berr <= gate;
+  std::printf("verify vs long-double sum at %zu bins: max err = %.3e "
+              "(gate %.3e) [%s]\n",
+              bins.size(), berr, gate, bins_ok ? "OK" : "FAIL");
+
+  FftOptions iopts = opts;
+  iopts.normalize_inverse = true;
+  const bool inverse = dir == Direction::Inverse;
+  cvec back(original.size());
+  make_engine_recovering(dims, inverse ? Direction::Forward
+                                       : Direction::Inverse, iopts)
+      ->execute(out.data(), back.data());
+  double verr = 0.0;
+  const double scale =
+      inverse ? static_cast<double>(total) : 1.0;  // inv∘fwd picks up N
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    verr = std::max(verr, std::abs(back[i] / scale - original[i]));
+  }
+  std::printf("verify round-trip: max err = %.3e [%s]\n", verr,
+              verr < 1e-8 ? "OK" : "FAIL");
+  return ok && bins_ok && verr < 1e-8;
 }
 
 }  // namespace
@@ -387,14 +463,17 @@ int main(int argc, char** argv) {
                       static_cast<long long>(st[s].block_rows));
           const auto& u = st[s].util;
           if (sp.schedule() == Schedule::Private && u.max_claims > 0) {
-            // The claim size, and the imbalance barrier_wait_ns absorbs.
+            // The claim size, the imbalance barrier_wait_ns absorbs, and
+            // the data tasks the claims fold into their compute.
             const idx_t bytes = st[s].block_rows * sp.stages[s].row_elems *
                                 static_cast<idx_t>(sizeof(cplx));
-            std::printf(", claim %lld rows x %lld KiB, %lld..%lld claims/thread",
+            std::printf(", claim %lld rows x %lld KiB, %lld..%lld "
+                        "claims/thread, fused %s",
                         static_cast<long long>(st[s].block_rows),
                         static_cast<long long>(bytes >> 10),
                         static_cast<long long>(u.min_claims),
-                        static_cast<long long>(u.max_claims));
+                        static_cast<long long>(u.max_claims),
+                        fusion_name(st[s].fused));
           }
           std::printf("\n");
         }
@@ -402,40 +481,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (a.verify) {
-    cvec want(original.size());
-    if (total <= (1 << 18)) {
-      // Dense-oracle check for small sizes.
-      cvec ref_in = original;
-      FftOptions ref;
-      ref.engine = EngineKind::Reference;
-      make_engine(a.dims, dir, ref)->execute(ref_in.data(), want.data());
-      double verr = 0.0;
-      for (idx_t i = 0; i < total; ++i) {
-        verr = std::max(verr, std::abs(want[static_cast<std::size_t>(i)] -
-                                       out[static_cast<std::size_t>(i)]));
-      }
-      std::printf("verify vs dense reference: max err = %.3e [%s]\n", verr,
-                  verr < 1e-8 ? "OK" : "FAIL");
-      return verr < 1e-8 ? 0 : 1;
-    }
-    // Round-trip check for large sizes.
-    FftOptions iopts = opts;
-    iopts.normalize_inverse = true;
-    const Direction idir = a.inverse ? Direction::Forward : Direction::Inverse;
-    cvec back(original.size());
-    make_engine_recovering(a.dims, idir, iopts)
-        ->execute(out.data(), back.data());
-    double verr = 0.0;
-    const double scale =
-        a.inverse ? static_cast<double>(total) : 1.0;  // inv∘fwd picks up N
-    for (idx_t i = 0; i < total; ++i) {
-      verr = std::max(verr, std::abs(back[static_cast<std::size_t>(i)] / scale -
-                                     original[static_cast<std::size_t>(i)]));
-    }
-    std::printf("verify round-trip: max err = %.3e [%s]\n", verr,
-                verr < 1e-8 ? "OK" : "FAIL");
-    return verr < 1e-8 ? 0 : 1;
-  }
+  if (a.verify) return verify(a.dims, dir, opts, original, out) ? 0 : 1;
   return 0;
 }

@@ -37,7 +37,10 @@
 #include "analysis/hazard_checker.h"
 #include "analysis/static_verify.h"
 #include "benchutil/args.h"
+#include "common/aligned.h"
+#include "common/rng.h"
 #include "common/types.h"
+#include "fft/double_buffer.h"
 #include "fft/options.h"
 #include "parallel/roles.h"
 #include "parallel/team.h"
@@ -74,7 +77,8 @@ int usage() {
       "  Statically verifies every tuner candidate at the given 1D, 2D or\n"
       "  3D shapes (default: 64x64x64 32x64x128 48x48x48 256x256 65536).\n"
       "  MODE: store-overlap | store-gap | missing-fence | epoch-alias |\n"
-      "        schedule-half | schedule-dup | private-steal | double-claim\n"
+      "        schedule-half | schedule-dup | private-steal | double-claim |\n"
+      "        fused-misroute\n"
       "        (seeded defect; exit 1 = caught, the expected outcome)\n");
   return 2;
 }
@@ -173,20 +177,28 @@ void lint_grid(const std::vector<idx_t>& dims, const LintOptions& opt,
     if (seen) continue;
     splits_seen.push_back(pc);
     const RolePlan roles = make_role_plan(model.threads, pc, req.topo);
-    for (idx_t iters : {idx_t{1}, idx_t{2}, idx_t{5}, idx_t{8}}) {
-      const analysis::Trace trace = analysis::make_table2_trace(iters, roles);
-      const analysis::HazardReport sym =
-          analysis::verify_schedule_symbolic(trace, iters, roles);
-      const analysis::HazardReport dyn =
-          analysis::audit_schedule(trace, iters, roles);
-      if (!sym.clean() || !dyn.clean()) {
-        std::printf("FAIL  schedule p=%d pc=%d iters=%lld\n", model.threads,
-                    pc, static_cast<long long>(iters));
-        if (!sym.clean()) std::printf("  symbolic: %s", sym.str().c_str());
-        if (!dyn.clean()) std::printf("  runtime:  %s", dyn.str().c_str());
-        ++tally->violations;
-      } else {
-        ++tally->schedules_verified;
+    // Private claims run fused too: every fusion a stage can plan.
+    std::vector<Fusion> fusions = {Fusion::None};
+    if (roles.data == 0) fusions = {Fusion::None, Fusion::Load,
+                                    Fusion::LoadStore};
+    for (Fusion fused : fusions) {
+      for (idx_t iters : {idx_t{1}, idx_t{2}, idx_t{5}, idx_t{8}}) {
+        const analysis::Trace trace =
+            analysis::make_table2_trace(iters, roles, fused);
+        const analysis::HazardReport sym =
+            analysis::verify_schedule_symbolic(trace, iters, roles, fused);
+        const analysis::HazardReport dyn =
+            analysis::audit_schedule(trace, iters, roles, fused);
+        if (!sym.clean() || !dyn.clean()) {
+          std::printf("FAIL  schedule p=%d pc=%d iters=%lld fused %s\n",
+                      model.threads, pc, static_cast<long long>(iters),
+                      fusion_name(fused));
+          if (!sym.clean()) std::printf("  symbolic: %s", sym.str().c_str());
+          if (!dyn.clean()) std::printf("  runtime:  %s", dyn.str().c_str());
+          ++tally->violations;
+        } else {
+          ++tally->schedules_verified;
+        }
       }
     }
   }
@@ -319,12 +331,76 @@ int inject_double_claim(const LintOptions& opt) {
   return (!rep.ok() && !sym.clean() && !dyn.clean()) ? 1 : 0;
 }
 
+/// A fused claim that streams its packets one grid row too far must be
+/// caught twice: in the static model (its rotated store windows shifted
+/// by one row overlap the next claim's and leave its own first row
+/// unwritten) and at run time, by probing the real fused compute of the
+/// plan's first streaming stage over a sentinel-poisoned output.
+int inject_fused_misroute(const LintOptions& opt) {
+  FftOptions req;
+  req.threads = opt.threads;
+  req.engine = EngineKind::DoubleBuffer;
+  const std::vector<idx_t>& dims = opt.dims_list.front();
+  analysis::PlanModel model;
+  if (!inject_base_model(opt, &model, -1)) return 2;
+  const StagePlan plan = make_stage_plan(dims, req);
+  std::size_t k = 0;
+  while (k < plan.stages.size() &&
+         (plan.stages[k].fused != Fusion::LoadStore ||
+          plan.stages[k].iterations < 2)) {
+    ++k;
+  }
+  if (k == plan.stages.size()) {
+    std::fprintf(stderr, "inject: need a load+store fused stage with >= 2 "
+                         "claims\n");
+    return 2;
+  }
+  const PlannedStage& s = plan.stages[k];
+  const idx_t mu = s.geom.mu;
+
+  // Static: claim 1's rotated store windows start one row later.
+  for (OwnedWindow& w : model.stages[k].stores) {
+    if (w.owner == 1) w.iv.begin += mu;
+  }
+  const analysis::StaticReport rep = analysis::verify_plan(model);
+
+  // Runtime: the engine's fused stage, with claim 1 streamed through a
+  // destination one row off.
+  const Fft1d fft(s.geom.fft_len, Direction::Forward);
+  const cvec src = random_cvec(plan.total, 29);
+  AlignedBuffer<cplx> out(static_cast<std::size_t>(plan.total + mu));
+  const PipelineStage good =
+      make_rotated_stage(s, fft, src.data(), out.data());
+  const PipelineStage off =
+      make_rotated_stage(s, fft, src.data(), out.data() + mu);
+  if (good.fusion() != Fusion::LoadStore || off.fusion() != Fusion::LoadStore) {
+    std::fprintf(stderr, "inject: this host's codelets do not stream\n");
+    return 2;
+  }
+  analysis::HazardReport dyn;
+  const auto misrouted = [&](idx_t i, cplx* tile, int rank, int parts) {
+    (i == 1 ? off : good).compute(i, tile, rank, parts);
+  };
+  analysis::audit_partition(
+      analysis::probe_outputs(misrouted, s.iterations, out.data(), plan.total,
+                              s.rows_per_block * s.row_elems),
+      /*require_cover=*/true, "fused store", dyn);
+  std::printf("inject fused-misroute on %s stage %zu: static %s, runtime "
+              "%s\n",
+              model.label().c_str(), k, rep.ok() ? "MISSED" : "caught",
+              dyn.clean() ? "MISSED" : "caught");
+  if (!rep.ok()) std::printf("%s\n", rep.str().c_str());
+  if (!dyn.clean()) std::printf("%s\n", dyn.str().c_str());
+  return (!rep.ok() && !dyn.clean()) ? 1 : 0;
+}
+
 int run_inject(const LintOptions& opt) {
   const std::string& mode = opt.inject;
   // The Table II defects are seeded into the paper's even Split.
   const int split = opt.threads / 2;
   if (mode == "private-steal") return inject_private_steal(opt);
   if (mode == "double-claim") return inject_double_claim(opt);
+  if (mode == "fused-misroute") return inject_fused_misroute(opt);
   if (mode == "store-overlap" || mode == "store-gap" ||
       mode == "missing-fence" || mode == "epoch-alias") {
     analysis::PlanModel model;
