@@ -359,7 +359,7 @@ bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
     }
   }
   if (dims.empty() || dims.size() > 3 ||
-      (dims.size() == 1 && opts.engine != EngineKind::DoubleBuffer)) {
+      (dims.size() == 1 && opts.engine == EngineKind::Pencil)) {
     *why = "no symbolic model for this engine and rank";
     return false;
   }

@@ -126,14 +126,12 @@ struct StaticReport {
 
 /// Derive the symbolic model the given engine would execute for (dims,
 /// opts). opts.engine must be concrete (not Auto/Reference). Double-buffer
-/// (1D four-step, 2D, 3D) and stage-parallel (2D, 3D) models are the
-/// windows of the engine's StagePlan (pipeline/stage_plan.h). Returns
-/// false with a reason
-/// in *why when there is no model or the engine cannot run this shape at
-/// all (e.g. Pencil on non-power-of-two dims, SlabPencil in 2D, a packet
-/// size that does not divide the fast dimension, any 1D engine but
-/// double-buffer) — callers treat that as a skipped configuration, not a
-/// failure.
+/// and stage-parallel models (1D, 2D, 3D) are the windows of the engine's
+/// StagePlan (pipeline/stage_plan.h). Returns false with a reason in *why
+/// when there is no model or the engine cannot run this shape at all
+/// (e.g. Pencil on non-power-of-two dims, SlabPencil in 2D, a packet size
+/// that does not divide the fast dimension, the 1D naive DIT) — callers
+/// treat that as a skipped configuration, not a failure.
 bool build_plan_model(const std::vector<idx_t>& dims, const FftOptions& opts,
                       PlanModel* out, std::string* why);
 

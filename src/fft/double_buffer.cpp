@@ -106,9 +106,9 @@ DoubleBufferEngine::DoubleBufferEngine(std::vector<idx_t> dims, Direction dir,
                                                      : plan_.n2;
     ffts_.push_back(std::make_shared<Fft1d>(len, dir_, opts_.isa));
   }
-  // No usable four-step split: one flat pass on the caller. Still a valid
-  // plan — the facade must not reject sizes the tuner or exec layer routes
-  // here.
+  // A Flat plan (no four-step split, or 1D stage-parallel): one pass on
+  // the caller. Still a valid plan — the facade must not reject sizes the
+  // tuner or exec layer routes here.
   if (plan_.stages[0].kind == StageKind::Flat) return;
   if (dims.size() == 1) {
     col_roots_ = root_table(plan_.total, plan_.n2, dir_);
@@ -253,8 +253,8 @@ PipelineStage DoubleBufferEngine::make_stage(std::size_t k, const cplx* src,
   return stage;
 }
 
-void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src, cplx* dst,
-                                   bool pipelined) {
+void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src,
+                                   cplx* dst) {
   const PlannedStage& s = plan_.stages[k];
   Timer timer;
   BWFFT_OBS_SCOPE(obs_stage, s.name, 'G', s.rows);
@@ -265,9 +265,7 @@ void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src, cplx* dst,
     return;
   }
   const PipelineStage stage = make_stage(k, src, dst);
-  if (!pipelined) {
-    pipeline_->execute_unpipelined(stage);
-  } else if (analysis::self_check_enabled()) {
+  if (analysis::self_check_enabled()) {
     // Self-audit (checked builds, or BWFFT_SELF_CHECK=1): record the
     // schedule and validate the Table II invariants after the stage.
     analysis::HazardChecker::Options audit;
@@ -280,22 +278,22 @@ void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src, cplx* dst,
                     pipeline_->last_utilization(), stage.fusion()});
 }
 
-void DoubleBufferEngine::run_all(cplx* in, cplx* out, bool pipelined) {
+void DoubleBufferEngine::execute(cplx* in, cplx* out) {
   BWFFT_CHECK(in != out, "engines are out of place");
   stats_.clear();
   const std::size_t stages = plan_.stages.size();
   if (stages == 1) {  // flat 1D
-    run_stage(0, in, out, pipelined);
+    run_stage(0, in, out);
   } else if (plan_.dims.size() == 1) {  // four-step: columns in place, rows
-    run_stage(0, in, in, pipelined);
-    run_stage(1, in, out, pipelined);
+    run_stage(0, in, in);
+    run_stage(1, in, out);
   } else if (stages == 2) {
-    run_stage(0, in, work_.data(), pipelined);
-    run_stage(1, work_.data(), out, pipelined);
+    run_stage(0, in, work_.data());
+    run_stage(1, work_.data(), out);
   } else {
-    run_stage(0, in, out, pipelined);
-    run_stage(1, out, in, pipelined);
-    run_stage(2, in, out, pipelined);
+    run_stage(0, in, out);
+    run_stage(1, out, in);
+    run_stage(2, in, out);
   }
   if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
     const double s = 1.0 / static_cast<double>(plan_.total);
@@ -308,14 +306,6 @@ void DoubleBufferEngine::run_all(cplx* in, cplx* out, bool pipelined) {
       scale(0, 0, plan_.total);
     }
   }
-}
-
-void DoubleBufferEngine::execute(cplx* in, cplx* out) {
-  run_all(in, out, /*pipelined=*/true);
-}
-
-void DoubleBufferEngine::execute_unpipelined(cplx* in, cplx* out) {
-  run_all(in, out, /*pipelined=*/false);
 }
 
 }  // namespace bwfft

@@ -11,8 +11,8 @@
 // to the Private one, where each thread takes claims (whole runs of rows
 // sized to half its L2) from a shared counter and loads, transforms and
 // stores each on its own tile (pipeline/pipeline.h). The stage-parallel
-// baseline (EngineKind::StageParallel, 2D/3D) is this engine on the
-// Private claims with temporal stores.
+// baseline (EngineKind::StageParallel) is this engine on the Private
+// claims with temporal stores in 2D/3D, and on the Flat pass in 1D.
 //
 // Stage kinds (pipeline/stage_plan.h): Rotated stages scatter each block
 // through the blocked rotation (2D/3D). A 1D plan is the four-step rewrite
@@ -20,9 +20,9 @@
 // Columns (DFT_{n1} (x) I_{n2}, then the twiddle diagonal, in place) and
 // Rows (I_{n1} (x) DFT_{n2}, then the stride permutation) — so a transform
 // larger than the LLC streams exactly twice through DRAM: the case the
-// paper's §V leaves open. Sizes the four-step cannot split run one Flat
-// Fft1d pass with no team and no pipeline. spl::plan_term states each
-// stage kind as its SPL term.
+// paper's §V leaves open. Sizes the four-step cannot split (and every 1D
+// stage-parallel plan) run one Flat Fft1d pass with no team and no
+// pipeline. spl::plan_term states each stage kind as its SPL term.
 #pragma once
 
 #include <memory>
@@ -67,10 +67,6 @@ class DoubleBufferEngine final : public MdEngine {
                                                      : "double-buffer";
   }
 
-  /// Run every stage under the Private schedule whatever the plan's split
-  /// (no Table II overlap) — the pipelining-ablation benchmark uses this.
-  void execute_unpipelined(cplx* in, cplx* out);
-
   const RolePlan& roles() const { return roles_; }
   const StagePlan& plan() const { return plan_; }
   idx_t block_elems() const { return plan_.block_elems; }
@@ -94,8 +90,7 @@ class DoubleBufferEngine final : public MdEngine {
  private:
   /// The load/compute/store tasks of one tiled stage.
   PipelineStage make_stage(std::size_t k, const cplx* src, cplx* dst) const;
-  void run_stage(std::size_t k, const cplx* src, cplx* dst, bool pipelined);
-  void run_all(cplx* in, cplx* out, bool pipelined);
+  void run_stage(std::size_t k, const cplx* src, cplx* dst);
 
   Direction dir_;
   FftOptions opts_;

@@ -103,33 +103,11 @@ class ReferenceEngine final : public MdEngine {
 };
 
 // ---------------------------------------------------------------------------
-// 1D adapters (docs/INTERNALS.md §15). The EngineKind axis maps onto the
+// 1D adapter (docs/INTERNALS.md §15). The EngineKind axis maps onto the
 // 1D strategies the ext_large1d bench compares: DoubleBuffer is the
 // double-buffer engine's four-step stages (the same DoubleBufferEngine as
-// for 2D/3D), StageParallel the flat Stockham pass, and Pencil the naive
-// strided-DIT baseline.
-
-/// EngineKind::StageParallel for dims.size() == 1: one flat Stockham
-/// pass over the whole array — correct at any size, but the working set
-/// round-trips DRAM once per radix level once it outgrows the LLC.
-class Flat1dEngine final : public MdEngine {
- public:
-  Flat1dEngine(idx_t n, Direction dir, const FftOptions& opts)
-      : n_(n), dir_(dir), opts_(opts), fft_(n, dir, opts.isa) {}
-  void execute(cplx* in, cplx* out) override {
-    fft_.apply_oop(in, out);
-    if (dir_ == Direction::Inverse && opts_.normalize_inverse) {
-      fft_.scale_inverse(out, n_);
-    }
-  }
-  const char* name() const override { return "stockham-flat"; }
-
- private:
-  idx_t n_;
-  Direction dir_;
-  FftOptions opts_;
-  Fft1d fft_;
-};
+// for 2D/3D), StageParallel the same engine on its one Flat stage, and
+// Pencil the naive strided-DIT baseline below.
 
 /// EngineKind::Pencil for dims.size() == 1: the naive in-place DIT with
 /// bit-reversal — the cache-hostile baseline (§II-D applied to 1D).
@@ -169,12 +147,9 @@ std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
     case EngineKind::Pencil:
       if (one_d) return std::make_unique<NaiveDit1dEngine>(dims[0], dir, opts);
       return std::make_unique<PencilEngine>(dims, dir, opts);
-    case EngineKind::StageParallel:
-      if (one_d) return std::make_unique<Flat1dEngine>(dims[0], dir, opts);
-      // The Private claim plan with temporal stores (make_stage_plan).
-      return std::make_unique<DoubleBufferEngine>(dims, dir, opts);
     case EngineKind::SlabPencil:
       return std::make_unique<SlabPencilEngine>(dims, dir, opts);
+    case EngineKind::StageParallel:  // its own StagePlan (make_stage_plan)
     case EngineKind::DoubleBuffer:
       return std::make_unique<DoubleBufferEngine>(dims, dir, opts);
     case EngineKind::Auto:
@@ -186,12 +161,6 @@ std::unique_ptr<MdEngine> make_engine(const std::vector<idx_t>& dims,
   throw Error("unknown engine kind");
 }
 
-namespace {
-
-/// Copy-back of execute_inplace: the transformed data goes back through
-/// the streaming-store path so the copy is visible to the obs counters
-/// and — with NT stores — does not evict the cache-resident state the
-/// plan was just tuned for.
 void inplace_copy_back(cplx* dst, const cvec& work, bool nontemporal) {
   const idx_t count = static_cast<idx_t>(work.size());
   [[maybe_unused]] const std::uint64_t bytes =
@@ -201,6 +170,8 @@ void inplace_copy_back(cplx* dst, const cvec& work, bool nontemporal) {
   copy_stream(dst, work.data(), count, nontemporal);
   if (nontemporal) stream_fence();
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Recovery policy (docs/INTERNALS.md §10) shared by the facades.
@@ -236,6 +207,7 @@ bool degrade_engine(const std::vector<idx_t>& dims, FftOptions& opts,
         (reason + "; falling back to flat Stockham engine").c_str());
     fault::note_retry();
     opts.engine = EngineKind::StageParallel;
+    opts.packet_elems = 0;  // the flat pass has no column group to pin
     return true;
   }
   if (opts.engine != EngineKind::Reference) {

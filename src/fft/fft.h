@@ -61,6 +61,12 @@ Status try_execute_recovering(const std::vector<idx_t>& dims, Direction dir,
                               std::unique_ptr<MdEngine>& engine, cplx* in,
                               cplx* out, ExecReport* rep = nullptr);
 
+/// The copy-back of every execute_inplace (the facades' and
+/// tune::CachedPlan's): `work` goes back to `dst` through the
+/// streaming-store path, counted as loaded and stored bytes, so that —
+/// with NT stores — it does not evict the cache-resident plan state.
+void inplace_copy_back(cplx* dst, const cvec& work, bool nontemporal);
+
 /// 2D complex transform of an n x m row-major array.
 class Fft2d {
  public:

@@ -38,6 +38,8 @@ struct StageGeometry {
   /// rows (lanes = 1) go in runs of kPencilRun so Fft1d can gather them
   /// into SIMD-width tiles; a lane row already fills the SIMD width.
   idx_t run_rows() const { return lanes == 1 ? kPencilRun : 1; }
+
+  bool operator==(const StageGeometry&) const = default;
 };
 
 /// Largest packet size usable for the fast dimension m: a power of two

@@ -1,9 +1,11 @@
 // Thread role assignment — compute threads vs soft-DMA data threads.
 //
 // §III-C / §IV-A: of the p threads, p_d move data and p_c compute
-// (p = p_c + p_d, default an even split), and each data thread is paired
-// with a compute thread on the same physical core so the two share
-// functional units while issuing complementary instruction mixes. This
+// (p = p_c + p_d; the paper's even split runs only when
+// FftOptions::compute_threads asks for it, the plan default is p_c = p,
+// the Private schedule), and each data thread is paired with a compute
+// thread on the same physical core so the two share functional units
+// while issuing complementary instruction mixes. This
 // module computes the role of every team thread and the logical CPU it
 // should be pinned to for a given machine topology.
 #pragma once

@@ -36,9 +36,17 @@ DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
   BWFFT_CHECK(groups >= 1 && roles_.total * groups == team.size(),
               "role plan size times groups must match team size");
   // Split shares two block halves per group; Private gives every thread
-  // its own claim tile and never allocates the halves.
-  buffers_.resize(static_cast<std::size_t>(groups_));
-  ensure_slots(roles_.data > 0 ? 2 : roles_.total);
+  // its own claim tile and never allocates the halves. The buffer is the
+  // hottest multi-MB allocation in the system (every block passes through
+  // it twice); prefer huge pages for it, degrading to plain aligned
+  // memory when they are unavailable (fault site "alloc.huge"). The pages
+  // are not touched here: the first load faults them in on the thread
+  // that uses them.
+  const idx_t slots = roles_.data > 0 ? 2 : roles_.total;
+  for (int g = 0; g < groups_; ++g) {
+    buffers_.emplace_back(static_cast<std::size_t>(slots * block_elems_),
+                          AllocPlacement::HugePage);
+  }
   counters_ = std::make_unique<ClaimCounter[]>(
       static_cast<std::size_t>(groups_));
   // One group meets at the team barrier; split teams get one per group,
@@ -49,20 +57,6 @@ DoubleBufferPipeline::DoubleBufferPipeline(ThreadTeam& team, RolePlan roles,
     group_barriers_.back()->set_stall_timeout_ms(
         team.barrier().stall_timeout_ms());
   }
-}
-
-void DoubleBufferPipeline::ensure_slots(int slots) {
-  if (slots <= slots_) return;
-  // The buffer is the hottest multi-MB allocation in the system (every
-  // block passes through it twice); prefer huge pages for it, degrading
-  // to plain aligned memory when they are unavailable (fault site
-  // "alloc.huge"). The pages are not touched here: the first load
-  // faults them in on the thread that uses them.
-  for (auto& buf : buffers_) {
-    buf = AlignedBuffer<cplx>(static_cast<std::size_t>(slots * block_elems_),
-                              AllocPlacement::HugePage);
-  }
-  slots_ = slots;
 }
 
 namespace {
@@ -104,44 +98,34 @@ void DoubleBufferPipeline::record(idx_t step, TraceEvent::Kind kind,
 
 void DoubleBufferPipeline::execute(const PipelineStage& stage) {
   BWFFT_CHECK(groups_ == 1, "a grouped pipeline runs one stage per group");
-  run_groups(&stage, roles_);
+  run_groups(&stage);
 }
 
 void DoubleBufferPipeline::execute(const std::vector<PipelineStage>& stages) {
   BWFFT_CHECK(static_cast<int>(stages.size()) == groups_,
               "need one stage per pipeline group");
-  run_groups(stages.data(), roles_);
+  run_groups(stages.data());
 }
 
-void DoubleBufferPipeline::execute_unpipelined(const PipelineStage& stage) {
-  BWFFT_CHECK(groups_ == 1, "a grouped pipeline runs one stage per group");
-  // Every thread takes whole blocks as claims: the Private schedule on an
-  // all-compute role plan, on one tile per thread.
-  ensure_slots(roles_.total);
-  run_groups(&stage,
-             make_role_plan(roles_.total, roles_.total, MachineTopology{}));
-}
-
-void DoubleBufferPipeline::run_groups(const PipelineStage* stages,
-                                      const RolePlan& roles) {
+void DoubleBufferPipeline::run_groups(const PipelineStage* stages) {
   for (int g = 0; g < groups_; ++g) {
     BWFFT_CHECK(stages[g].iterations >= 1, "stage needs >= 1 iteration");
     BWFFT_CHECK(stages[g].compute && (stages[g].store || !stages[g].load),
                 "a stage computes, and fuses its store only with its load");
-    BWFFT_CHECK(roles.data == 0 || stages[g].fusion() == Fusion::None,
+    BWFFT_CHECK(roles_.data == 0 || stages[g].fusion() == Fusion::None,
                 "the Split schedule runs unfused stages only");
   }
   util_ = RoleUtilization{};
-  if (roles.data == 0) util_.min_claims = std::numeric_limits<idx_t>::max();
+  if (roles_.data == 0) util_.min_claims = std::numeric_limits<idx_t>::max();
   for (int g = 0; g < groups_; ++g) {
     counters_[static_cast<std::size_t>(g)].next = 0;
   }
   Timer wall;
   try {
     team_.run([&](int tid) {
-      const int g = tid / roles.total;
+      const int g = tid / roles_.total;
       try {
-        run_thread(stages[g], roles, g, tid % roles.total);
+        run_thread(stages[g], g, tid % roles_.total);
       } catch (...) {
         // The first failure in a group aborts the group's barrier, so its
         // mates drain (they throw at their next wait) instead of waiting
@@ -164,17 +148,16 @@ void DoubleBufferPipeline::run_groups(const PipelineStage* stages,
   util_.wall_seconds = wall.seconds();
 }
 
-void DoubleBufferPipeline::run_thread(const PipelineStage& stage,
-                                      const RolePlan& roles, int group,
+void DoubleBufferPipeline::run_thread(const PipelineStage& stage, int group,
                                       int tid) {
   using Kind = TraceEvent::Kind;
   SpinBarrier& bar = barrier(group);
   const idx_t iters = stage.iterations;
-  const bool is_compute = roles.is_compute(tid);
-  const bool is_private = roles.data == 0;
+  const bool is_compute = roles_.is_compute(tid);
+  const bool is_private = roles_.data == 0;
   // A Private claim is always run whole: rank 0 of 1 part.
-  const int rank = is_private ? 0 : roles.group_rank(tid);
-  const int parts = is_private ? 1 : is_compute ? roles.compute : roles.data;
+  const int rank = is_private ? 0 : roles_.group_rank(tid);
+  const int parts = is_private ? 1 : is_compute ? roles_.compute : roles_.data;
   double t_load = 0, t_comp = 0, t_store = 0;
   idx_t claims = 0;
 

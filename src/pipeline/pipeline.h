@@ -121,12 +121,6 @@ class DoubleBufferPipeline {
   /// Run stages[g] on group g, all groups at once (one stage per group).
   void execute(const std::vector<PipelineStage>& stages);
 
-  /// Run the stage under the Private schedule whatever the role plan:
-  /// each block is a claim that one thread loads, transforms and stores
-  /// on its own tile (a Split pipeline allocates the tiles on first use).
-  /// Used by the overlap-ablation benchmark.
-  void execute_unpipelined(const PipelineStage& stage);
-
   /// Record the schedule of subsequent execute() calls into `sink`
   /// (nullptr disables). Not for timed runs.
   void set_trace(std::vector<TraceEvent>* sink) { trace_ = sink; }
@@ -159,16 +153,13 @@ class DoubleBufferPipeline {
     return groups_ == 1 ? team_.barrier()
                         : *group_barriers_[static_cast<std::size_t>(group)];
   }
-  /// Make every group's buffer hold `slots` slots (allocated lazily).
-  void ensure_slots(int slots);
-  /// Run stages[g] on every group g under `roles` and time the call.
-  void run_groups(const PipelineStage* stages, const RolePlan& roles);
+  /// Run stages[g] on every group g and time the call.
+  void run_groups(const PipelineStage* stages);
   /// Thread `tid` of group `group`: its part of the Table II schedule (or
-  /// of the Private one when `roles` has no data threads) on the group's
-  /// buffer and barrier. The only software-pipeline step loop in the
-  /// library.
-  void run_thread(const PipelineStage& stage, const RolePlan& roles,
-                  int group, int tid);
+  /// of the Private one when the role plan has no data threads) on the
+  /// group's buffer and barrier. The only software-pipeline step loop in
+  /// the library.
+  void run_thread(const PipelineStage& stage, int group, int tid);
   void record(idx_t step, TraceEvent::Kind kind, idx_t iter, int h, int tid,
               int group);
   /// Barrier wait with obs accounting (barrier-wait ns, 'B' slices).
@@ -183,8 +174,7 @@ class DoubleBufferPipeline {
   RolePlan roles_;
   idx_t block_elems_;
   int groups_;
-  int slots_ = 0;  // buffer slots per group: 2 halves or p tiles
-  std::vector<AlignedBuffer<cplx>> buffers_;  // per group
+  std::vector<AlignedBuffer<cplx>> buffers_;  // per group: 2 halves or p tiles
   std::unique_ptr<ClaimCounter[]> counters_;  // per group (Private)
   std::vector<std::unique_ptr<SpinBarrier>> group_barriers_;  // groups > 1
   std::vector<TraceEvent>* trace_ = nullptr;

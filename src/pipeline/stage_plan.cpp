@@ -159,10 +159,13 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
 
   if (dims.size() == 1) {
     const idx_t n = dims[0];
-    std::tie(plan.n1, plan.n2) = four_step_factors(n, opts.factor_n1);
+    // The 1D stage-parallel baseline is the flat pass at any size.
+    std::tie(plan.n1, plan.n2) = stage_parallel
+                                     ? std::pair<idx_t, idx_t>{1, n}
+                                     : four_step_factors(n, opts.factor_n1);
     if (plan.n1 <= 1) {
-      // No usable split: one flat single-threaded pass over the array,
-      // which has no column group for a pinned packet to size.
+      // No split: one flat single-threaded pass over the array, which has
+      // no column group for a pinned packet to size.
       BWFFT_CHECK(opts.packet_elems <= 0,
                   "packet_elems needs a four-step split; this size runs "
                   "one flat pass");

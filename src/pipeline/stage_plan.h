@@ -57,7 +57,7 @@ enum class StageKind {
   Rotated,  ///< batch FFT over the rows of `geom`, then the rotation
   Columns,  ///< four-step column pass (DFT_{n1} (x) I_{n2}), then D; in place
   Rows,     ///< four-step row pass (I_{n1} (x) DFT_{n2}), then L
-  Flat,     ///< one untiled 1D pass (sizes the four-step cannot split)
+  Flat,     ///< one untiled 1D pass (no four-step split, or stage-parallel)
 };
 
 /// One stage tiled into pipeline blocks. A "row" is the stage's tiling
@@ -79,6 +79,8 @@ struct PlannedStage {
   bool nontemporal = true;
   bool split_b = false;   ///< socket plans: the sockets split geom.b
   Fusion fused = Fusion::None;  ///< data tasks folded into the compute
+
+  bool operator==(const PlannedStage&) const = default;
 };
 
 /// Slabs a row's packets land in: 1 when stores stay in the storing
@@ -178,9 +180,10 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 /// it is non-temporal and either the pencils are contiguous (lanes = 1)
 /// or a lane row is at least 16 elements wide (lanes = mu >= 16: at
 /// mu = 8 the 128 B packets lost to load-only fusion).
-/// EngineKind::StageParallel plans the same stages as Private claims with
-/// temporal stores whatever compute_threads and nontemporal ask for; no
-/// other engine kind is consulted. sockets = sk > 1
+/// EngineKind::StageParallel plans the same 2D/3D stages as Private
+/// claims with temporal stores whatever compute_threads and nontemporal
+/// ask for, and every 1D size as the one Flat stage (factor_n1 unread);
+/// no other engine kind is consulted. sockets = sk > 1
 /// plans the dual-socket chain (Table III) of a 3D cube whose k and n sk
 /// divides, for p/sk threads per socket (kBadPlan unless the thread
 /// count is a positive multiple of sk). Throws kBadPlan on options no

@@ -93,7 +93,9 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
   if (req.engine != EngineKind::Auto) {
     engines = {req.engine};
   } else {
-    engines = {EngineKind::DoubleBuffer, EngineKind::StageParallel};
+    // Stage-parallel first: a double-buffer candidate that plans its
+    // stages (p_c = p with temporal stores) is then the one dropped.
+    engines = {EngineKind::StageParallel, EngineKind::DoubleBuffer};
     // Never enumerate a candidate the engine would reject: pencil (and
     // the naive 1D DIT) plans only at powers of two, and slab-pencil's
     // buffered z pencils need a Stockham size.
@@ -189,6 +191,34 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
     }
   }
 
+  // A planned candidate whose plan (threads, split, stages) and ISA an
+  // earlier candidate already has would run the same transform, and is
+  // left out. Under Private a 2D/3D claim is capped by the core-private
+  // budget, so both block values usually plan the same claims; a stage
+  // that fits in either block plans alike under Split too.
+  std::vector<std::pair<StagePlan, kernels::Isa>> planned;
+  const auto duplicate = [&](const TuneCandidate& c) {
+    if (c.engine != EngineKind::DoubleBuffer &&
+        c.engine != EngineKind::StageParallel) {
+      return false;
+    }
+    StagePlan plan;
+    try {
+      plan = make_stage_plan(dims, apply_candidate(c, req));
+    } catch (const Error&) {
+      return false;  // no plan to compare: make_engine reports the knob
+    }
+    for (const auto& [q, isa] : planned) {
+      if (isa == c.isa && q.threads == plan.threads &&
+          q.compute_threads == plan.compute_threads &&
+          q.stages == plan.stages) {
+        return true;
+      }
+    }
+    planned.emplace_back(std::move(plan), c.isa);
+    return false;
+  };
+
   std::vector<TuneCandidate> out;
   for (EngineKind e : engines) {
     const bool db = e == EngineKind::DoubleBuffer;
@@ -219,7 +249,7 @@ std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
                 // Stage-parallel rotations store temporally.
                 cand.nontemporal = db ? nt : !rotates;
                 cand.isa = tunes_isa ? isa : kernels::Isa::Auto;
-                out.push_back(cand);
+                if (!duplicate(cand)) out.push_back(cand);
               }
             }
           }
@@ -243,18 +273,17 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
   const double write = bytes * (c.nontemporal ? 1.0 : 2.0);
   const double mu_eff = packet_efficiency(c.packet_elems);
 
-  // The double-buffer engine (and the 2D/3D stage-parallel baseline, its
-  // Private claims with temporal stores) executes a StagePlan: price the
-  // p, p_c, block, four-step split and schedule it resolves. DRAM
-  // bandwidth grows with the cores that issue requests, so under Split
-  // the p_d data threads move the stage's bytes at their p_d / p share of
-  // STREAM while the p_c compute threads overlap them; a pass costs the
-  // slower role, over the overlap efficiency. Private has no overlap but
-  // every core moves data: the full STREAM rate, then the flops on all p
-  // cores.
-  const bool planned =
-      c.engine == EngineKind::DoubleBuffer ||
-      (c.engine == EngineKind::StageParallel && rank > 1);
+  // The double-buffer engine and the stage-parallel baseline (its Private
+  // claims with temporal stores, or in 1D its Flat pass) execute a
+  // StagePlan: price the p, p_c, block, four-step split and schedule it
+  // resolves. DRAM bandwidth grows with the cores that issue requests, so
+  // under Split the p_d data threads move the stage's bytes at their
+  // p_d / p share of STREAM while the p_c compute threads overlap them; a
+  // pass costs the slower role, over the overlap efficiency. Private has
+  // no overlap but every core moves data: the full STREAM rate, then the
+  // flops on all p cores.
+  const bool planned = c.engine == EngineKind::DoubleBuffer ||
+                       c.engine == EngineKind::StageParallel;
   StagePlan plan;
   if (planned) {
     FftOptions o;
@@ -272,63 +301,47 @@ double estimate_seconds(const TuneCandidate& c, const std::vector<idx_t>& dims,
   };
   const double block = static_cast<double>(plan.block_elems);
 
-  if (rank == 1 && (c.engine == EngineKind::Pencil ||
-                    c.engine == EngineKind::StageParallel ||
-                    c.engine == EngineKind::DoubleBuffer)) {
-    const double t = std::log2(std::max(2.0, n));
-
+  if (rank == 1 && c.engine == EngineKind::Pencil) {
+    // Bit-reversal scatter at one element per cacheline, then log2(n)
+    // in-place DIT sweeps over the whole array.
+    const double bitrev = (bytes + bytes) / (bw * kStridedEfficiency);
+    return bitrev + std::log2(std::max(2.0, n)) * (bytes + bytes) / bw;
+  }
+  if (rank == 1 && planned && plan.stages[0].kind == StageKind::Flat) {
     // Flat Stockham: ping-pong between the array and its scratch once
     // per greedy radix-16 level; sizes whose working set (data +
     // scratch) stays LLC-resident collapse to one DRAM round trip.
-    const auto flat_model = [&] {
-      const double levels = std::max(1.0, std::ceil(t / 4.0));
-      const double passes =
-          4.0 * bytes <= static_cast<double>(topo.llc_bytes) ? 1.0 : levels;
-      const double io = passes * (bytes + bytes) / bw;
-      const double compute =
-          5.0 * n * t / (isa_gflops_per_core(c.isa) * 1e9);
-      return std::max(io, compute);
-    };
-
-    switch (c.engine) {
-      case EngineKind::Pencil: {
-        // Bit-reversal scatter at one element per cacheline, then
-        // log2(n) in-place DIT sweeps over the whole array.
-        const double bitrev = (bytes + bytes) / (bw * kStridedEfficiency);
-        return bitrev + t * (bytes + bytes) / bw;
-      }
-      case EngineKind::StageParallel:
-        return flat_model();
-      case EngineKind::DoubleBuffer: {
-        // Two software-pipelined passes (the Columns and Rows stages of
-        // fft/double_buffer.h): W-wide column-group gathers + NT W-runs,
-        // then contiguous row loads + NT R-runs. The plan's group widths
-        // W and R set each pass's streamed-line utilisation, which is
-        // the bandwidth term that ranks the factorization axis.
-        const idx_t f1 = plan.n1, f2 = plan.n2;
-        if (f1 <= 1) return flat_model();  // degenerate split
-        const double io1 =
-            (bytes + write) / (bw * packet_efficiency(plan.stages[0].group));
-        const double io2 =
-            bytes / bw + write / (bw * packet_efficiency(plan.stages[1].group));
-        // 5 n log2(f) per pass plus ~6 flops/elem of twiddle diagonal.
-        const double fl1 =
-            5.0 * n * std::log2(std::max(2.0, static_cast<double>(f1))) +
-            6.0 * n;
-        const double fl2 =
-            5.0 * n * std::log2(std::max(2.0, static_cast<double>(f2)));
-        // Per-step overhead is priced at the policy block, not the plan's:
-        // a block the Rows stage grew to cover every rank takes fewer,
-        // longer steps whose halves overflow the LLC budget by the same
-        // factor, and the model does not credit the trade either way.
-        const double policy = static_cast<double>(
-            c.block_elems > 0 ? c.block_elems : default_block_elems(topo));
-        const double iters = 2.0 * std::max(1.0, n / policy);
-        return pass(io1, fl1) + pass(io2, fl2) +
-               iters * kIterationOverheadSeconds;
-      }
-      default: break;
-    }
+    const double t = std::log2(std::max(2.0, n));
+    const double levels = std::max(1.0, std::ceil(t / 4.0));
+    const double passes =
+        4.0 * bytes <= static_cast<double>(topo.llc_bytes) ? 1.0 : levels;
+    const double io = passes * (bytes + bytes) / bw;
+    return std::max(io, 5.0 * n * t / per_core);
+  }
+  if (rank == 1 && planned) {
+    // Two software-pipelined passes (the Columns and Rows stages of
+    // fft/double_buffer.h): W-wide column-group gathers + NT W-runs, then
+    // contiguous row loads + NT R-runs. The plan's group widths W and R
+    // set each pass's streamed-line utilisation, which is the bandwidth
+    // term that ranks the factorization axis.
+    const idx_t f1 = plan.n1, f2 = plan.n2;
+    const double io1 =
+        (bytes + write) / (bw * packet_efficiency(plan.stages[0].group));
+    const double io2 =
+        bytes / bw + write / (bw * packet_efficiency(plan.stages[1].group));
+    // 5 n log2(f) per pass plus ~6 flops/elem of twiddle diagonal.
+    const double fl1 =
+        5.0 * n * std::log2(std::max(2.0, static_cast<double>(f1))) + 6.0 * n;
+    const double fl2 =
+        5.0 * n * std::log2(std::max(2.0, static_cast<double>(f2)));
+    // Per-step overhead is priced at the policy block, not the plan's: a
+    // block the Rows stage grew to cover every rank takes fewer, longer
+    // steps whose halves overflow the LLC budget by the same factor, and
+    // the model does not credit the trade either way.
+    const double policy = static_cast<double>(
+        c.block_elems > 0 ? c.block_elems : default_block_elems(topo));
+    const double iters = 2.0 * std::max(1.0, n / policy);
+    return pass(io1, fl1) + pass(io2, fl2) + iters * kIterationOverheadSeconds;
   }
 
   switch (c.engine) {

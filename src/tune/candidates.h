@@ -60,7 +60,11 @@ std::string candidate_label(const TuneCandidate& c);
 /// the grid. 1D shapes swap the packet axis for the four-step
 /// factorization axis (the default n1 plus its x2 / /2 skews, where they
 /// divide n); pencil and the naive-DIT baseline are enumerated only when
-/// every dimension is a power of two, where they can plan.
+/// every dimension is a power of two, where they can plan. A double-buffer
+/// or stage-parallel candidate whose StagePlan (threads, split, stages)
+/// and ISA equal an earlier candidate's is left out: it would run the
+/// same transform (the 2D/3D p_c = p temporal-store entries are the
+/// stage-parallel plan, listed first).
 std::vector<TuneCandidate> enumerate_candidates(const std::vector<idx_t>& dims,
                                                 const FftOptions& req);
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/error.h"
-#include "layout/stream_copy.h"
 #include "obs/obs.h"
 #include "tune/tuner.h"
 
@@ -35,8 +34,7 @@ void CachedPlan::execute_inplace(cplx* data) {
   MutexLock lk(exec_mu_);
   inplace_work_.resize(static_cast<std::size_t>(total_));
   engine_->execute(data, inplace_work_.data());
-  copy_stream(data, inplace_work_.data(), total_, resolved_.nontemporal);
-  if (resolved_.nontemporal) stream_fence();
+  inplace_copy_back(data, inplace_work_, resolved_.nontemporal);
 }
 
 Status CachedPlan::try_execute(cplx* in, cplx* out, ExecReport* rep) {
@@ -60,18 +58,24 @@ std::string PlanCache::key_of(const std::vector<idx_t>& dims, Direction dir,
   for (std::size_t i = 0; i < dims.size(); ++i) {
     k += (i ? "x" : "") + std::to_string(dims[i]);
   }
-  char buf[176];
+  // Every option the plan reads, including the ISA and the topology
+  // fields make_stage_plan sizes the team, block and claims from.
+  const MachineTopology& t = opts.topo;
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
-                ":%c:e%d:t%d:c%d:b%lld:mu%lld:f1%lld:nt%d:lvl%d:pin%d:norm%d",
+                ":%c:e%d:t%d:c%d:b%lld:mu%lld:f1%lld:nt%d:isa%d:lvl%d:pin%d:"
+                "norm%d:topo%dx%dx%d:llc%zu:l2%zu",
                 dir == Direction::Forward ? 'f' : 'i',
                 static_cast<int>(opts.engine), opts.threads,
                 opts.compute_threads,
                 static_cast<long long>(opts.block_elems),
                 static_cast<long long>(opts.packet_elems),
                 static_cast<long long>(opts.factor_n1),
-                opts.nontemporal ? 1 : 0, static_cast<int>(opts.tune_level),
+                opts.nontemporal ? 1 : 0, static_cast<int>(opts.isa),
+                static_cast<int>(opts.tune_level),
                 (opts.pin_threads ? 1 : 0) | (opts.team_pool ? 2 : 0),
-                opts.normalize_inverse ? 1 : 0);
+                opts.normalize_inverse ? 1 : 0, t.sockets, t.cores_per_socket,
+                t.smt_per_core, t.llc_bytes, t.l2_bytes);
   k += buf;
   if (!variant.empty()) k += ":" + variant;
   return k;

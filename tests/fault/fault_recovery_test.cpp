@@ -22,6 +22,7 @@
 #include "parallel/barrier.h"
 #include "parallel/team.h"
 #include "tune/wisdom.h"
+#include "../test_util.h"
 
 namespace bwfft {
 namespace {
@@ -178,6 +179,25 @@ TEST_F(FaultRecoveryTest, PlainAllocFailureFallsBackToReferenceEngine) {
   ASSERT_TRUE(st.ok()) << st.str();
   EXPECT_EQ("reference", rep.engine);
   expect_identical(want, out);
+}
+
+TEST_F(FaultRecoveryTest, OneDimensionalPinnedPacketDegradesToTheFlatPass) {
+  // A 1D plan's first fallback is the flat pass, which has no column
+  // group for a pinned packet: the degraded request drops the pin.
+  const idx_t n = 4096;
+  FftOptions opts = engine_opts(EngineKind::DoubleBuffer, 1);
+  opts.packet_elems = 8;
+  arm("alloc.aligned");
+  std::unique_ptr<MdEngine> engine =
+      make_engine_recovering({n}, Direction::Forward, opts);
+  EXPECT_EQ(EngineKind::StageParallel, opts.engine);
+  EXPECT_STREQ("stage-parallel", engine->name());
+  const cvec in = random_cvec(n);
+  cvec want(in.size()), out(in.size()), scratch = in;
+  reference_dft_1d(scratch.data(), want.data(), n, Direction::Forward);
+  scratch = in;
+  engine->execute(scratch.data(), out.data());
+  EXPECT_LT(test::max_err(want, out), test::fft_tol(static_cast<double>(n)));
 }
 
 // ---------------------------------------------------------------------------

@@ -222,9 +222,10 @@ TEST(Fft1dLarge, TinySizesMatchFourStepSpec) {
   // An engine that executes a StagePlan IS its plan's term: at
   // dense-checkable sizes its output equals spl::plan_term(engine.plan())
   // applied to the same input. The table covers the four-step Columns /
-  // Rows passes at pinned splits, the Flat pass, and the rotated 2D/3D
-  // chains, at packets {1, kMu, auto} on one and four threads, both
-  // directions (the inverse unnormalised).
+  // Rows passes at pinned splits, the Flat pass (a prime size, and every
+  // 1D stage-parallel plan), and the rotated 2D/3D chains, at packets
+  // {1, kMu, auto} on one and four threads, both directions (the inverse
+  // unnormalised).
   struct Shape {
     std::vector<idx_t> dims;
     idx_t n1;  // 1D four-step split (0: the default)
@@ -261,12 +262,12 @@ TEST(Fft1dLarge, TinySizesMatchFourStepSpec) {
           };
           DoubleBufferEngine db(s.dims, dir, o);
           check(db);
-          if (s.dims.size() > 1) {
-            // The stage-parallel baseline: the same engine on its own plan.
-            o.engine = EngineKind::StageParallel;
-            auto sp = make_engine(s.dims, dir, o);
-            check(dynamic_cast<DoubleBufferEngine&>(*sp));
-          }
+          // The stage-parallel baseline: the same engine on its own plan
+          // (in 1D the Flat pass, which has no column group to pin).
+          if (s.dims.size() == 1 && mu > 0) continue;
+          o.engine = EngineKind::StageParallel;
+          auto sp = make_engine(s.dims, dir, o);
+          check(dynamic_cast<DoubleBufferEngine&>(*sp));
         }
       }
     }
@@ -386,8 +387,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DoubleBuffer1d, LargerThanBufferSize) {
   // n far exceeds the block (32 KiB halves for a 1 MiB problem): both
-  // passes tile into many pipelined blocks. The Table II overlap only
-  // reorders tasks, so the unpipelined ablation run is bit-identical.
+  // passes tile into many blocks or claims. The Split plan (one compute
+  // thread, Table II overlap) and the default Private plan run the same
+  // arithmetic per column and row group, so their outputs are
+  // bit-identical.
   const idx_t n = 1 << 16;
   auto x = random_cvec(n, 8600);
   const cvec want = stockham_oracle(x);
@@ -395,15 +398,19 @@ TEST(DoubleBuffer1d, LargerThanBufferSize) {
     FftOptions o = large_opts(threads);
     o.block_elems = 2048;
     DoubleBufferEngine plan({n}, Direction::Forward, o);
+    ASSERT_EQ(Schedule::Private, plan.plan().schedule());
     EXPECT_GT(plan.plan().stages[0].iterations, 1);
     EXPECT_GT(plan.plan().stages[1].iterations, 1);
     cvec in = x, got(x.size());
     plan.execute(in.data(), got.data());
     EXPECT_LT(max_err(want, got), fft_tol(static_cast<double>(n)))
         << "threads=" << threads;
-    cvec in2 = x, lockstep(x.size());
-    plan.execute_unpipelined(in2.data(), lockstep.data());
-    EXPECT_TRUE(got == lockstep) << "threads=" << threads;
+    o.compute_threads = 1;
+    DoubleBufferEngine split({n}, Direction::Forward, o);
+    ASSERT_EQ(Schedule::Split, split.plan().schedule());
+    cvec in2 = x, overlapped(x.size());
+    split.execute(in2.data(), overlapped.data());
+    EXPECT_TRUE(got == overlapped) << "threads=" << threads;
   }
 }
 

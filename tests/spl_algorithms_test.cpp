@@ -151,8 +151,8 @@ TEST(SplAlgorithms, Rotated2dViaBlockedFormulaEqualsDense) {
 }
 
 // Every plan the tuner grid can hand an engine that executes the
-// StagePlan (double-buffer; stage-parallel in 2D/3D) has a verify-clean
-// term equal to the dense DFT. The schedule knobs (split, block, NT, ISA)
+// StagePlan (double-buffer and stage-parallel) has a verify-clean term
+// equal to the dense DFT. The schedule knobs (split, block, NT, ISA)
 // leave the term unchanged, so each distinct term is densified once.
 TEST(SplAlgorithms, PlanTermsOfTheTunerGridEqualDense) {
   const std::vector<std::vector<idx_t>> shapes = {
@@ -166,9 +166,8 @@ TEST(SplAlgorithms, PlanTermsOfTheTunerGridEqualDense) {
       req.engine = EngineKind::Auto;
       req.threads = threads;
       for (const auto& c : tune::enumerate_candidates(dims, req)) {
-        const bool runs_plan =
-            c.engine == EngineKind::DoubleBuffer ||
-            (dims.size() > 1 && c.engine == EngineKind::StageParallel);
+        const bool runs_plan = c.engine == EngineKind::DoubleBuffer ||
+                               c.engine == EngineKind::StageParallel;
         if (!runs_plan) continue;
         const StagePlan plan =
             make_stage_plan(dims, tune::apply_candidate(c, req));

@@ -147,18 +147,22 @@ TEST(StaticVerify, EnginesCleanOnRepresentativeShapes) {
     }
   }
   // 1D: the double-buffer engine's four-step passes (two stages) and its
-  // flat fallback (4099 is prime); the other 1D engines have no model.
+  // flat fallback (4099 is prime); stage-parallel is the one Flat stage
+  // at every size; the naive DIT has no model.
   for (idx_t n : {idx_t{1} << 12, idx_t{3} << 10, idx_t{4099}}) {
     expect_clean({n}, opts_for(EngineKind::DoubleBuffer, 8));
+    expect_clean({n}, opts_for(EngineKind::StageParallel, 8));
     PlanModel model;
     std::string why;
     ASSERT_TRUE(analysis::build_plan_model(
         {n}, opts_for(EngineKind::DoubleBuffer, 8), &model, &why));
     EXPECT_EQ(n == 4099 ? 1u : 2u, model.stages.size());
-    for (EngineKind e : {EngineKind::StageParallel, EngineKind::Pencil}) {
-      EXPECT_FALSE(
-          analysis::build_plan_model({n}, opts_for(e, 8), &model, &why));
-    }
+    ASSERT_TRUE(analysis::build_plan_model(
+        {n}, opts_for(EngineKind::StageParallel, 8), &model, &why));
+    ASSERT_EQ(1u, model.stages.size());
+    EXPECT_EQ(std::string("flat"), model.stages[0].name);
+    EXPECT_FALSE(analysis::build_plan_model(
+        {n}, opts_for(EngineKind::Pencil, 8), &model, &why));
   }
 }
 

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/topology.h"
 #include "fft/reference.h"
+#include "kernels/isa.h"
 #include "obs/obs.h"
 #include "parallel/team.h"
 #include "tune/plan_cache.h"
@@ -56,6 +57,33 @@ TEST(PlanCache, KeyCoversDimsDirectionOptionsAndVariant) {
   EXPECT_EQ(5u, cache.stats().plans);
   EXPECT_EQ(5u, cache.stats().misses);
   EXPECT_EQ(0u, cache.stats().hits);
+}
+
+TEST(PlanCache, KeyCoversTheIsaAndTheTopology) {
+  // An ISA pin is its own plan: it must not be served the Auto plan.
+  PlanCache cache;
+  const auto base = cache.acquire({8, 8}, Direction::Forward, small_opts());
+  FftOptions avx2 = small_opts();
+  avx2.isa = kernels::Isa::Avx2;
+  const auto pinned = cache.acquire({8, 8}, Direction::Forward, avx2);
+  EXPECT_NE(base.get(), pinned.get());
+  EXPECT_EQ(kernels::Isa::Auto, base->options().isa);
+  EXPECT_EQ(kernels::Isa::Avx2, pinned->options().isa);
+  // So is every topology field the plan sizes its team, block and claims
+  // from.
+  const std::vector<void (*)(MachineTopology&)> edits = {
+      [](MachineTopology& t) { t.llc_bytes /= 2; },
+      [](MachineTopology& t) { t.l2_bytes /= 2; },
+      [](MachineTopology& t) { t.sockets += 1; },
+      [](MachineTopology& t) { t.cores_per_socket += 1; },
+      [](MachineTopology& t) { t.smt_per_core += 1; }};
+  for (auto edit : edits) {
+    FftOptions other = small_opts();
+    edit(other.topo);
+    EXPECT_NE(base.get(),
+              cache.acquire({8, 8}, Direction::Forward, other).get());
+  }
+  EXPECT_EQ(2u + edits.size(), cache.stats().misses);
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsedByCount) {
@@ -159,10 +187,24 @@ TEST(PlanCache, CachedPlanExecutesCorrectly) {
   EXPECT_LT(max_err(want, out), fft_tol(static_cast<double>(k * n * m)));
 
   // In-place path: transform through the internal work array, same
-  // result.
+  // result. Its copy-back is counted like the facades': one more load and
+  // one more store of the whole array than execute.
+  obs::reset_counters();
+  in = x;
+  plan->execute(in.data(), out.data());
+  [[maybe_unused]] const std::uint64_t loaded =
+      obs::counter_total(obs::Counter::BytesLoaded);
+  [[maybe_unused]] const std::uint64_t stored =
+      obs::counter_total(obs::Counter::BytesStored);
+  obs::reset_counters();
   cvec data = x;
   plan->execute_inplace(data.data());
   EXPECT_LT(max_err(want, data), fft_tol(static_cast<double>(k * n * m)));
+#if defined(BWFFT_OBS)
+  const std::uint64_t bytes = x.size() * sizeof(cplx);
+  EXPECT_EQ(loaded + bytes, obs::counter_total(obs::Counter::BytesLoaded));
+  EXPECT_EQ(stored + bytes, obs::counter_total(obs::Counter::BytesStored));
+#endif
 }
 
 TEST(PlanCache, AutoPlansAreKeyedByTheRequestAndResolveConcrete) {

@@ -142,6 +142,44 @@ TEST(Candidates, SplitAxisOffersBothSchedules) {
   EXPECT_EQ((std::set<int>{-1, 2, 3}), splits({1 << 20}));
 }
 
+TEST(Candidates, NoTwoCandidatesRunTheSamePlan) {
+  // Every planned candidate resolves to its own schedule, stages
+  // (nontemporal and fusion included) and ISA: under Private a 2D/3D
+  // claim ignores the half block, and p_c = p with temporal stores is the
+  // stage-parallel plan, which stays in the grid.
+  FftOptions req = auto_request();
+  req.threads = 4;
+  for (const std::vector<idx_t>& dims : std::vector<std::vector<idx_t>>{
+           {64, 64, 64}, {256, 256, 256}, {4096, 4096}}) {
+    std::vector<std::pair<TuneCandidate, StagePlan>> seen;
+    bool split_half_block = false;
+    for (const TuneCandidate& c : enumerate_candidates(dims, req)) {
+      if (c.engine != EngineKind::DoubleBuffer &&
+          c.engine != EngineKind::StageParallel) {
+        continue;
+      }
+      const StagePlan plan = make_stage_plan(dims, apply_candidate(c, req));
+      for (const auto& [prev, q] : seen) {
+        EXPECT_FALSE(prev.isa == c.isa && q.schedule() == plan.schedule() &&
+                     q.compute_threads == plan.compute_threads &&
+                     q.stages == plan.stages)
+            << candidate_label(prev) << " and " << candidate_label(c);
+      }
+      seen.emplace_back(c, plan);
+      EXPECT_FALSE(c.engine == EngineKind::DoubleBuffer &&
+                   c.compute_threads < 0 && !c.nontemporal)
+          << candidate_label(c);
+      split_half_block = split_half_block ||
+                         (c.compute_threads >= 0 && c.block_elems > 0);
+    }
+    EXPECT_TRUE(contains_engine(enumerate_candidates(dims, req),
+                                EngineKind::StageParallel));
+    // 64^3 fits one block at either size; the larger shapes keep the
+    // half block as a Split alternative.
+    EXPECT_EQ(dims[0] > 64, split_half_block) << dims[0];
+  }
+}
+
 TEST(Candidates, OnlyOneToThreeDimensionalShapes) {
   EXPECT_FALSE(enumerate_candidates({1 << 18}, auto_request()).empty());
   EXPECT_THROW(enumerate_candidates({4, 4, 4, 4}, auto_request()), Error);
