@@ -3,9 +3,11 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "analysis/static_verify.h"
 #include "common/aligned.h"
 #include "common/error.h"
 #include "layout/stream_copy.h"
+#include "obs/obs.h"
 
 namespace bwfft::analysis {
 
@@ -343,9 +345,63 @@ PartitionMap probe_partition(
   return map;
 }
 
+namespace {
+
+/// f(e) for every element e of iv.
+template <class F>
+void for_each_elem(const StridedInterval& iv, F f) {
+  for (idx_t c = 0; c < iv.count; ++c) {
+    for (idx_t w = 0; w < iv.width; ++w) f(iv.begin + c * iv.stride + w);
+  }
+}
+
+/// The windowed probe of probe_outputs: true, with `map` filled, when
+/// every claim wrote exactly its windows and nothing else.
+bool probe_windows(const std::function<void(idx_t, cplx*, int, int)>& task,
+                   idx_t iterations, cplx* out, idx_t out_elems, cplx* tile,
+                   const std::vector<OwnedWindow>& windows,
+                   PartitionMap* map) {
+  std::vector<std::vector<StridedInterval>> own(
+      static_cast<std::size_t>(iterations));
+  for (const OwnedWindow& w : windows) {
+    if (w.owner < 0 || w.owner >= iterations || w.iv.begin < 0 ||
+        w.iv.end() > out_elems) {
+      return false;
+    }
+    own[static_cast<std::size_t>(w.owner)].push_back(w.iv);
+  }
+  for (idx_t e = 0; e < out_elems; ++e) out[e] = kSentinel;
+  for (idx_t i = 0; i < iterations; ++i) {
+    const auto& ivs = own[static_cast<std::size_t>(i)];
+    bool ok = true;
+    for (const StridedInterval& iv : ivs) {
+      for_each_elem(iv, [&](idx_t e) { ok = ok && out[e] == kSentinel; });
+    }
+    if (!ok) return false;  // an earlier claim wrote claim i's window
+    task(i, tile, 0, 1);
+    stream_fence();
+    for (const StridedInterval& iv : ivs) {
+      for_each_elem(iv, [&](idx_t e) {
+        ok = ok && out[e] != kSentinel;
+        out[e] = kSentinel;
+        map->writers[static_cast<std::size_t>(e)].push_back(
+            static_cast<int>(i));
+      });
+    }
+    if (!ok) return false;  // claim i left part of its window unwritten
+  }
+  for (idx_t e = 0; e < out_elems; ++e) {
+    if (out[e] != kSentinel) return false;  // a write outside its window
+  }
+  return true;
+}
+
+}  // namespace
+
 PartitionMap probe_outputs(
     const std::function<void(idx_t, cplx*, int, int)>& task,
-    idx_t iterations, cplx* out, idx_t out_elems, idx_t tile_elems) {
+    idx_t iterations, cplx* out, idx_t out_elems, idx_t tile_elems,
+    const std::vector<OwnedWindow>* windows) {
   BWFFT_CHECK(task != nullptr, "cannot probe an empty task");
   BWFFT_CHECK(iterations >= 1 && out_elems >= 1 && tile_elems >= 1,
               "probe needs claims, an output and a tile");
@@ -354,6 +410,12 @@ PartitionMap probe_outputs(
   map.parts = static_cast<int>(iterations);
   map.writers.resize(static_cast<std::size_t>(out_elems));
   AlignedBuffer<cplx> tile(static_cast<std::size_t>(tile_elems));
+  if (windows != nullptr &&
+      probe_windows(task, iterations, out, out_elems, tile.data(), *windows,
+                    &map)) {
+    return map;
+  }
+  for (auto& w : map.writers) w.clear();
   for (idx_t i = 0; i < iterations; ++i) {
     for (idx_t e = 0; e < out_elems; ++e) out[e] = kSentinel;
     task(i, tile.data(), 0, 1);
@@ -365,6 +427,25 @@ PartitionMap probe_outputs(
     }
   }
   return map;
+}
+
+HazardReport probe_claim_outputs(const StagePlan& plan, std::size_t k,
+                                 const PipelineStage& stage, cplx* dst) {
+  // The probe's bytes are not the execute's, so it runs uncounted.
+  obs::UncountedScope uncounted;
+  const PlannedStage& s = plan.stages[k];
+  const auto claim = [&stage](idx_t i, cplx* tile, int, int) {
+    stage.compute(i, tile, 0, 1);
+    if (stage.store) stage.store(i, tile, 0, 1);
+  };
+  const PlanModel model = build_plan_model(plan);
+  HazardReport rep;
+  audit_partition(probe_outputs(claim, s.iterations, dst, plan.total,
+                                s.rows_per_block * s.row_elems,
+                                &model.stages[k].stores),
+                  /*require_cover=*/true, std::string(s.name) + " claims",
+                  rep);
+  return rep;
 }
 
 void audit_partition(const PartitionMap& map, bool require_cover,

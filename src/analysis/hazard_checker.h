@@ -47,9 +47,11 @@
 #include <string>
 #include <vector>
 
+#include "common/intervals.h"
 #include "common/types.h"
 #include "parallel/roles.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/stage_plan.h"
 
 namespace bwfft::analysis {
 
@@ -122,10 +124,26 @@ PartitionMap probe_partition(
 /// against `out` poisoned with the sentinel, on a scratch tile of
 /// `tile_elems`. writers[e] lists the claims that wrote out[e] (parts =
 /// iterations). This is the probe of a fused claim, whose compute writes
-/// its rotated destination rather than a tile window.
+/// its rotated destination rather than a tile window. Given the claims'
+/// expected store windows (owner = claim, e.g. the static model's), out
+/// is poisoned once and each claim is checked against its own windows
+/// (untouched before it runs, every element written after), with one
+/// scan for stray writes at the end; any miss falls back to the
+/// per-claim scan, so the map is the same either way, at the cost of one
+/// pass over out instead of one per claim.
 PartitionMap probe_outputs(
     const std::function<void(idx_t, cplx*, int, int)>& task,
-    idx_t iterations, cplx* out, idx_t out_elems, idx_t tile_elems);
+    idx_t iterations, cplx* out, idx_t out_elems, idx_t tile_elems,
+    const std::vector<OwnedWindow>* windows = nullptr);
+
+/// The self-audit of Private stage k of `plan` (its tasks `stage`, which
+/// write `dst`, not the stage source): run each claim's compute and store
+/// one at a time through probe_outputs against the plan's static store
+/// windows, uncounted by obs, and report overlaps and gaps. A misrouted
+/// packet overlaps another claim's window and leaves a gap in its own.
+/// dst holds garbage afterwards.
+HazardReport probe_claim_outputs(const StagePlan& plan, std::size_t k,
+                                 const PipelineStage& stage, cplx* dst);
 
 /// Append PartitionOverlap/PartitionGap violations for `map` to `out`.
 /// Contiguous runs of elements with the same defect collapse into one

@@ -84,10 +84,13 @@ void add_row_windows(const StagePlan& plan, const PlannedStage& s, int socket,
   const StridedInterval rows_iv = StridedInterval::contiguous(
       socket * slab + row * s.row_elems, nrows * s.row_elems);
   switch (s.kind) {
-    case StageKind::Rotated: {
+    case StageKind::Rotated:
+    case StageKind::Rows: {
       // rotate_store_rows: packet p of grid row r lands at
       // out[(p*rows + r)*mu] (of the socket's slab on a local stage), so
       // consecutive grid rows' packets interleave every rows*mu elements.
+      // A Rows stage is the same rotation of its n2 x R tiles (packet j
+      // of row group q at j * n1 + q * R); only its load transposes.
       const StageGeometry& g = s.geom;
       const bool local = slab_runs(s) == 1;
       const idx_t base = local ? socket * slab : 0;
@@ -117,15 +120,6 @@ void add_row_windows(const StagePlan& plan, const PlannedStage& s, int socket,
         const StridedInterval iv{q * s.group, s.group, plan.n2, plan.n1};
         st->loads.push_back({owner, iv});
         st->stores.push_back({owner, iv});
-      }
-      break;
-    case StageKind::Rows:
-      // Contiguous R-row loads (transposed into a q-major tile on the
-      // way in, which folds L into the load); the store writes tile row j
-      // of row group q as one R-wide run at j * n1 + q * R.
-      st->loads.push_back({owner, rows_iv});
-      for (idx_t q = row; q < row + nrows; ++q) {
-        st->stores.push_back({owner, {q * s.group, s.group, plan.n1, plan.n2}});
       }
       break;
     case StageKind::Flat:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "analysis/hazard_checker.h"
 #include "common/error.h"
@@ -37,6 +38,28 @@ PipelineStage make_rotated_stage(const PlannedStage& s, const Fft1d& fft,
   const bool nt = s.nontemporal;
   PipelineStage stage =
       make_row_stage(src, fft, g.lanes, block_rows, row_elems, s.iterations);
+  // A Rows stage (the four-step's I_{n1} (x) DFT_{n2}, then L) reads each
+  // row group's R contiguous rows into a q-major n2 x R tile through the
+  // SIMD block transpose, which folds L into the load (the paper's
+  // L (x) I_mu data movement, §III-A); its rotation then stores tile row
+  // q as one R-element run at q * n1 + row0.
+  const bool transposes = s.kind == StageKind::Rows;
+  const kernels::Isa isa = fft.isa();
+  const auto gather = [=](idx_t row0, idx_t count, cplx* buf) {
+    const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa);
+    for (idx_t r = 0; r < count; ++r) {
+      bt.transpose(src + (row0 + r) * row_elems, g.fft_len,
+                   buf + r * row_elems, g.lanes, g.lanes, g.fft_len);
+    }
+  };
+  if (transposes) {
+    stage.load = [=](idx_t i, cplx* buf, int rank, int parts) {
+      auto [r0, r1] = ThreadTeam::chunk(block_rows, parts, rank);
+      if (r1 <= r0) return;
+      gather(i * block_rows + r0, r1 - r0, buf + r0 * row_elems);
+      BWFFT_OBS_COUNT(BytesLoaded, (r1 - r0) * row_elems * sizeof(cplx));
+    };
+  }
   // W_{b,i}: scatter the block through the blocked rotation with
   // non-temporal stores (the data is dead until the next stage).
   stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
@@ -49,9 +72,10 @@ PipelineStage make_rotated_stage(const PlannedStage& s, const Fft1d& fft,
   };
   if (s.fused == Fusion::None) return stage;
   // A fused claim (always run whole, rank 0 of 1): the sweep reads the
-  // claim's rows straight from src, and where dst takes streaming stores
-  // its last level writes them to their rotated places, leaving no store
-  // task; otherwise the result lands on the tile for the store above.
+  // claim's rows straight from src (a Rows claim first gathers them into
+  // the tile), and where dst takes streaming stores its last level writes
+  // them to their rotated places, leaving no store task; otherwise the
+  // result lands on the tile for the store above.
   const RotatedDst rot{dst, g.rows(), 0, g.mu};
   const bool streams = s.fused == Fusion::LoadStore &&
                        fft.streams_rotated(g.lanes, block_rows, rot);
@@ -61,7 +85,12 @@ PipelineStage make_rotated_stage(const PlannedStage& s, const Fft1d& fft,
   stage.compute = [=, &fft](idx_t i, cplx* buf, int, int) {
     RotatedDst to = rot;
     to.row0 = i * block_rows;
-    fft.apply_lanes_from(src + to.row0 * row_elems, buf, g.lanes, block_rows,
+    const cplx* from = src + to.row0 * row_elems;
+    if (transposes) {
+      gather(to.row0, block_rows, buf);
+      from = buf;
+    }
+    fft.apply_lanes_from(from, buf, g.lanes, block_rows,
                          streams ? &to : nullptr);
     BWFFT_OBS_COUNT(BytesLoaded, claim_bytes);
     if (streams) BWFFT_OBS_COUNT(BytesStored, claim_bytes);
@@ -136,6 +165,7 @@ PipelineStage DoubleBufferEngine::make_stage(std::size_t k, const cplx* src,
   stage.iterations = s.iterations;
   switch (s.kind) {
     case StageKind::Rotated:
+    case StageKind::Rows:
       stage = make_rotated_stage(s, fft, src, dst);
       break;
     case StageKind::Columns: {
@@ -208,45 +238,6 @@ PipelineStage DoubleBufferEngine::make_stage(std::size_t k, const cplx* src,
       };
       break;
     }
-    case StageKind::Rows: {
-      // (I_{n1} (x) DFT_{n2}) then the final L_{n2}^{n1 n2}, with L folded
-      // into the load (the paper's L (x) I_mu data movement, §III-A):
-      // each R-row group streams its contiguous rows into a q-major
-      // n2 x R tile through the SIMD block transpose, the compute runs
-      // every Stockham level at lanes = R, and the store writes tile row
-      // q as one contiguous R-element run at q * n1 + row0.
-      const idx_t n1 = plan_.n1, n2 = plan_.n2;
-      const idx_t R = s.group;
-      const kernels::Isa isa = opts_.isa;
-      stage.load = [=](idx_t i, cplx* buf, int rank, int parts) {
-        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
-        if (g1 <= g0) return;
-        const kernels::BatchTable& bt = kernels::dispatch_batch_table(isa);
-        for (idx_t g = g0; g < g1; ++g) {
-          const idx_t row0 = (i * block_rows + g) * R;
-          bt.transpose(src + row0 * n2, n2, buf + g * row_elems, R, R, n2);
-        }
-        BWFFT_OBS_COUNT(BytesLoaded, (g1 - g0) * row_elems * sizeof(cplx));
-      };
-      stage.compute = [=, &fft](idx_t, cplx* buf, int rank, int parts) {
-        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
-        if (g1 > g0) fft.apply_lanes(buf + g0 * row_elems, R, g1 - g0);
-      };
-      stage.store = [=](idx_t i, const cplx* buf, int rank, int parts) {
-        auto [g0, g1] = ThreadTeam::chunk(block_rows, parts, rank);
-        for (idx_t g = g0; g < g1; ++g) {
-          const idx_t row0 = (i * block_rows + g) * R;
-          const cplx* tile = buf + g * row_elems;
-          for (idx_t q = 0; q < n2; ++q) {
-            store_packet(dst + q * n1 + row0, tile + q * R, R, nt);
-          }
-        }
-        if (g1 > g0) {
-          BWFFT_OBS_COUNT(BytesStored, (g1 - g0) * row_elems * sizeof(cplx));
-        }
-      };
-      break;
-    }
     case StageKind::Flat:
       BWFFT_CHECK(false, "the flat pass is not tiled");
   }
@@ -266,8 +257,14 @@ void DoubleBufferEngine::run_stage(std::size_t k, const cplx* src,
   }
   const PipelineStage stage = make_stage(k, src, dst);
   if (analysis::self_check_enabled()) {
-    // Self-audit (checked builds, or BWFFT_SELF_CHECK=1): record the
-    // schedule and validate the Table II invariants after the stage.
+    // Self-audit (checked builds, or BWFFT_SELF_CHECK=1): probe a fused
+    // stage's claims over dst, then record the schedule and validate the
+    // Table II invariants after the stage.
+    if (stage.fusion() != Fusion::None) {
+      const analysis::HazardReport rep =
+          analysis::probe_claim_outputs(plan_, k, stage, dst);
+      BWFFT_CHECK(rep.clean(), "fused claims misrouted:\n" + rep.str());
+    }
     analysis::HazardChecker::Options audit;
     audit.probe_partitions = false;
     analysis::HazardChecker(*pipeline_, audit).run_checked(stage);

@@ -48,9 +48,11 @@ PipelineStage make_row_stage(const cplx* src, const Fft1d& fft, idx_t lanes,
                              idx_t block_rows, idx_t row_elems,
                              idx_t iterations);
 
-/// The tasks of Rotated stage `s` (rows of src, blocked rotation into
-/// dst). A fused stage (s.fused, Private only) has no load task: its
-/// compute reads each claim from src. Under Fusion::LoadStore it has no
+/// The tasks of Rotated or Rows stage `s` (rows of src, blocked rotation
+/// into dst; a Rows load transposes each R x n2 row group into its
+/// n2 x R tile). A fused stage (s.fused, Private only) has no load task:
+/// its compute reads each claim from src (a Rows claim gathers it into
+/// the tile first). Under Fusion::LoadStore it has no
 /// store task either where Fft1d::streams_rotated accepts dst (a dst
 /// aligned to the streaming width, a lane row of whole vector chunks);
 /// elsewhere it keeps the tile store.
@@ -66,6 +68,7 @@ class DoubleBufferEngine final : public MdEngine {
     return opts_.engine == EngineKind::StageParallel ? "stage-parallel"
                                                      : "double-buffer";
   }
+  int threads() const override { return plan_.threads; }
 
   const RolePlan& roles() const { return roles_; }
   const StagePlan& plan() const { return plan_; }

@@ -19,6 +19,10 @@ class MdEngine {
   virtual void execute(cplx* in, cplx* out) = 0;
 
   virtual const char* name() const = 0;
+
+  /// Threads one execute runs on: the plan's team size p (1 where the
+  /// plan runs on the caller alone, whatever the request asked for).
+  virtual int threads() const = 0;
 };
 
 /// Build an engine for the given dimensions (size 2 => [n, m] 2D; size 3

@@ -95,6 +95,7 @@ class ReferenceEngine final : public MdEngine {
     }
   }
   const char* name() const override { return "reference"; }
+  int threads() const override { return 1; }
 
  private:
   std::vector<idx_t> dims_;
@@ -125,6 +126,7 @@ class NaiveDit1dEngine final : public MdEngine {
     }
   }
   const char* name() const override { return "naive-dit"; }
+  int threads() const override { return 1; }
 
  private:
   idx_t n_;
@@ -301,9 +303,7 @@ Status try_execute_recovering(const std::vector<idx_t>& dims, Direction dir,
   if (rep) {
     rep->status = st;
     rep->retries = retries;
-    rep->threads_used =
-        (engine && opts.engine == EngineKind::Reference) ? 1
-                                                         : resolved_threads(opts);
+    rep->threads_used = engine ? engine->threads() : resolved_threads(opts);
     rep->engine = engine ? engine->name() : engine_name(opts.engine);
     rep->degradations = fault::degrade_notes();
   }

@@ -36,7 +36,7 @@ namespace bwfft {
 struct ExecReport {
   Status status;
   int retries = 0;       ///< recovery re-plans taken by this call
-  int threads_used = 0;  ///< thread budget of the plan that ran last
+  int threads_used = 0;  ///< threads of the plan that ran last (its p)
   std::string engine;    ///< engine that produced the result (or last tried)
   std::vector<std::string> degradations;  ///< fallbacks taken, one line each
 };

@@ -21,6 +21,7 @@ class PencilEngine final : public MdEngine {
   PencilEngine(std::vector<idx_t> dims, Direction dir, const FftOptions& opts);
   void execute(cplx* in, cplx* out) override;
   const char* name() const override { return "pencil"; }
+  int threads() const override { return team_->size(); }
 
  private:
   std::vector<idx_t> dims_;

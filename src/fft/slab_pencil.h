@@ -26,6 +26,7 @@ class SlabPencilEngine final : public MdEngine {
                    const FftOptions& opts);
   void execute(cplx* in, cplx* out) override;
   const char* name() const override { return "slab-pencil"; }
+  int threads() const override { return team_->size(); }
 
  private:
   std::vector<idx_t> dims_;  // [k, n, m]

@@ -17,8 +17,9 @@
 //
 //  * apply_batch(data, count) — lanes = 1 special case (I_count (x) DFT_n)
 //    on contiguous pencils: the stage-0 kernel of the multi-D engines. (The
-//    four-step 1D row pass does not use it: its load transposes R rows
-//    into an n2 x R tile, and it runs apply_lanes at lanes = R.) A lone
+//    four-step 1D row pass does not use it: it transposes R rows into
+//    an n2 x R tile and sweeps that at lanes = R, a rotated lane stage
+//    with mu = R, whose fused claims stream the last level below.) A lone
 //    pencil's first level has row stride 1, i.e. one lane per codelet
 //    call, so batches are instead gathered G pencils at a time (G = the
 //    dispatched codelet chunk width: 8 AVX-512, 4 AVX2) into an n x G

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <mutex>
 
 #include "fault/fault.h"
@@ -196,6 +197,14 @@ CounterSnapshot counters() {
   snap.value[static_cast<int>(Counter::FaultDegrade)] =
       fault::degraded_count();
   return snap;
+}
+
+UncountedScope::UncountedScope() {
+  std::copy(std::begin(tls().counters), std::end(tls().counters), start_);
+}
+
+UncountedScope::~UncountedScope() {
+  std::copy(std::begin(start_), std::end(start_), tls().counters);
 }
 
 void reset_counters() {

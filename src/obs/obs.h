@@ -100,6 +100,20 @@ CounterSnapshot counters();
 /// Call between runs, not while a team is executing.
 void reset_counters();
 
+/// While one lives, the counts its thread adds are taken back when it
+/// ends: a self-audit that re-runs a stage's work on the calling thread
+/// leaves the counters as the measured run alone would.
+class UncountedScope {
+ public:
+  UncountedScope();
+  ~UncountedScope();
+  UncountedScope(const UncountedScope&) = delete;
+  UncountedScope& operator=(const UncountedScope&) = delete;
+
+ private:
+  std::uint64_t start_[kCounterCount];
+};
+
 // ---------------------------------------------------------------------------
 // Wall clock
 

@@ -13,23 +13,23 @@ namespace {
 
 /// Group size g of a four-step stage that tiles `count` units of `len`
 /// elements (W of the n2 columns, each n1 long, or R of the n1 rows, each
-/// n2 long): the largest divisor of count (at most cap) whose g x len
-/// groups still fill a block with at least `ranks` of them, so
-/// ThreadTeam::chunk hands every rank a group. g never drops below the
-/// smallest divisor that fills a cacheline (kMu elements): the strided
-/// side of the stage moves g-element runs, and a partial-line NT run
-/// costs several times its bytes.
+/// n2 long): the largest divisor of count (at most cap, and with g x len
+/// within the core-private `budget`) whose g x len groups still fill a
+/// block with at least `ranks` of them, so every rank gets a group. g
+/// never drops below the smallest divisor that fills a cacheline (kMu
+/// elements): the strided side of the stage moves g-element runs, and a
+/// partial-line NT run costs several times its bytes.
 idx_t pick_group(idx_t count, idx_t len, idx_t cap, idx_t block,
-                 idx_t ranks) {
-  const idx_t hi = std::min(cap, count);
+                 idx_t ranks, idx_t budget) {
+  const idx_t widest = std::min(cap, count);
   idx_t lo = 1;
-  for (idx_t d = 2; d <= hi && lo < kMu; ++d) {
+  for (idx_t d = 2; d <= widest && lo < kMu; ++d) {
     if (count % d == 0) lo = d;
   }
-  for (idx_t g = hi; g > lo; --g) {
-    const idx_t budget = block / (g * len);
-    if (count % g == 0 && budget >= ranks &&
-        rows_per_block(count / g, budget) >= ranks) {
+  for (idx_t g = std::min(widest, budget / len); g > lo; --g) {
+    const idx_t fit = block / (g * len);
+    if (count % g == 0 && fit >= ranks &&
+        rows_per_block(count / g, fit) >= ranks) {
       return g;
     }
   }
@@ -58,14 +58,15 @@ std::vector<StageGeometry> rotated_stages(const std::vector<idx_t>& dims,
 }
 
 /// Auto rotation packet (rule at make_stage_plan). A lane stage is one
-/// whose pencils are mu lanes wide; holding `ranks` rows there lets
-/// ThreadTeam::chunk hand every compute and data rank a row.
-idx_t pick_packet(const std::vector<idx_t>& dims, idx_t ranks) {
+/// whose pencils are mu lanes wide; its row must fit the core-private
+/// `budget`, and holding `ranks` rows there lets ThreadTeam::chunk hand
+/// every compute and data rank a row.
+idx_t pick_packet(const std::vector<idx_t>& dims, idx_t ranks,
+                  idx_t budget) {
   const idx_t m = dims.back();
   const auto fits = [&](idx_t mu) {
     for (const StageGeometry& g : rotated_stages(dims, mu)) {
-      if (g.lanes > 1 &&
-          (g.row_elems() > kCoreTileElems || g.rows() < ranks)) {
+      if (g.lanes > 1 && (g.row_elems() > budget || g.rows() < ranks)) {
         return false;
       }
     }
@@ -107,7 +108,8 @@ std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1) {
   idx_t n1 = 1;
   // Near-square: the largest divisor n1 <= sqrt(n), so n1 <= n2 and both
   // passes run ~sqrt(n)-point FFTs whose n1 x W and R x n2 groups
-  // (pick_group) fit each rank's share of the block.
+  // (pick_group) fit the core-private budget and each rank's share of
+  // the block.
   for (idx_t d = 2; d * d <= n; ++d) {
     if (n % d == 0) n1 = d;
   }
@@ -154,8 +156,10 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
                                      : default_block_elems(opts.topo);
   const bool nt = opts.nontemporal && !stage_parallel;
   // The 1D column and row groups and the rotation packet are sized so
-  // that every rank of either role gets a row.
+  // that every rank of either role gets a row, and so that each fits the
+  // one core-private budget, as every Private claim does.
   const idx_t ranks = std::max({pc, p - pc, 1});
+  const idx_t core = opts.topo.core_private_elems();
 
   if (dims.size() == 1) {
     const idx_t n = dims[0];
@@ -178,9 +182,10 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
       return plan;
     }
     const idx_t n1 = plan.n1, n2 = plan.n2;
-    // W and R are sized alike, so every rank gets a group of both
-    // stages; a requested packet_elems pins W (kBadPlan unless it divides
-    // n2 within the column cap: the tuner never enumerates a misfit).
+    // W and R are sized alike, within the core-private budget, so every
+    // rank gets a group of both stages; a requested packet_elems pins W
+    // (kBadPlan unless it divides n2 within the column cap: the tuner
+    // never enumerates a misfit).
     // When a pinned W or the cacheline floor leaves fewer groups than
     // ranks, the block grows to cover them.
     BWFFT_CHECK(opts.packet_elems <= 0 ||
@@ -189,8 +194,10 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
                 "packet_elems must divide the four-step row length n2");
     const idx_t w = opts.packet_elems > 0
                         ? opts.packet_elems
-                        : pick_group(n2, n1, kFourStepMaxCols, block, ranks);
-    const idx_t r = pick_group(n1, n2, kFourStepMaxRows, block, ranks);
+                        : pick_group(n2, n1, kFourStepMaxCols, block, ranks,
+                                     core);
+    const idx_t r =
+        pick_group(n1, n2, kFourStepMaxRows, block, ranks, core);
     block = covering_block(n2, w, n1, ranks, block);
     block = covering_block(n1, r, n2, ranks, block);
     plan.stages = {
@@ -198,10 +205,13 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
         tiled(StageKind::Rows, "large1d-rows", n1 / r, r * n2, block, nt)};
     plan.stages[0].group = w;
     plan.stages[1].group = r;
+    // Rows rotates each R x n2 group's n2 x R tile: packet q (R elements)
+    // of group g lands at q * n1 + g * R.
+    plan.stages[1].geom = StageGeometry{n1 / r, 1, n2, r, r};
   } else {
     plan.mu = opts.packet_elems > 0
                   ? resolve_packet_size(opts.packet_elems, dims.back())
-                  : pick_packet(dims, ranks);
+                  : pick_packet(dims, ranks, core);
     const std::vector<StageGeometry> geoms = rotated_stages(dims, plan.mu);
     static constexpr const char* kNames[3] = {"stage-0", "stage-1",
                                               "stage-2"};
@@ -225,19 +235,24 @@ StagePlan make_stage_plan(const std::vector<idx_t>& dims,
     // which one thread loads, transforms and stores on its own tile. A
     // stage too small to fill p claims of that size is cut into p, so
     // every thread has one.
-    const idx_t budget = std::min(block, opts.topo.core_private_elems());
+    const idx_t budget = std::min(block, core);
     for (PlannedStage& s : plan.stages) {
       const idx_t fit = std::min(budget / s.row_elems, s.rows / p);
       s.rows_per_block = rows_per_block(s.rows, std::max<idx_t>(fit, 1));
       s.iterations = s.rows / s.rows_per_block;
-      // Fused claims: the first Stockham level reads the source, and the
-      // last one streams each packet to its rotated place where the NT
-      // runs are long enough to pay for the per-packet codelet calls.
-      if (s.kind != StageKind::Rotated || sockets > 1) continue;
+      // Fused claims: the first Stockham level reads the source (a Rows
+      // claim transposes it into the tile first), and the last one
+      // streams each packet to its rotated place where the NT runs are
+      // long enough to pay for the per-packet codelet calls.
+      if (sockets > 1 || s.kind == StageKind::Columns) continue;
       const idx_t lanes = s.geom.lanes;
-      s.fused = s.nontemporal && (lanes == 1 || lanes >= kMinFusedStoreLanes)
-                    ? Fusion::LoadStore
-                    : Fusion::Load;
+      const bool wide = lanes >= kMinFusedStoreLanes;
+      if (s.kind == StageKind::Rotated) {
+        s.fused = s.nontemporal && (lanes == 1 || wide) ? Fusion::LoadStore
+                                                        : Fusion::Load;
+      } else if (s.kind == StageKind::Rows && s.nontemporal && wide) {
+        s.fused = Fusion::LoadStore;
+      }
     }
   }
   return plan;

@@ -31,25 +31,22 @@
 
 namespace bwfft {
 
-/// Four-step group caps. The Columns stage keeps a column group's twiddle
-/// recurrence in stack arrays of kFourStepMaxCols entries; 32 columns make
-/// each strided access a 512 B run. kFourStepMaxRows bounds R, which is
-/// both the Rows stage's NT store run (at most 2 KiB) and the lanes of
-/// its n2 x R tile, whose Stockham scratch costs n2 * R elements per
-/// compute thread.
+/// Four-step group caps, above the core-private budget that sizes both
+/// groups (a W x n1 or R x n2 group within core_private_elems(), so a
+/// claim and its Stockham scratch share the L2). The Columns stage keeps
+/// a column group's twiddle recurrence in stack arrays of
+/// kFourStepMaxCols entries; 32 columns make each strided access a 512 B
+/// run. kFourStepMaxRows bounds R, the Rows stage's NT store run (at most
+/// 2 KiB) and the lanes of its n2 x R tile.
 constexpr idx_t kFourStepMaxCols = 32;
 constexpr idx_t kFourStepMaxRows = 128;
-
-/// Core-private tile budget (256 KiB): the auto rotation packet widens
-/// only while the longest lane-stage row (L x mu) stays within it, so the
-/// lanes transforms run on core-private cache, not the shared LLC.
-constexpr idx_t kCoreTileElems = 16384;
 
 /// Widest auto rotation packet: a 1 KiB NT store run.
 constexpr idx_t kMaxPacketElems = 64;
 
-/// Narrowest lane row (lanes = mu) whose fused claims stream their
-/// packets from the last Stockham level: a 256 B NT run. At mu = 8
+/// Narrowest lane row (lanes = mu, or R on a Rows stage) whose fused
+/// claims stream their packets from the last Stockham level: a 256 B NT
+/// run. At mu = 8
 /// (4096^2) load-only fusion was faster (EXPERIMENTS.md, "Fused claims").
 constexpr idx_t kMinFusedStoreLanes = 16;
 
@@ -62,7 +59,10 @@ enum class StageKind {
 
 /// One stage tiled into pipeline blocks. A "row" is the stage's tiling
 /// unit: a row of the rotation grid, a group of `group` columns (an
-/// n1 x W tile) or a group of `group` rows (an R x n2 tile).
+/// n1 x W tile) or a group of `group` rows (an R x n2 tile). A Rows
+/// stage is a rotated lane stage too: geom is {n1/R, 1, n2, R, R}, whose
+/// rotation stores tile row q of group g at q * n1 + g * R (the final L);
+/// only its load differs, transposing the group's R rows into the tile.
 /// In a socket plan `rows` is one socket's share. Stage 0 (W^1) rotates
 /// the socket's slab, so geom is the slab's grid; stages 1 and 2 (W^2,
 /// W^3) keep the cube's grid, whose b (z, split_b) or a (y) dimension the
@@ -70,7 +70,7 @@ enum class StageKind {
 struct PlannedStage {
   StageKind kind = StageKind::Rotated;
   const char* name = "";  ///< obs slice and verifier label
-  StageGeometry geom;     ///< rotation grid (Rotated stages only)
+  StageGeometry geom;     ///< rotation grid (Rotated and Rows stages)
   idx_t group = 1;        ///< four-step group width W or height R
   idx_t rows = 1;
   idx_t row_elems = 1;
@@ -158,28 +158,33 @@ inline int default_compute_threads(int p) { return p; }
 /// in [2, sqrt(n)] yields {1, n}.
 std::pair<idx_t, idx_t> four_step_factors(idx_t n, idx_t requested_n1);
 
-/// Plan dims (size 1, 2 or 3, slowest first) under opts. 2D/3D plans are
-/// the rotated stage chain of fft/stage.h. Their packet mu is
-/// opts.packet_elems when set; auto starts from the SIMD packet
-/// (resolve_packet_size) and doubles while the wider packet divides the
-/// fast dimension, stays within kMaxPacketElems, keeps every lane-stage
-/// row within kCoreTileElems and leaves every lane stage at least
+/// Plan dims (size 1, 2 or 3, slowest first) under opts. One budget
+/// sizes every core-private tile: c = topo.core_private_elems(), half a
+/// core's L2, so a tile and the Stockham scratch of its transform share
+/// the L2. 2D/3D plans are the rotated stage chain of fft/stage.h. Their
+/// packet mu is opts.packet_elems when set; auto starts from the SIMD
+/// packet (resolve_packet_size) and doubles while the wider packet
+/// divides the fast dimension, stays within kMaxPacketElems, keeps every
+/// lane-stage row (L x mu) within c and leaves every lane stage at least
 /// max(p_c, p_d) rows: the rotation then stores long NT runs wherever the
-/// lanes transform stays core-private. 1D plans are the two
-/// four-step passes, whose column width W (pinned by packet_elems when
-/// set) and row height R are the widest groups that still give every
-/// rank one per block, or one Flat stage on a single thread when n does
-/// not split (a pinned packet_elems has no column group to pin there and
-/// is kBadPlan). p_c is opts.compute_threads when set, else
-/// default_compute_threads. Under Private (p_c = p) every stage is
-/// tiled into claims instead of blocks: the most whole rows within
-/// min(b, topo.core_private_elems()) elements and within rows / p (so
-/// every thread has a claim), but at least one row. A Private Rotated
-/// stage of a one-socket plan fuses its claims' data tasks into the
-/// compute (PlannedStage::fused): always the load, and the store too when
-/// it is non-temporal and either the pencils are contiguous (lanes = 1)
-/// or a lane row is at least 16 elements wide (lanes = mu >= 16: at
-/// mu = 8 the 128 B packets lost to load-only fusion).
+/// lanes transform stays core-private. 1D plans are the two four-step
+/// passes, whose column width W (pinned by packet_elems when set) and row
+/// height R are the widest groups within c (W x n1, R x n2) that still
+/// give every rank one per block, but at least a cacheline (kMu) wide, or
+/// one Flat stage on a single thread when n does not split (a pinned
+/// packet_elems has no column group to pin there and is kBadPlan). p_c is
+/// opts.compute_threads when set, else default_compute_threads. Under
+/// Private (p_c = p) every stage is tiled into claims instead of blocks:
+/// the most whole rows within min(b, c) elements and within rows / p (so
+/// every thread has a claim), but at least one row. Private stages of a
+/// one-socket plan fuse their claims' data tasks into the compute
+/// (PlannedStage::fused). A Rotated stage always fuses the load, and the
+/// store too when it is non-temporal and either the pencils are
+/// contiguous (lanes = 1) or a lane row is at least kMinFusedStoreLanes
+/// wide (at mu = 8 the 128 B packets lost to load-only fusion). A Rows
+/// stage fuses both (its transposing gather moves into the compute and
+/// its last level streams the R-element runs) under the same store rule,
+/// R >= kMinFusedStoreLanes, and neither otherwise; Columns never fuses.
 /// EngineKind::StageParallel plans the same 2D/3D stages as Private
 /// claims with temporal stores whatever compute_threads and nontemporal
 /// ask for, and every 1D size as the one Flat stage (factor_n1 unread);

@@ -459,6 +459,34 @@ TEST_F(FaultRecoveryTest, BadPlanIsNotRetried) {
   EXPECT_EQ(0u, fault::retried_count());
 }
 
+TEST_F(FaultRecoveryTest, ReportNamesThePlansThreadsNotTheRequest) {
+  // threads_used is the team the plan ran on: a Flat 1D plan runs on the
+  // caller alone whatever the request, a tiled plan on its p.
+  struct Case {
+    std::vector<idx_t> dims;
+    EngineKind engine;
+    int want;
+  };
+  for (const Case& c : std::vector<Case>{
+           {{65536}, EngineKind::StageParallel, 1},
+           {{65537}, EngineKind::DoubleBuffer, 1},
+           {{65536}, EngineKind::DoubleBuffer, 4},
+           {{32, 32}, EngineKind::DoubleBuffer, 4},
+           {{16, 16}, EngineKind::Reference, 1}}) {
+    FftOptions opts = engine_opts(c.engine, 4);
+    std::unique_ptr<MdEngine> engine;
+    idx_t total = 1;
+    for (idx_t d : c.dims) total *= d;
+    cvec in = random_cvec(total), out(in.size());
+    ExecReport rep;
+    const Status st = try_execute_recovering(c.dims, Direction::Forward, opts,
+                                             engine, in.data(), out.data(),
+                                             &rep);
+    ASSERT_TRUE(st.ok()) << st.str();
+    EXPECT_EQ(c.want, rep.threads_used) << rep.engine << " total=" << total;
+  }
+}
+
 TEST_F(FaultRecoveryTest, AcceptanceSweepEveryFamilyDegradesBitExact) {
   const idx_t k = 16, n = 16, m = 16;
   FftOptions base = engine_opts(EngineKind::DoubleBuffer);

@@ -1,7 +1,9 @@
 // Fused Private claims (PlannedStage::fused): a Rotated stage's first
 // Stockham level reads each claim straight from the stage source, and
-// its last level streams the packets to their rotated places. Only the
-// buffer hops change, so the output must be bitwise the unfused one.
+// its last level streams the packets to their rotated places; a 1D Rows
+// claim gathers its rows into the tile and streams its R-element runs.
+// Only the buffer hops change, so the output must be bitwise the
+// unfused one.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -142,25 +144,85 @@ TEST(FusedClaims, UnalignedOutputTakesTheTileStore) {
   }
 }
 
+/// The 1D four-step: the default fused Private plan on two threads
+/// against the Split plan with two compute threads (p = 4, p_c = 2).
+/// Both plans give two ranks a group, so W and R agree; the Rows stage
+/// fuses its gather and streams its store where R >= 16.
+void expect_four_step_matches_split(idx_t n) {
+  const cvec x = random_cvec(n, 3100 + n);
+  for (kernels::Isa isa : host_isas()) {
+    FftOptions fused_opts = opts_for(isa, -1, 0);
+    fused_opts.threads = 2;
+    const FftOptions split_opts = opts_for(isa, 2, 0);
+    const StagePlan fused_plan = make_stage_plan({n}, fused_opts);
+    const StagePlan split_plan = make_stage_plan({n}, split_opts);
+    ASSERT_EQ(Schedule::Private, fused_plan.schedule());
+    ASSERT_EQ(Schedule::Split, split_plan.schedule());
+    ASSERT_EQ(2u, fused_plan.stages.size());
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(split_plan.stages[k].group, fused_plan.stages[k].group);
+    }
+    const PlannedStage& rows = fused_plan.stages[1];
+    EXPECT_EQ(rows.group >= kMinFusedStoreLanes ? Fusion::LoadStore
+                                                : Fusion::None,
+              rows.fused);
+    for (Direction dir : {Direction::Forward, Direction::Inverse}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n " << n << " isa " << kernels::isa_name(isa) << " R "
+                   << rows.group
+                   << (dir == Direction::Forward ? " forward" : " inverse"));
+      std::vector<Fusion> ran;
+      const cvec fused = run({n}, dir, fused_opts, x, 0, &ran);
+      const cvec split = run({n}, dir, split_opts, x);
+      EXPECT_TRUE(bitwise_equal(fused, split));
+      // Without streaming codelets a fused Rows claim keeps its store.
+      const Fusion want = rows.fused == Fusion::LoadStore && !streams(isa)
+                              ? Fusion::Load
+                              : rows.fused;
+      EXPECT_EQ((std::vector<Fusion>{Fusion::None, want}), ran);
+    }
+  }
+}
+
+TEST(FusedClaims, FourStep2to16MatchesSplitBitwise) {
+  expect_four_step_matches_split(idx_t{1} << 16);
+}
+
+TEST(FusedClaims, FourStep2to20MatchesSplitBitwise) {
+  expect_four_step_matches_split(idx_t{1} << 20);
+}
+
+TEST(FusedClaims, FourStep2to22MatchesSplitBitwise) {
+  expect_four_step_matches_split(idx_t{1} << 22);
+}
+
+TEST(FusedClaims, FourStepSmooth3x2to20MatchesSplitBitwise) {
+  expect_four_step_matches_split(idx_t{3} << 20);
+}
+
 TEST(FusedClaims, CountedBytesMatchThePlan) {
 #if !defined(BWFFT_OBS)
   GTEST_SKIP() << "built with BWFFT_OBS=OFF";
 #else
   // A fused compute counts the bytes its claim reads and streams, so
   // one execute still loads and stores each stage's array once.
-  const std::vector<idx_t> dims = {64, 64, 64};
-  FftOptions o;
-  o.threads = 4;
-  DoubleBufferEngine eng(dims, Direction::Forward, o);
-  ASSERT_EQ(Fusion::LoadStore, eng.plan().stages[0].fused);
-  AlignedBuffer<cplx> in(64 * 64 * 64), out(64 * 64 * 64);
-  const cvec x = random_cvec(64 * 64 * 64, 2912);
-  std::memcpy(in.data(), x.data(), x.size() * sizeof(cplx));
-  obs::reset_counters();
-  eng.execute(in.data(), out.data());
-  const auto expected = static_cast<std::uint64_t>(eng.plan().expected_bytes());
-  EXPECT_EQ(expected, obs::counter_total(obs::Counter::BytesLoaded));
-  EXPECT_EQ(expected, obs::counter_total(obs::Counter::BytesStored));
+  for (const std::vector<idx_t>& dims :
+       {std::vector<idx_t>{64, 64, 64}, std::vector<idx_t>{idx_t{1} << 16}}) {
+    FftOptions o;
+    o.threads = 4;
+    DoubleBufferEngine eng(dims, Direction::Forward, o);
+    ASSERT_EQ(Fusion::LoadStore, eng.plan().stages.back().fused);
+    const idx_t n = eng.plan().total;
+    AlignedBuffer<cplx> in(n), out(n);
+    const cvec x = random_cvec(n, 2912);
+    std::memcpy(in.data(), x.data(), x.size() * sizeof(cplx));
+    obs::reset_counters();
+    eng.execute(in.data(), out.data());
+    const auto expected =
+        static_cast<std::uint64_t>(eng.plan().expected_bytes());
+    EXPECT_EQ(expected, obs::counter_total(obs::Counter::BytesLoaded)) << n;
+    EXPECT_EQ(expected, obs::counter_total(obs::Counter::BytesStored)) << n;
+  }
 #endif
 }
 

@@ -133,11 +133,12 @@ TEST(StagePlan, FourStepGroupsCoverEveryRankOfBothStages) {
 
 TEST(StagePlan, LargeOneDIsPrivateWithCorePrivateGroups) {
   // 2^24 on four threads: the near-square 4096 x 4096 split, the Private
-  // schedule, and W = R = 32 (512 B runs): four 2 MiB groups fill the
-  // 8 MiB policy block, one per rank. A 2 MiB group exceeds half of a
-  // 2 MiB L2, so each claim is one group. At half the block both groups
-  // halve to 16 (256 B runs) instead of leaving two ranks idle, and a
-  // 1 MiB group is again one claim.
+  // schedule, and W = R = 16 (256 B runs): a 16 x 4096 group is 1 MiB,
+  // half of a 2 MiB L2, so each claim is one group and its Stockham
+  // scratch fits the L2 beside it. The block does not bind until a
+  // quarter of the policy block, where the rank rule halves both groups
+  // to 8 instead of leaving two ranks idle (a claim then takes two); a
+  // 1 MiB L2 halves them too.
   FftOptions o;
   o.threads = 4;
   o.block_elems = 524288;
@@ -147,24 +148,38 @@ TEST(StagePlan, LargeOneDIsPrivateWithCorePrivateGroups) {
   EXPECT_EQ(4096, plan.n1);
   EXPECT_EQ(4096, plan.n2);
   EXPECT_EQ(524288, plan.block_elems);
-  EXPECT_EQ(131072, plan.slot_elems());
+  EXPECT_EQ(65536, plan.slot_elems());
   for (const PlannedStage& s : plan.stages) {
-    EXPECT_EQ(32, s.group) << s.name;
-    EXPECT_EQ(1, s.rows_per_block) << s.name;
-    EXPECT_EQ(128, s.iterations) << s.name;
-  }
-  o.block_elems = 262144;
-  const StagePlan half = make_stage_plan({idx_t{1} << 24}, o);
-  for (const PlannedStage& s : half.stages) {
     EXPECT_EQ(16, s.group) << s.name;
     EXPECT_EQ(1, s.rows_per_block) << s.name;
+    EXPECT_EQ(256, s.iterations) << s.name;
+  }
+  EXPECT_EQ(Fusion::None, plan.stages[0].fused);
+  EXPECT_EQ(Fusion::LoadStore, plan.stages[1].fused);
+  EXPECT_EQ((StageGeometry{256, 1, 4096, 16, 16}), plan.stages[1].geom);
+  o.block_elems = 262144;
+  for (const PlannedStage& s : make_stage_plan({idx_t{1} << 24}, o).stages) {
+    EXPECT_EQ(16, s.group) << s.name;
+  }
+  o.block_elems = 131072;
+  for (const PlannedStage& s : make_stage_plan({idx_t{1} << 24}, o).stages) {
+    EXPECT_EQ(8, s.group) << s.name;
+    EXPECT_EQ(2, s.rows_per_block) << s.name;  // still 1 MiB claims
+  }
+  o.block_elems = 524288;
+  o.topo.l2_bytes = 1u << 20;
+  const StagePlan small = make_stage_plan({idx_t{1} << 24}, o);
+  for (const PlannedStage& s : small.stages) {
+    EXPECT_EQ(8, s.group) << s.name;
+    EXPECT_EQ(Fusion::None, s.fused) << s.name;  // R = 8 < 16: unfused
   }
 }
 
 TEST(StagePlan, MultiDimensionalBenchmarkPlansAreUnchanged) {
   // The benchmark's 256^3 and 4096^2 plans at four threads, the 8 MiB
   // policy block and a 2 MiB L2, field by field: every stage is tiled
-  // into 1 MiB claims (half the L2).
+  // into 1 MiB claims (half the L2), and 4096^2 widens its packet to 16,
+  // where a 4096 x 16 lane row is exactly that budget.
   FftOptions o;
   o.threads = 4;
   o.block_elems = 524288;
@@ -191,7 +206,7 @@ TEST(StagePlan, MultiDimensionalBenchmarkPlansAreUnchanged) {
   EXPECT_EQ(4, cube.stages[1].geom.a);
   EXPECT_EQ(4, cube.stages[2].geom.b);
 
-  const idx_t mu = resolve_packet_size(0, 4096);  // the SIMD packet
+  const idx_t mu = 16;
   const StagePlan square = make_stage_plan({4096, 4096}, o);
   EXPECT_EQ(4, square.compute_threads);
   EXPECT_EQ(0, square.data_threads);
@@ -203,16 +218,18 @@ TEST(StagePlan, MultiDimensionalBenchmarkPlansAreUnchanged) {
   EXPECT_EQ(16, square.stages[0].rows_per_block);
   EXPECT_EQ(4096 / mu, square.stages[1].rows);
   EXPECT_EQ(4096 * mu, square.stages[1].row_elems);
-  EXPECT_EQ(16 / mu, square.stages[1].rows_per_block);
+  EXPECT_EQ(1, square.stages[1].rows_per_block);
   EXPECT_EQ(65536, square.slot_elems());
   EXPECT_EQ(mu, square.stages[1].geom.lanes);
+  EXPECT_EQ(Fusion::LoadStore, square.stages[1].fused);
 }
 
 TEST(StagePlan, PacketElemsPinsOnlyTheColumnWidth) {
   FftOptions o;
   o.threads = 4;
+  o.topo.l2_bytes = 2u << 20;
   const StagePlan def = make_stage_plan({idx_t{1} << 24}, o);
-  EXPECT_EQ(32, def.stages[0].group);  // W: 512 B column runs
+  EXPECT_EQ(16, def.stages[0].group);  // W: 1 MiB groups, 256 B runs
 
   // A requested packet pins W; R still comes from the rank rule.
   o.packet_elems = 8;
@@ -249,18 +266,71 @@ idx_t min_lane_stage_rows(const StagePlan& plan) {
 TEST(StagePlan, AutoPacketWidensWhereLaneRowsStayCorePrivate) {
   FftOptions o;
   o.threads = 4;
-  const idx_t simd = resolve_packet_size(0, 256);
+  o.topo.l2_bytes = 2u << 20;  // budget: 65536 elements
+  const idx_t budget = o.topo.core_private_elems();
 
-  // 256^3: a 256 x 64 lane row is exactly the core-private budget, so the
-  // packet grows to the widest store run.
+  // 256^3: a 256 x 64 lane row is well inside the budget, so the packet
+  // grows to the widest store run.
   const StagePlan cube = make_stage_plan({256, 256, 256}, o);
   EXPECT_EQ(kMaxPacketElems, cube.mu);
-  EXPECT_EQ(kCoreTileElems, 256 * cube.mu);
 
-  // 4096^2: one SIMD-packet lane row already overflows the budget.
+  // 4096^2: a 4096 x 16 lane row is exactly the budget; 8192^2 stops at
+  // 8 for the same reason.
   const StagePlan square = make_stage_plan({4096, 4096}, o);
-  EXPECT_EQ(simd, square.mu);
-  EXPECT_EQ(simd, make_stage_plan({8192, 8192}, o).mu);
+  EXPECT_EQ(16, square.mu);
+  EXPECT_EQ(budget, 4096 * square.mu);
+  EXPECT_EQ(8, make_stage_plan({8192, 8192}, o).mu);
+
+  // The paper profiles' 256 KiB L2 (8192 elements): 256^3 stops at 32,
+  // and 4096^2 keeps the SIMD packet, already past the budget.
+  o.topo = machines::kabylake_7700k();
+  EXPECT_EQ(32, make_stage_plan({256, 256, 256}, o).mu);
+  EXPECT_EQ(resolve_packet_size(0, 4096), make_stage_plan({4096, 4096}, o).mu);
+}
+
+TEST(StagePlan, EveryCorePrivateTileFitsTheBudget) {
+  // One budget, half the L2, sizes every core-private tile: each lane
+  // row (L x mu) and each four-step group (W x n1, R x n2) fits it, or
+  // sits at its floor (the SIMD packet, or the cacheline-wide group);
+  // every Private claim fits it or is one row.
+  const std::vector<std::vector<idx_t>> shapes = {
+      {256, 256, 256}, {4096, 4096},     {8192, 8192},
+      {idx_t{1} << 20}, {idx_t{1} << 24}, {idx_t{1} << 26}};
+  for (std::size_t l2 : {std::size_t{256} << 10, std::size_t{1} << 20,
+                         std::size_t{2} << 20}) {
+    for (const auto& dims : shapes) {
+      FftOptions o;
+      o.threads = 4;
+      o.topo.l2_bytes = l2;
+      const idx_t budget = o.topo.core_private_elems();
+      const StagePlan plan = make_stage_plan(dims, o);
+      SCOPED_TRACE(::testing::Message()
+                   << "l2=" << l2 << " total=" << plan.total
+                   << " rank=" << dims.size() << " mu=" << plan.mu);
+      for (const PlannedStage& s : plan.stages) {
+        EXPECT_TRUE(s.rows_per_block * s.row_elems <= budget ||
+                    s.rows_per_block == 1)
+            << s.name;
+        if (s.kind == StageKind::Rotated && s.geom.lanes > 1) {
+          EXPECT_TRUE(s.row_elems <= budget ||
+                      plan.mu == resolve_packet_size(0, dims.back()))
+              << s.name;
+        }
+        if (s.kind == StageKind::Columns || s.kind == StageKind::Rows) {
+          const idx_t count = s.kind == StageKind::Columns ? plan.n2 : plan.n1;
+          idx_t floor = count;
+          for (idx_t d = kMu; d < count; ++d) {
+            if (count % d == 0) {
+              floor = d;
+              break;
+            }
+          }
+          EXPECT_TRUE(s.row_elems <= budget || s.group == floor)
+              << s.name << " group=" << s.group;
+        }
+      }
+    }
+  }
 }
 
 TEST(StagePlan, AutoPacketKeepsARowForEveryRank) {
@@ -325,9 +395,14 @@ TEST(StagePlan, NarrowDispatchStartsFromTheCachelinePacket) {
     IsaScope scope(isa);
     SCOPED_TRACE(kernels::isa_name(isa));
     EXPECT_EQ(kMu, resolve_packet_size(0, 4096));
-    // No widening at 4096^2: the auto packet is the §III-A cacheline.
-    EXPECT_EQ(kMu, make_stage_plan({4096, 4096}, o).mu);
+    // No widening at 4096^2 on a 256 KiB L2: the auto packet is the
+    // §III-A cacheline.
+    FftOptions paper = o;
+    paper.topo = machines::kabylake_7700k();
+    EXPECT_EQ(kMu, make_stage_plan({4096, 4096}, paper).mu);
     // The widening rule does not depend on the dispatch.
+    o.topo.l2_bytes = 2u << 20;
+    EXPECT_EQ(16, make_stage_plan({4096, 4096}, o).mu);
     EXPECT_EQ(kMaxPacketElems, make_stage_plan({256, 256, 256}, o).mu);
   }
 }
@@ -576,11 +651,20 @@ TEST(StagePlan, PrivateRotatedStagesFuseTheirClaims) {
   EXPECT_EQ((V{L, L}), fusions(make_stage_plan({64, 64}, o)));
   o.nontemporal = true;
   o.packet_elems = 0;
-  // Split, the four-step stages and the socket plans are never fused.
+  // Split, the Columns stage and the socket plans are never fused; a
+  // Rows stage fuses its gather and store when R >= kMinFusedStoreLanes
+  // (2^16: 256 x 256, R = 64 on a 2 MiB L2; 2^26: R = 8) and the store
+  // is non-temporal.
   o.compute_threads = 2;
   EXPECT_EQ((V{N, N, N}), fusions(make_stage_plan({64, 64, 64}, o)));
-  o.compute_threads = -1;
   EXPECT_EQ((V{N, N}), fusions(make_stage_plan({1 << 16}, o)));
+  o.compute_threads = -1;
+  o.topo.l2_bytes = 2u << 20;
+  EXPECT_EQ((V{N, LS}), fusions(make_stage_plan({1 << 16}, o)));
+  EXPECT_EQ((V{N, N}), fusions(make_stage_plan({1 << 26}, o)));
+  o.nontemporal = false;
+  EXPECT_EQ((V{N, N}), fusions(make_stage_plan({1 << 16}, o)));
+  o.nontemporal = true;
   EXPECT_EQ((V{N, N, N}), fusions(make_stage_plan({64, 64, 64}, o, 2)));
   // Stage-parallel: the Private claims with temporal stores.
   o.engine = EngineKind::StageParallel;

@@ -334,27 +334,10 @@ int inject_double_claim(const LintOptions& opt) {
 /// A fused claim that streams its packets one grid row too far must be
 /// caught twice: in the static model (its rotated store windows shifted
 /// by one row overlap the next claim's and leave its own first row
-/// unwritten) and at run time, by probing the real fused compute of the
-/// plan's first streaming stage over a sentinel-poisoned output.
-int inject_fused_misroute(const LintOptions& opt) {
-  FftOptions req;
-  req.threads = opt.threads;
-  req.engine = EngineKind::DoubleBuffer;
-  const std::vector<idx_t>& dims = opt.dims_list.front();
-  analysis::PlanModel model;
-  if (!inject_base_model(opt, &model, -1)) return 2;
-  const StagePlan plan = make_stage_plan(dims, req);
-  std::size_t k = 0;
-  while (k < plan.stages.size() &&
-         (plan.stages[k].fused != Fusion::LoadStore ||
-          plan.stages[k].iterations < 2)) {
-    ++k;
-  }
-  if (k == plan.stages.size()) {
-    std::fprintf(stderr, "inject: need a load+store fused stage with >= 2 "
-                         "claims\n");
-    return 2;
-  }
+/// unwritten) and at run time, by probing the real fused compute of
+/// stage k over a sentinel-poisoned output. True when both catch it.
+bool fused_misroute_caught(const StagePlan& plan, std::size_t k) {
+  analysis::PlanModel model = analysis::build_plan_model(plan);
   const PlannedStage& s = plan.stages[k];
   const idx_t mu = s.geom.mu;
 
@@ -373,10 +356,6 @@ int inject_fused_misroute(const LintOptions& opt) {
       make_rotated_stage(s, fft, src.data(), out.data());
   const PipelineStage off =
       make_rotated_stage(s, fft, src.data(), out.data() + mu);
-  if (good.fusion() != Fusion::LoadStore || off.fusion() != Fusion::LoadStore) {
-    std::fprintf(stderr, "inject: this host's codelets do not stream\n");
-    return 2;
-  }
   analysis::HazardReport dyn;
   const auto misrouted = [&](idx_t i, cplx* tile, int rank, int parts) {
     (i == 1 ? off : good).compute(i, tile, rank, parts);
@@ -385,13 +364,53 @@ int inject_fused_misroute(const LintOptions& opt) {
       analysis::probe_outputs(misrouted, s.iterations, out.data(), plan.total,
                               s.rows_per_block * s.row_elems),
       /*require_cover=*/true, "fused store", dyn);
-  std::printf("inject fused-misroute on %s stage %zu: static %s, runtime "
-              "%s\n",
-              model.label().c_str(), k, rep.ok() ? "MISSED" : "caught",
-              dyn.clean() ? "MISSED" : "caught");
+  std::printf("inject fused-misroute on %s stage %zu (%s): static %s, "
+              "runtime %s\n",
+              model.label().c_str(), k, s.name,
+              rep.ok() ? "MISSED" : "caught", dyn.clean() ? "MISSED" : "caught");
   if (!rep.ok()) std::printf("%s\n", rep.str().c_str());
   if (!dyn.clean()) std::printf("%s\n", dyn.str().c_str());
-  return (!rep.ok() && !dyn.clean()) ? 1 : 0;
+  return !rep.ok() && !dyn.clean();
+}
+
+/// Seeds the misroute into the first load+store fused stage with two or
+/// more claims of each streaming kind among the shapes: a 2D/3D Rotated
+/// stage and a 1D Rows stage (the defaults have both).
+int inject_fused_misroute(const LintOptions& opt) {
+  FftOptions req;
+  req.threads = opt.threads;
+  req.engine = EngineKind::DoubleBuffer;
+  int seeded = 0, caught = 0;
+  for (StageKind kind : {StageKind::Rotated, StageKind::Rows}) {
+    bool found = false;
+    for (const auto& dims : opt.dims_list) {
+      const StagePlan plan = make_stage_plan(dims, req);
+      for (std::size_t k = 0; !found && k < plan.stages.size(); ++k) {
+        const PlannedStage& s = plan.stages[k];
+        if (s.kind != kind || s.fused != Fusion::LoadStore ||
+            s.iterations < 2) {
+          continue;
+        }
+        const Fft1d fft(s.geom.fft_len, Direction::Forward);
+        AlignedBuffer<cplx> out(static_cast<std::size_t>(plan.total));
+        if (!fft.streams_rotated(s.geom.lanes, s.rows_per_block,
+                                 {out.data(), s.geom.rows(), 0, s.geom.mu})) {
+          std::fprintf(stderr, "inject: this host's codelets do not stream\n");
+          return 2;
+        }
+        found = true;
+        ++seeded;
+        caught += fused_misroute_caught(plan, k) ? 1 : 0;
+      }
+      if (found) break;
+    }
+  }
+  if (seeded == 0) {
+    std::fprintf(stderr, "inject: need a load+store fused stage with >= 2 "
+                         "claims\n");
+    return 2;
+  }
+  return caught == seeded ? 1 : 0;
 }
 
 int run_inject(const LintOptions& opt) {
